@@ -19,8 +19,9 @@
 //! Unlike the Section 3 constructions these introduce **no new
 //! letters**: they are logically equivalent (criterion (2)).
 
+use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
-use crate::distance::{delta_sets_over, min_distance_over, union_vars};
+use crate::distance::{both_satisfiable, delta_sets_over, min_distance_over, omega_of, union_vars};
 use revkb_logic::{Formula, Var};
 
 /// All subsets of `vars`, as vectors (ascending by mask).
@@ -47,24 +48,18 @@ fn as_mask(vars: &[Var], subset: &[Var]) -> u64 {
         .fold(0, |a, b| a | b)
 }
 
-/// Handle the degenerate inputs the paper sets aside: returns
-/// `Some(rep)` when `T` or `P` is unsatisfiable.
-fn degenerate(t: &Formula, p: &Formula, base: Vec<Var>) -> Option<CompactRep> {
-    if !revkb_sat::satisfiable(p) {
-        return Some(CompactRep::logical(Formula::False, base));
-    }
-    if !revkb_sat::satisfiable(t) {
-        return Some(CompactRep::logical(p.clone(), base));
-    }
-    None
+/// The degenerate inputs the paper sets aside, once the caller knows
+/// that `T` or `P` is unsatisfiable.
+fn degenerate(p: &Formula, base: Vec<Var>) -> CompactRep {
+    CompactRep::logical(degenerate_result(p), base)
 }
 
 /// Formula (5): `T *Win P` as a logically equivalent formula of size
 /// linear in `|T|` (Proposition 4.3).
 pub fn winslett_bounded(t: &Formula, p: &Formula) -> CompactRep {
     let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
+    if !both_satisfiable(t, p) {
+        return degenerate(p, base);
     }
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let disjuncts = subsets(&pvars).into_iter().map(|s| {
@@ -88,12 +83,10 @@ pub fn winslett_bounded(t: &Formula, p: &Formula) -> CompactRep {
 /// Corollary 4.4: `T *B P` — `T ∧ P` when consistent, formula (5)
 /// otherwise. Logically equivalent, size linear in `|T|`.
 pub fn borgida_bounded(t: &Formula, p: &Formula) -> CompactRep {
-    let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
-    }
+    // A consistent `T ∧ P` has both sides satisfiable; otherwise
+    // Winslett's construction also covers the degenerate inputs.
     if revkb_sat::satisfiable(&t.clone().and(p.clone())) {
-        CompactRep::logical(t.clone().and(p.clone()), base)
+        CompactRep::logical(t.clone().and(p.clone()), union_vars(t, p))
     } else {
         winslett_bounded(t, p)
     }
@@ -103,8 +96,8 @@ pub fn borgida_bounded(t: &Formula, p: &Formula) -> CompactRep {
 /// guard `|C△S| < |S|` (Theorem 4.5).
 pub fn forbus_bounded(t: &Formula, p: &Formula) -> CompactRep {
     let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
+    if !both_satisfiable(t, p) {
+        return degenerate(p, base);
     }
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let all_subsets = subsets(&pvars);
@@ -127,11 +120,11 @@ pub fn forbus_bounded(t: &Formula, p: &Formula) -> CompactRep {
 /// Formula (7): `T *S P = P ∧ ⋁_{S ∈ δ(T,P)} T[S/S̄]` (Theorem 4.6).
 pub fn satoh_bounded(t: &Formula, p: &Formula) -> CompactRep {
     let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
-    }
     let delta =
         delta_sets_over(t, p, &base, 1 << 22).expect("δ enumeration exceeded the bounded-case cap");
+    if delta.is_empty() {
+        return degenerate(p, base);
+    }
     let disjuncts = delta.into_iter().map(|s| {
         let s_vec: Vec<Var> = s.into_iter().collect();
         t.flip(&s_vec)
@@ -144,10 +137,9 @@ pub fn satoh_bounded(t: &Formula, p: &Formula) -> CompactRep {
 /// `V(P)`, so `S` ranges over `V(P)` only.
 pub fn dalal_bounded(t: &Formula, p: &Formula) -> CompactRep {
     let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
-    }
-    let k = min_distance_over(t, p, &base).expect("both sides satisfiable");
+    let Some(k) = min_distance_over(t, p, &base) else {
+        return degenerate(p, base);
+    };
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let disjuncts = subsets(&pvars)
         .into_iter()
@@ -160,13 +152,12 @@ pub fn dalal_bounded(t: &Formula, p: &Formula) -> CompactRep {
 /// this is Weber's own definition read off directly).
 pub fn weber_bounded(t: &Formula, p: &Formula) -> CompactRep {
     let base = union_vars(t, p);
-    if let Some(rep) = degenerate(t, p, base.clone()) {
-        return rep;
+    let delta =
+        delta_sets_over(t, p, &base, 1 << 22).expect("δ enumeration exceeded the bounded-case cap");
+    if delta.is_empty() {
+        return degenerate(p, base);
     }
-    let omega: Vec<Var> = crate::distance::omega_over(t, p, &base, 1 << 22)
-        .expect("δ enumeration exceeded the bounded-case cap")
-        .into_iter()
-        .collect();
+    let omega = omega_of(delta);
     let disjuncts = subsets(&omega).into_iter().map(|s| t.flip(&s));
     CompactRep::logical(p.clone().and(Formula::or_all(disjuncts)), base)
 }

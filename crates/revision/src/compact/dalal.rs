@@ -14,6 +14,7 @@
 //! exactly the models of `T *D P`. The size is `O(|T| + |P| +
 //! n log n)`, polynomial as Theorem 3.4 requires.
 
+use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
 use crate::distance::{min_distance_over, union_vars};
 use revkb_circuits::exa;
@@ -26,18 +27,9 @@ use revkb_sat::supply_above;
 /// trivially compactable): unsatisfiable `P` yields `⊥`; unsatisfiable
 /// `T` (with satisfiable `P`) yields `P`.
 pub fn dalal_compact(t: &Formula, p: &Formula, supply: &mut impl VarSupply) -> CompactRep {
-    let _span = revkb_obs::span("revision.phase.distance_circuit");
     let xs = union_vars(t, p);
-    let k = match min_distance_over(t, p, &xs) {
-        Some(k) => k,
-        None => {
-            let formula = if revkb_sat::satisfiable(p) {
-                p.clone()
-            } else {
-                Formula::False
-            };
-            return CompactRep::query(formula, xs);
-        }
+    let Some(k) = min_distance_over(t, p, &xs) else {
+        return CompactRep::query(degenerate_result(p), xs);
     };
     let ys: Vec<_> = xs.iter().map(|_| supply.fresh_var()).collect();
     let t_on_y = t.rename(&xs, &ys);

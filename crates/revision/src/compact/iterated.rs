@@ -29,8 +29,9 @@
 //!   which keeps one copy of the running representation per step and
 //!   stays polynomial in `|T| + m`.
 
+use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
-use crate::distance::{delta_sets_over, min_distance_over, omega_over};
+use crate::distance::{delta_sets_over, min_distance_over, omega_of};
 use revkb_circuits::{distance_less_direct, exa};
 use revkb_logic::{Formula, Substitution, Var, VarSupply};
 use revkb_qbf::Qbf;
@@ -69,27 +70,16 @@ fn differ_exactly(xs: &[Var], ys: &[Var], s: &BTreeSet<Var>) -> Formula {
     }))
 }
 
-fn degenerate_step(cur: &Formula, p: &Formula) -> Option<Formula> {
-    if !revkb_sat::satisfiable(p) {
-        return Some(Formula::False);
-    }
-    if !revkb_sat::satisfiable(cur) {
-        return Some(p.clone());
-    }
-    None
-}
-
 /// Theorem 5.1: `Φₘ`, the query-equivalent representation of
 /// `T *D P¹ *D … *D Pᵐ`. Polynomial in `|T| + Σ|Pⁱ|`.
 pub fn dalal_iterated(t: &Formula, ps: &[Formula], supply: &mut impl VarSupply) -> CompactRep {
     let xs = base_vars(t, ps);
     let mut cur = t.clone();
     for p in ps {
-        if let Some(f) = degenerate_step(&cur, p) {
-            cur = f;
+        let Some(k) = min_distance_over(&cur, p, &xs) else {
+            cur = degenerate_result(p);
             continue;
-        }
-        let k = min_distance_over(&cur, p, &xs).expect("both sides satisfiable");
+        };
         let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
         let prev = cur.rename(&xs, &ys);
         let exa_k = exa(k, &xs, &ys, supply);
@@ -110,11 +100,12 @@ pub fn weber_iterated(
     let xs = base_vars(t, ps);
     let mut cur = t.clone();
     for p in ps {
-        if let Some(f) = degenerate_step(&cur, p) {
-            cur = f;
+        let delta = delta_sets_over(&cur, p, &xs, delta_limit)?;
+        if delta.is_empty() {
+            cur = degenerate_result(p);
             continue;
         }
-        let omega: Vec<Var> = omega_over(&cur, p, &xs, delta_limit)?.into_iter().collect();
+        let omega = omega_of(delta);
         let zs: Vec<Var> = omega.iter().map(|_| supply.fresh_var()).collect();
         cur = cur.rename(&omega, &zs).and(p.clone());
     }
@@ -225,10 +216,10 @@ fn satoh_step(
     delta_limit: usize,
     supply: &mut impl VarSupply,
 ) -> Option<Formula> {
-    if let Some(f) = degenerate_step(prev, p) {
-        return Some(f);
-    }
     let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    if delta.is_empty() {
+        return Some(degenerate_result(p));
+    }
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let ys: Vec<Var> = pvars.iter().map(|_| supply.fresh_var()).collect();
     let renamed = prev.rename(&pvars, &ys);

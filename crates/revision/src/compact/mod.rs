@@ -32,6 +32,18 @@ pub use weber::{weber_compact, weber_compact_auto};
 use crate::formula_based::{widtio, Theory};
 use revkb_logic::Formula;
 
+/// The result of a revision step the paper sets aside as degenerate,
+/// for a caller that already knows `T` or `P` to be unsatisfiable:
+/// `⊥` when `P` is unsatisfiable, else `P` (the conventions of
+/// [`crate::semantic`]). Costs at most one satisfiability check.
+pub(crate) fn degenerate_result(p: &Formula) -> Formula {
+    if revkb_sat::satisfiable(p) {
+        p.clone()
+    } else {
+        Formula::False
+    }
+}
+
 /// WIDTIO is trivially logically compactable: `|T *wid P| ≤ |T| + |P|`
 /// by definition (it keeps a subset of `T`'s formulas plus `P`).
 pub fn widtio_compact(t: &Theory, p: &Formula) -> Formula {

@@ -11,8 +11,9 @@
 //! `|P|` to the size of `T` — the paper notes it is even more compact
 //! than Dalal's.
 
+use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
-use crate::distance::{omega_over, union_vars};
+use crate::distance::{delta_sets_over, omega_of, union_vars};
 use revkb_logic::{Formula, VarSupply};
 use revkb_sat::supply_above;
 
@@ -31,13 +32,11 @@ pub fn weber_compact(
     supply: &mut impl VarSupply,
 ) -> Option<CompactRep> {
     let xs = union_vars(t, p);
-    if !revkb_sat::satisfiable(p) {
-        return Some(CompactRep::query(Formula::False, xs));
+    let delta = delta_sets_over(t, p, &xs, delta_limit)?;
+    if delta.is_empty() {
+        return Some(CompactRep::query(degenerate_result(p), xs));
     }
-    if !revkb_sat::satisfiable(t) {
-        return Some(CompactRep::query(p.clone(), xs));
-    }
-    let omega: Vec<_> = omega_over(t, p, &xs, delta_limit)?.into_iter().collect();
+    let omega = omega_of(delta);
     let zs: Vec<_> = omega.iter().map(|_| supply.fresh_var()).collect();
     let t_sub = t.rename(&omega, &zs);
     Some(CompactRep::query(t_sub.and(p.clone()), xs))

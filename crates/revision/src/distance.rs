@@ -11,28 +11,78 @@
 //! - `k_{T,P}`: probe `T[X/Y] ∧ P ∧ EXA(d, X, Y, W)` for `d = 0, 1, …`
 //! - `δ(T,P)`: find a satisfying difference, shrink it to a ⊆-minimal
 //!   one, block all its supersets, repeat.
+//!
+//! Each call is one incremental session: `T[X/Y] ∧ P` is
+//! Tseitin-loaded once into one solver, and every probe or shrink
+//! constraint is encoded under a fresh activation literal, solved
+//! under that assumption and retired by a unit clause — the pattern of
+//! [`revkb_sat::QuerySession`]. The two sides share no letter, so the
+//! session's first solve also decides whether both are satisfiable,
+//! and callers use that answer instead of checking each side first.
 
-use revkb_circuits::exa;
-use revkb_logic::{Formula, Substitution, Var, VarSupply};
-use revkb_sat::supply_above;
+use revkb_circuits::CircuitBuilder;
+use revkb_logic::{
+    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, Substitution, Var, VarSupply,
+};
+use revkb_sat::{supply_above, Solver};
 use std::collections::BTreeSet;
 
-/// The result of renaming `T`'s base letters apart from `P`'s.
-struct RenamedPair {
-    /// `T` with every letter (base and otherwise) renamed fresh.
-    t_renamed: Formula,
-    /// The fresh copies of the base letters, aligned with `xs`.
+/// One incremental SAT session over `a[X/Y] ∧ b`, where `X = xs` and
+/// `Y` are fresh copies: each model pairs a model of `a` (on `Y`) with
+/// a model of `b` (on `X`).
+struct PairSession {
+    solver: Solver,
+    supply: CountingSupply,
+    xs: Vec<Var>,
     ys: Vec<Var>,
 }
 
+impl PairSession {
+    /// Load `a[X/Y] ∧ b` and solve it once. `None` when it is
+    /// unsatisfiable, i.e. when `a` or `b` is; otherwise the first
+    /// model is available through [`PairSession::diff`].
+    fn open(a: &Formula, b: &Formula, xs: &[Var]) -> Option<Self> {
+        let mut supply = supply_above([a, b]);
+        let (a_renamed, ys) = rename_apart(a, xs, &mut supply);
+        let mut solver = Solver::new();
+        solver.add_cnf(&tseitin(&a_renamed.and(b.clone()), &mut supply));
+        if !solver.solve() {
+            return None;
+        }
+        Some(PairSession {
+            solver,
+            supply,
+            xs: xs.to_vec(),
+            ys,
+        })
+    }
+
+    /// Positions of `xs` on which the last model's `X` and `Y` differ.
+    fn diff(&self) -> BTreeSet<usize> {
+        let value = |v| self.solver.model_value(v);
+        (0..self.xs.len())
+            .filter(|&i| value(self.xs[i]) != value(self.ys[i]))
+            .collect()
+    }
+
+    /// Solve with `f` asserted for this call only, plus the unit
+    /// `assumptions`: `f` is encoded under a fresh activation literal
+    /// that is retired afterwards ([`Solver::solve_with_gated`]).
+    fn solve_with(&mut self, f: &Formula, assumptions: &[Lit]) -> bool {
+        let cnf = tseitin(f, &mut self.supply);
+        let act = Lit::pos(self.supply.fresh_var());
+        self.solver.solve_with_gated(&cnf, act, assumptions)
+    }
+}
+
 /// Rename *all* letters of `t` to fresh ones so it shares nothing with
-/// `p`; returns the copies of the base letters `xs` (other letters get
-/// fresh names too, keeping any auxiliary letters of `t` disjoint).
-fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> RenamedPair {
-    let all_vars: Vec<Var> = t.vars().into_iter().collect();
+/// the other side; returns `t` renamed and the copies of the base
+/// letters `xs` (other letters get fresh names too, keeping any
+/// auxiliary letters of `t` disjoint).
+fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> (Formula, Vec<Var>) {
     let mut sub = Substitution::new();
     let mut ys_map = std::collections::HashMap::new();
-    for &v in &all_vars {
+    for v in t.vars() {
         let fresh = supply.fresh_var();
         sub = sub.bind(v, Formula::var(fresh));
         ys_map.insert(v, fresh);
@@ -41,10 +91,13 @@ fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Renamed
         .iter()
         .map(|&x| *ys_map.entry(x).or_insert_with(|| supply.fresh_var()))
         .collect();
-    RenamedPair {
-        t_renamed: sub.apply(t),
-        ys,
-    }
+    (sub.apply(t), ys)
+}
+
+/// Are `a` and `b` both satisfiable? One solver over `a` renamed apart
+/// from `b`, conjoined with `b`.
+pub(crate) fn both_satisfiable(a: &Formula, b: &Formula) -> bool {
+    PairSession::open(a, b, &[]).is_some()
 }
 
 /// `k_{T,P}` generalised: the minimum Hamming distance, measured over
@@ -55,20 +108,36 @@ fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> Renamed
 /// This is exactly what iterated Dalal needs: `a` may be a compact
 /// representation with auxiliary letters, whose projection onto `xs`
 /// is the current revised theory.
+///
+/// The session's first model bounds `k` from above by its own
+/// distance, so only the distances below it are probed. The probes
+/// share one popcount circuit over the difference bits of `X` and `Y`,
+/// loaded once: `EXA(d, X, Y, W)` is that circuit plus "the count is
+/// `d`", and only the latter is encoded per probe.
 pub fn min_distance_over(a: &Formula, b: &Formula, xs: &[Var]) -> Option<usize> {
-    if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
-        return None;
+    let _span = revkb_obs::span("revision.phase.distance_circuit");
+    let mut session = PairSession::open(a, b, xs)?;
+    let upper = session.diff().len();
+    if upper == 0 {
+        return Some(0);
     }
-    let mut supply = supply_above([a, b]);
-    let renamed = rename_apart(a, xs, &mut supply);
-    let base = renamed.t_renamed.and(b.clone());
-    for d in 0..=xs.len() {
-        let probe = base.clone().and(exa(d, xs, &renamed.ys, &mut supply));
-        if revkb_sat::satisfiable(&probe) {
+    let mut circuit = CircuitBuilder::new(&mut session.supply);
+    let bits = circuit.diff_bits(&session.xs, &session.ys);
+    let count = circuit.popcount(&bits);
+    let probes: Vec<Formula> = (0..upper)
+        .map(|d| circuit.equals_const(&count, d as u64))
+        .collect();
+    // The gate definitions are functional: they constrain only `W`.
+    let gates = circuit.finish(Formula::True);
+    session
+        .solver
+        .add_cnf(&tseitin(&gates, &mut session.supply));
+    for (d, probe) in probes.iter().enumerate() {
+        if session.solve_with(probe, &[]) {
             return Some(d);
         }
     }
-    unreachable!("distance over |xs| letters cannot exceed |xs|")
+    Some(upper)
 }
 
 /// `k_{T,P}`: minimum distance between models of `t` and models of
@@ -87,67 +156,68 @@ pub fn min_distance(t: &Formula, p: &Formula) -> Option<usize> {
 }
 
 /// Enumerate `δ(T,P)` — the ⊆-minimal difference sets between models
-/// of `a` and models of `b`, measured over `xs` — up to `limit` sets.
-/// Returns `None` if the limit was exceeded.
+/// of `a` and models of `b`, measured over `xs` — up to `limit` sets,
+/// in sorted order. Returns `None` if the limit was exceeded, and an
+/// empty list exactly when `a` or `b` is unsatisfiable (two
+/// satisfiable formulas have at least one minimal difference).
 pub fn delta_sets_over(
     a: &Formula,
     b: &Formula,
     xs: &[Var],
     limit: usize,
 ) -> Option<Vec<BTreeSet<Var>>> {
-    if !revkb_sat::satisfiable(a) || !revkb_sat::satisfiable(b) {
+    let _span = revkb_obs::span("revision.phase.distance_circuit");
+    let Some(mut session) = PairSession::open(a, b, xs) else {
         return Some(Vec::new());
-    }
-    let mut supply = supply_above([a, b]);
-    let renamed = rename_apart(a, xs, &mut supply);
-    let ys = &renamed.ys;
-    // Working constraint: a(Y) ∧ b(X) ∧ blocking clauses.
-    let mut constraint = renamed.t_renamed.and(b.clone());
+    };
+    // differs[i] ≡ (x_i ≢ y_i), defined once for the whole session.
+    let mut defs = Cnf::new();
+    let differs: Vec<Lit> = xs
+        .iter()
+        .zip(session.ys.clone())
+        .map(|(&x, y)| {
+            let bit = Formula::var(x).xor(Formula::var(y));
+            tseitin_definitions(&bit, &mut defs, &mut session.supply)
+        })
+        .collect();
+    session.solver.add_cnf(&defs);
+    let not_differs = |i: usize| Formula::lit(differs[i].var(), !differs[i].is_positive());
+
     let mut found: Vec<BTreeSet<Var>> = Vec::new();
-
-    // diff(x_i) ≡ (x_i ≢ y_i): expressed directly per letter.
-    let agrees = |i: usize| Formula::var(xs[i]).iff(Formula::var(ys[i]));
-
     loop {
-        let model = match revkb_sat::find_model(&constraint) {
-            None => return Some(found),
-            Some(m) => m,
-        };
-        // Current difference set.
-        let mut diff: BTreeSet<usize> = (0..xs.len())
-            .filter(|&i| model.contains(&xs[i]) != model.contains(&ys[i]))
-            .collect();
-        // Shrink to a ⊆-minimal difference: ask for a strictly smaller
-        // one (agree outside diff, differ on a strict subset).
-        loop {
-            let smaller = Formula::and_all((0..xs.len()).filter(|i| !diff.contains(i)).map(agrees))
-                .and(if diff.is_empty() {
-                    Formula::False
-                } else {
-                    Formula::or_all(diff.iter().map(|&i| agrees(i)))
-                })
-                .and(constraint.clone());
-            match revkb_sat::find_model(&smaller) {
-                None => break, // diff is minimal
-                Some(m2) => {
-                    diff = (0..xs.len())
-                        .filter(|&i| m2.contains(&xs[i]) != m2.contains(&ys[i]))
-                        .collect();
-                }
+        // Shrink the current difference to a ⊆-minimal one: ask for a
+        // strictly smaller one (agree outside diff, and on at least one
+        // letter of diff).
+        let mut diff = session.diff();
+        while !diff.is_empty() {
+            let agree_outside: Vec<Lit> = (0..xs.len())
+                .filter(|i| !diff.contains(i))
+                .map(|i| differs[i].negated())
+                .collect();
+            let agree_somewhere = Formula::or_all(diff.iter().map(|&i| not_differs(i)));
+            if !session.solve_with(&agree_somewhere, &agree_outside) {
+                break; // diff is minimal
             }
+            diff = session.diff();
         }
         if found.len() >= limit {
             return None;
         }
-        // Block every superset of diff: future pairs must agree on at
-        // least one letter of diff. An empty minimal diff means the
-        // two formulas intersect: δ = {∅} and we are done.
+        // An empty minimal diff means the two formulas intersect:
+        // δ = {∅} and we are done.
         if diff.is_empty() {
             found.push(BTreeSet::new());
             return Some(found);
         }
-        constraint = constraint.and(Formula::or_all(diff.iter().map(|&i| agrees(i))));
+        // Block every superset of diff for good: future pairs must
+        // agree on at least one letter of diff.
+        let block: Vec<Lit> = diff.iter().map(|&i| differs[i].negated()).collect();
+        session.solver.add_clause(&block);
         found.push(diff.into_iter().map(|i| xs[i]).collect());
+        if !session.solver.solve() {
+            found.sort();
+            return Some(found);
+        }
     }
 }
 
@@ -155,6 +225,13 @@ pub fn delta_sets_over(
 pub fn delta_sets(t: &Formula, p: &Formula, limit: usize) -> Option<Vec<BTreeSet<Var>>> {
     let xs = union_vars(t, p);
     delta_sets_over(t, p, &xs, limit)
+}
+
+/// `Ω = ⋃ δ`: the letters of a list of difference sets, in `Var`
+/// order.
+pub(crate) fn omega_of(delta: Vec<BTreeSet<Var>>) -> Vec<Var> {
+    let omega: BTreeSet<Var> = delta.into_iter().flatten().collect();
+    omega.into_iter().collect()
 }
 
 /// `Ω = ⋃ δ(T,P)` over `xs`, up to `limit` difference sets.
@@ -185,8 +262,9 @@ mod tests {
         Formula::var(Var(i))
     }
 
-    /// Cross-check the SAT path against the enumeration oracle.
-    fn check_against_oracle(t: &Formula, p: &Formula) {
+    /// Cross-check the SAT path against the enumeration oracle;
+    /// returns `|δ(T,P)|`.
+    fn check_against_oracle(t: &Formula, p: &Formula) -> usize {
         let alpha = Alphabet::of_formulas([t, p]);
         let t_models = alpha.models(t);
         let p_models = alpha.models(p);
@@ -197,18 +275,17 @@ mod tests {
             "k mismatch for {t:?}, {p:?}"
         );
 
-        let expected_delta: std::collections::BTreeSet<BTreeSet<Var>> =
-            semantic::delta(&t_models, &p_models)
-                .into_iter()
-                .map(|mask| {
-                    alpha
-                        .mask_to_interpretation(mask)
-                        .into_iter()
-                        .collect::<BTreeSet<Var>>()
-                })
-                .collect();
-        let got_delta: std::collections::BTreeSet<BTreeSet<Var>> =
-            delta_sets(t, p, 10_000).unwrap().into_iter().collect();
+        // δ comes back sorted, so the order is pinned too.
+        let mut expected_delta: Vec<BTreeSet<Var>> = semantic::delta(&t_models, &p_models)
+            .into_iter()
+            .map(|mask| alpha.mask_to_interpretation(mask))
+            .collect();
+        expected_delta.sort();
+        let got_delta = delta_sets(t, p, 10_000).unwrap();
+        assert_eq!(
+            both_satisfiable(t, p),
+            !t_models.is_empty() && !p_models.is_empty()
+        );
         if t_models.is_empty() || p_models.is_empty() {
             assert!(got_delta.is_empty());
         } else {
@@ -219,6 +296,7 @@ mod tests {
                 .collect();
             assert_eq!(omega(t, p, 10_000).unwrap(), expected_omega);
         }
+        got_delta.len()
     }
 
     #[test]
@@ -232,14 +310,11 @@ mod tests {
             .or(v(2).not().and(v(1)).and(v(0).xor(v(3))));
         assert_eq!(min_distance(&t, &p), Some(1));
         let d = delta_sets(&t, &p, 100).unwrap();
-        let as_sets: std::collections::BTreeSet<BTreeSet<Var>> = d.into_iter().collect();
-        let expected: std::collections::BTreeSet<BTreeSet<Var>> = [
-            [Var(2)].into_iter().collect::<BTreeSet<_>>(),
+        let expected: Vec<BTreeSet<Var>> = vec![
             [Var(0), Var(1)].into_iter().collect(),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(as_sets, expected);
+            [Var(2)].into_iter().collect(),
+        ];
+        assert_eq!(d, expected, "δ is returned in sorted order");
         let om = omega(&t, &p, 100).unwrap();
         let expected_om: BTreeSet<Var> = [Var(0), Var(1), Var(2)].into_iter().collect();
         assert_eq!(om, expected_om);
@@ -288,11 +363,25 @@ mod tests {
                 _ => a.implies(b),
             }
         }
-        for _ in 0..25 {
-            let t = build(&mut rnd, 3, 4);
-            let p = build(&mut rnd, 3, 4);
-            check_against_oracle(&t, &p);
+        // Random pairs mostly intersect (δ = {∅}), so each P is also
+        // checked against a theory with few models, pinned on all but
+        // one letter, which usually leaves several minimal differences
+        // and so tests the order δ comes back in.
+        let mut several = 0;
+        for nv in [4, 5, 6] {
+            for _ in 0..40 {
+                let t = build(&mut rnd, 4, nv);
+                let p = build(&mut rnd, 4, nv);
+                check_against_oracle(&t, &p);
+                let pinned =
+                    Formula::and_all((1..nv).map(|i| Formula::lit(Var(i), rnd() & 1 == 0)));
+                let few = pinned.and(build(&mut rnd, 2, nv));
+                if check_against_oracle(&few, &p) >= 2 {
+                    several += 1;
+                }
+            }
         }
+        assert!(several >= 10, "only {several} cases with |δ| ≥ 2");
     }
 
     #[test]

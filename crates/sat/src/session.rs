@@ -229,32 +229,24 @@ impl QuerySession {
             );
         }
 
-        // Encode ¬q under a fresh activation literal: definition
-        // clauses are two-sided Tseitin definitions (harmless to keep
-        // permanently), and the root-negation clause is gated so a
-        // later unit ¬act retires it without touching learned clauses.
+        // Encode ¬q under a fresh activation literal: the definition
+        // clauses and the root-negation clause are gated, so the unit
+        // ¬act that retires them leaves learned clauses untouched.
         let mut defs = Cnf::new();
         let root = tseitin_definitions(q, &mut defs, &mut self.supply);
+        defs.push(vec![root.negated()]);
         let act = Lit::pos(self.supply.fresh_var());
-        for clause in &defs.clauses {
-            let mut gated = clause.clone();
-            gated.push(act.negated());
-            self.solver.add_clause(&gated);
-        }
-        self.solver.add_clause(&[act.negated(), root.negated()]);
 
         let before = self.solver.stats;
         let counterexample = {
             let _span = revkb_obs::span("sat.query");
-            self.solver.solve_under_assumptions(&[act])
+            self.solver.solve_with_gated(&defs, act, &[])
         };
         let after = &self.solver.stats;
         OBS_DECISIONS.add(after.decisions - before.decisions);
         OBS_CONFLICTS.add(after.conflicts - before.conflicts);
         OBS_PROPAGATIONS.add(after.propagations - before.propagations);
         OBS_RESTARTS.add(after.restarts - before.restarts);
-        // Permanently disable this query's activation group.
-        self.solver.add_clause(&[act.negated()]);
 
         let answer = !counterexample;
         self.cache.insert(q.clone(), answer);

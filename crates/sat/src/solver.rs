@@ -225,6 +225,25 @@ impl Solver {
         }
     }
 
+    /// Solve with the clauses of `cnf` in force for this call only:
+    /// each is gated by the activation literal `act`, which must be
+    /// fresh. `act` is assumed (before `assumptions`) and then retired
+    /// by the unit `¬act`, which disables the clauses for good while
+    /// every learned clause stays valid — how an incremental session
+    /// asks one temporary question of a loaded solver.
+    pub fn solve_with_gated(&mut self, cnf: &Cnf, act: Lit, assumptions: &[Lit]) -> bool {
+        for clause in &cnf.clauses {
+            let mut gated = clause.clone();
+            gated.push(act.negated());
+            self.add_clause(&gated);
+        }
+        let mut all = vec![act];
+        all.extend_from_slice(assumptions);
+        let sat = self.solve_under_assumptions(&all);
+        self.add_clause(&[act.negated()]);
+        sat
+    }
+
     /// Add every clause of a CNF.
     pub fn add_cnf(&mut self, cnf: &Cnf) -> bool {
         if cnf.num_vars > 0 {

@@ -21,9 +21,14 @@
 //!   response into its connection's write buffer.
 //!
 //! **Pipelining**: a connection may have any number of line-protocol
-//! requests in flight; responses are written in *completion* order,
-//! with the envelope's `req` field preserving correlation. HTTP
-//! connections run one request at a time (HTTP responses have no
+//! queries (and `ping`/`hello`) in flight; responses are written in
+//! *completion* order, with the envelope's `req` field preserving
+//! correlation. Execution keeps program order around every other
+//! command ([`crate::protocol::Command::pipelines`]): it is
+//! dispatched only once every earlier request on the connection has
+//! answered, and later lines stay buffered until it has answered too,
+//! so a pipelined `revise` never runs before the `load` sent ahead of
+//! it. HTTP connections run one request at a time (HTTP responses have no
 //! `req`-style correlation on the wire, so order must be preserved);
 //! pipelined HTTP requests queue in the parser.
 //!
@@ -302,6 +307,9 @@ mod linux {
         written: usize,
         /// Responses still owed by workers.
         pending: usize,
+        /// The one request in flight does not pipeline: later lines
+        /// wait for it.
+        alone_in_flight: bool,
         /// HTTP runs one request at a time to preserve response order.
         http_busy: bool,
         /// EOF seen or `Connection: close` honoured: stop reading,
@@ -321,6 +329,7 @@ mod linux {
                 write_buf: Vec::new(),
                 written: 0,
                 pending: 0,
+                alone_in_flight: false,
                 http_busy: false,
                 closing: false,
                 interest: sys::EPOLLIN | sys::EPOLLRDHUP,
@@ -562,18 +571,30 @@ mod linux {
         }
     }
 
-    /// Dispatch every complete NDJSON line in the buffer. Requests
-    /// pipeline freely: each is routed as soon as its line arrives.
+    /// Dispatch the complete NDJSON lines in the buffer. Commands that
+    /// pipeline are routed as soon as their line arrives. Any other
+    /// command waits in the buffer until no request of the
+    /// connection is in flight, and nothing after it is routed until it
+    /// answers; the completion that empties the connection resumes
+    /// dispatch.
     fn process_lines(ctx: &Ctx, conn: &mut Conn) -> After {
-        while let Some(pos) = conn.line_buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = conn.line_buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..pos]).into_owned();
+        while !conn.alone_in_flight {
+            let Some(pos) = conn.line_buf.iter().position(|&b| b == b'\n') else {
+                break;
+            };
+            let line = String::from_utf8_lossy(&conn.line_buf[..pos]).into_owned();
             let line = line.trim();
             if line.is_empty() {
+                conn.line_buf.drain(..=pos);
                 continue;
             }
             let started = Instant::now();
-            match parse_request(line) {
+            let parsed = parse_request(line);
+            if conn.pending > 0 && matches!(&parsed, Ok(request) if !request.cmd.pipelines()) {
+                break;
+            }
+            conn.line_buf.drain(..=pos);
+            match parsed {
                 Err(e) => {
                     let response = ctx.server.reject_line(&e, started, None);
                     conn.write_buf.extend_from_slice(response.as_bytes());
@@ -597,6 +618,7 @@ mod linux {
                         }
                         Routing::Control => {
                             conn.pending += 1;
+                            conn.alone_in_flight = !request.cmd.pipelines();
                             let _ = ctx.ctl_tx.send(ControlJob::Request(Job {
                                 token: conn.token,
                                 request,
@@ -607,6 +629,7 @@ mod linux {
                         }
                         Routing::Admitted => {
                             conn.pending += 1;
+                            conn.alone_in_flight = !request.cmd.pipelines();
                             let _ = ctx.data_tx.send(Job {
                                 token: conn.token,
                                 request,
@@ -982,8 +1005,10 @@ mod linux {
                 }
             }
             // Completed responses: copy each into its connection's
-            // write buffer (dead tokens are simply dropped) and give
-            // HTTP connections their next queued request.
+            // write buffer (dead tokens are simply dropped), give HTTP
+            // connections their next queued request, and resume line
+            // connections that held lines back behind a command that
+            // runs alone.
             let batch = std::mem::take(&mut *completions.lock().expect("completions poisoned"));
             for completion in batch {
                 let Some(conn) = conns.get_mut(&completion.token) else {
@@ -992,9 +1017,29 @@ mod linux {
                 conn.pending = conn.pending.saturating_sub(1);
                 conn.http_busy = false;
                 conn.write_buf.extend_from_slice(&completion.bytes);
-                if matches!(conn.proto, Proto::Http(_)) {
-                    let _ = drain_http(&ctx, conn);
+                match conn.proto {
+                    Proto::Http(_) => {
+                        let _ = drain_http(&ctx, conn);
+                    }
+                    Proto::Line if conn.pending == 0 => {
+                        conn.alone_in_flight = false;
+                        match process_lines(&ctx, conn) {
+                            After::Keep => {}
+                            After::Close => {
+                                drop_conn(&ctx, &mut conns, completion.token);
+                                continue;
+                            }
+                            After::Handoff { request, req } => {
+                                handoff(&ctx, &mut conns, completion.token, request, req);
+                                continue;
+                            }
+                        }
+                    }
+                    _ => {}
                 }
+                let Some(conn) = conns.get_mut(&completion.token) else {
+                    continue;
+                };
                 let keep = settle(&ctx, conn);
                 if !keep {
                     drop_conn(&ctx, &mut conns, completion.token);

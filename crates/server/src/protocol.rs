@@ -230,6 +230,18 @@ impl Command {
             Command::Replicate { .. } => "replicate",
         }
     }
+
+    /// May the command run concurrently with other requests of its
+    /// connection? Reads of one KB (`query`, `query_batch`) and the
+    /// stateless `ping` and `hello` may. Every other command changes
+    /// or observes state that an earlier pipelined request may still
+    /// be changing, so it runs alone, in program order.
+    pub fn pipelines(&self) -> bool {
+        matches!(
+            self,
+            Command::Query { .. } | Command::QueryBatch { .. } | Command::Ping | Command::Hello
+        )
+    }
 }
 
 /// Why a request line could not be turned into a [`Request`].

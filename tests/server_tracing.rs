@@ -6,11 +6,17 @@
 
 use revkb::obs;
 use revkb::server::{Json, Server, ServerConfig};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The trace mode and span buffers are process-global; tests that
 /// touch them must not interleave.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`OBS_LOCK`], recovering it if another test panicked while
+/// holding it, so one failure is reported once rather than cascading.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn call(server: &Server, line: &str) -> Json {
     let response = server.handle_line(line).expect("request line is not blank");
@@ -29,7 +35,7 @@ fn req_of(resp: &Json) -> u64 {
 /// under `args` so the export stays correlatable in a trace viewer.
 #[test]
 fn chrome_spans_correlate_with_wire_request_ids() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let prev = obs::mode();
     obs::set_mode(obs::TraceMode::Chrome);
     obs::reset();
@@ -119,6 +125,8 @@ fn chrome_spans_correlate_with_wire_request_ids() {
 /// `slow_log` with its request id and command tag.
 #[test]
 fn slow_log_captures_a_degraded_compile() {
+    // Its `server.request` spans land in the process-global buffer.
+    let _guard = obs_lock();
     let server = Server::new(
         ServerConfig::default()
             .with_compile_timeout_ms(Some(0))
@@ -158,7 +166,7 @@ fn slow_log_captures_a_degraded_compile() {
 /// is left exactly as it was — no drain, no reset.
 #[test]
 fn stats_does_not_perturb_telemetry() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     let prev = obs::mode();
     obs::set_mode(obs::TraceMode::Summary);
     obs::reset();
