@@ -22,8 +22,10 @@ pub type Wire = Formula;
 
 /// Incremental builder of definitional circuits.
 pub struct CircuitBuilder<'a, S: VarSupply> {
-    defs: Vec<Formula>,
+    /// Gate letters, in order of definition.
     aux: Vec<Var>,
+    /// `gates[i]` is the function `aux[i]` is defined as.
+    gates: Vec<Formula>,
     supply: &'a mut S,
 }
 
@@ -31,8 +33,8 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
     /// Start a builder drawing gate letters from `supply`.
     pub fn new(supply: &'a mut S) -> Self {
         Self {
-            defs: Vec::new(),
             aux: Vec::new(),
+            gates: Vec::new(),
             supply,
         }
     }
@@ -47,7 +49,7 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
             _ => {
                 let w = self.supply.fresh_var();
                 self.aux.push(w);
-                self.defs.push(Formula::var(w).iff(f));
+                self.gates.push(f);
                 Formula::var(w)
             }
         }
@@ -183,7 +185,16 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
     /// Close the circuit: the conjunction of every gate definition and
     /// the output condition.
     pub fn finish(self, output: Formula) -> Formula {
-        Formula::and_all(self.defs.into_iter().chain([output]))
+        let defs = self.aux.into_iter().zip(self.gates);
+        Formula::and_all(defs.map(|(w, g)| Formula::var(w).iff(g)).chain([output]))
+    }
+
+    /// Close the circuit as its gate definitions instead: each gate
+    /// letter `w` with the function `g` of `w ≡ g`, in order, so every
+    /// `g` mentions only inputs and earlier gate letters. For callers
+    /// that encode the gates themselves.
+    pub fn into_gates(self) -> Vec<(Var, Formula)> {
+        self.aux.into_iter().zip(self.gates).collect()
     }
 }
 

@@ -154,22 +154,36 @@ impl Alphabet {
     /// If the alphabet has 64 or more letters. This is the ground-truth
     /// path; use the SAT solver for large alphabets.
     pub fn models(&self, f: &Formula) -> Vec<u64> {
-        let count = self.interpretation_count();
         let mut out = Vec::new();
-        for base in (0..count).step_by(64) {
-            // The tail word of an alphabet under six letters is partial.
-            let live = if count - base >= 64 {
-                u64::MAX
-            } else {
-                (1 << (count - base)) - 1
-            };
-            let mut word = self.eval_word(f, base) & live;
+        for (w, &word) in self.model_words(f).iter().enumerate() {
+            let mut word = word;
             while word != 0 {
-                out.push(base + u64::from(word.trailing_zeros()));
+                out.push(64 * w as u64 + u64::from(word.trailing_zeros()));
                 word &= word - 1;
             }
         }
         out
+    }
+
+    /// The models of `f` as a `2ⁿ`-bit truth table: bit `j` of word `w`
+    /// is `f` under mask `64·w + j`. An alphabet under six letters has
+    /// one, partial, word whose bits from `2ⁿ` on are clear.
+    ///
+    /// # Panics
+    /// As [`Alphabet::models`].
+    pub fn model_words(&self, f: &Formula) -> Vec<u64> {
+        let count = self.interpretation_count();
+        (0..count)
+            .step_by(64)
+            .map(|base| {
+                let live = if count - base >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << (count - base)) - 1
+                };
+                self.eval_word(f, base) & live
+            })
+            .collect()
     }
 
     /// Evaluate `f` on the 64 masks `base .. base + 64` (`base` a

@@ -25,7 +25,10 @@ use revkb_logic::{
     tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, Substitution, Var, VarSupply,
 };
 use revkb_sat::{supply_above, Solver};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+/// A model of a formula, as the value of each of its letters.
+pub(crate) type Witness = Vec<(Var, bool)>;
 
 /// One incremental SAT session over `a[X/Y] ∧ b`, where `X = xs` and
 /// `Y` are fresh copies: each model pairs a model of `a` (on `Y`) with
@@ -35,17 +38,36 @@ struct PairSession {
     supply: CountingSupply,
     xs: Vec<Var>,
     ys: Vec<Var>,
+    /// Each letter of `a` with its copy in the session.
+    copies: Vec<(Var, Var)>,
 }
 
 impl PairSession {
     /// Load `a[X/Y] ∧ b` and solve it once. `None` when it is
     /// unsatisfiable, i.e. when `a` or `b` is; otherwise the first
-    /// model is available through [`PairSession::diff`].
-    fn open(a: &Formula, b: &Formula, xs: &[Var]) -> Option<Self> {
+    /// model is available through [`PairSession::diff`]. A `hint` (a
+    /// model of `a`) seeds the phases of the copies, so the first
+    /// solve finds a model of `a[X/Y]` by propagation.
+    fn open(a: &Formula, b: &Formula, xs: &[Var], hint: &[(Var, bool)]) -> Option<Self> {
         let mut supply = supply_above([a, b]);
-        let (a_renamed, ys) = rename_apart(a, xs, &mut supply);
+        let (a_renamed, copies) = rename_apart(a, &mut supply);
+        let copy_of: HashMap<Var, Var> = copies.iter().copied().collect();
+        let ys: Vec<Var> = xs
+            .iter()
+            .map(|x| {
+                copy_of
+                    .get(x)
+                    .copied()
+                    .unwrap_or_else(|| supply.fresh_var())
+            })
+            .collect();
         let mut solver = Solver::new();
         solver.add_cnf(&tseitin(&a_renamed.and(b.clone()), &mut supply));
+        for (v, value) in hint {
+            if let Some(&copy) = copy_of.get(v) {
+                solver.hint_phase(copy, *value);
+            }
+        }
         if !solver.solve() {
             return None;
         }
@@ -54,6 +76,7 @@ impl PairSession {
             supply,
             xs: xs.to_vec(),
             ys,
+            copies,
         })
     }
 
@@ -76,28 +99,34 @@ impl PairSession {
 }
 
 /// Rename *all* letters of `t` to fresh ones so it shares nothing with
-/// the other side; returns `t` renamed and the copies of the base
-/// letters `xs` (other letters get fresh names too, keeping any
-/// auxiliary letters of `t` disjoint).
-fn rename_apart(t: &Formula, xs: &[Var], supply: &mut impl VarSupply) -> (Formula, Vec<Var>) {
-    let mut sub = Substitution::new();
-    let mut ys_map = std::collections::HashMap::new();
-    for v in t.vars() {
-        let fresh = supply.fresh_var();
-        sub = sub.bind(v, Formula::var(fresh));
-        ys_map.insert(v, fresh);
-    }
-    let ys: Vec<Var> = xs
-        .iter()
-        .map(|&x| *ys_map.entry(x).or_insert_with(|| supply.fresh_var()))
+/// the other side; returns `t` renamed and each letter with its copy.
+fn rename_apart(t: &Formula, supply: &mut impl VarSupply) -> (Formula, Vec<(Var, Var)>) {
+    let copies: Vec<(Var, Var)> = t
+        .vars()
+        .into_iter()
+        .map(|v| (v, supply.fresh_var()))
         .collect();
-    (sub.apply(t), ys)
+    let mut sub = Substitution::new();
+    for &(v, copy) in &copies {
+        sub = sub.bind(v, Formula::var(copy));
+    }
+    (sub.apply(t), copies)
 }
 
 /// Are `a` and `b` both satisfiable? One solver over `a` renamed apart
 /// from `b`, conjoined with `b`.
 pub(crate) fn both_satisfiable(a: &Formula, b: &Formula) -> bool {
-    PairSession::open(a, b, &[]).is_some()
+    PairSession::open(a, b, &[], &[]).is_some()
+}
+
+/// A closest pair between the models of `a` and `b`, at distance `k`
+/// over `xs`: the values on `xs` of `b`'s side (`x`) and of `a`'s side
+/// (`y`), and the values of `a`'s other letters.
+pub(crate) struct Closest {
+    pub(crate) k: usize,
+    pub(crate) x: Vec<bool>,
+    pub(crate) y: Vec<bool>,
+    pub(crate) rest: Witness,
 }
 
 /// `k_{T,P}` generalised: the minimum Hamming distance, measured over
@@ -113,31 +142,93 @@ pub(crate) fn both_satisfiable(a: &Formula, b: &Formula) -> bool {
 /// distance, so only the distances below it are probed. The probes
 /// share one popcount circuit over the difference bits of `X` and `Y`,
 /// loaded once: `EXA(d, X, Y, W)` is that circuit plus "the count is
-/// `d`", and only the latter is encoded per probe.
+/// `d`", which is a cube over the count bits and so is asked as solver
+/// assumptions.
 pub fn min_distance_over(a: &Formula, b: &Formula, xs: &[Var]) -> Option<usize> {
+    closest_over(a, b, xs, &[]).map(|closest| closest.k)
+}
+
+/// [`min_distance_over`], also returning the closest pair it found.
+/// `hint` is a model of `a` (possibly partial, possibly empty) that
+/// seeds the session's first solve.
+pub(crate) fn closest_over(
+    a: &Formula,
+    b: &Formula,
+    xs: &[Var],
+    hint: &[(Var, bool)],
+) -> Option<Closest> {
     let _span = revkb_obs::span("revision.phase.distance_circuit");
-    let mut session = PairSession::open(a, b, xs)?;
+    let mut session = PairSession::open(a, b, xs, hint)?;
     let upper = session.diff().len();
-    if upper == 0 {
-        return Some(0);
-    }
+    let k = if upper == 0 {
+        0
+    } else {
+        let count = load_popcount(&mut session);
+        (0..upper)
+            .find(|&d| {
+                count_is(&count, d).is_some_and(|cube| session.solver.solve_with_assumptions(&cube))
+            })
+            .unwrap_or(upper)
+    };
+    // The last satisfiable solve was the probe at `k` or, when none
+    // was, the first solve (at distance `upper = k`).
+    let value = |v| session.solver.model_value(v);
+    Some(Closest {
+        k,
+        x: session.xs.iter().map(|&x| value(x)).collect(),
+        y: session.ys.iter().map(|&y| value(y)).collect(),
+        rest: session
+            .copies
+            .iter()
+            .filter(|(v, _)| !xs.contains(v))
+            .map(|&(v, copy)| (v, value(copy)))
+            .collect(),
+    })
+}
+
+/// Load the popcount of the session's difference bits, one Tseitin
+/// definition per gate: the defining literal of a gate stands for its
+/// letter in the later gates, so no gate letter or `≡` is encoded.
+/// Returns the count's bits, each a literal or a constant.
+fn load_popcount(session: &mut PairSession) -> Vec<Formula> {
     let mut circuit = CircuitBuilder::new(&mut session.supply);
     let bits = circuit.diff_bits(&session.xs, &session.ys);
     let count = circuit.popcount(&bits);
-    let probes: Vec<Formula> = (0..upper)
-        .map(|d| circuit.equals_const(&count, d as u64))
-        .collect();
-    // The gate definitions are functional: they constrain only `W`.
-    let gates = circuit.finish(Formula::True);
-    session
-        .solver
-        .add_cnf(&tseitin(&gates, &mut session.supply));
-    for (d, probe) in probes.iter().enumerate() {
-        if session.solve_with(probe, &[]) {
-            return Some(d);
+    let gates = circuit.into_gates();
+    let mut defs = Cnf::new();
+    let mut wires = Substitution::new();
+    for (w, gate) in gates {
+        let lit = tseitin_definitions(&wires.apply(&gate), &mut defs, &mut session.supply);
+        wires = wires.bind(w, Formula::lit(lit.var(), lit.is_positive()));
+    }
+    session.solver.add_cnf(&defs);
+    count.iter().map(|bit| wires.apply(bit)).collect()
+}
+
+/// "The count is `d`" as unit assumptions on the count's bits, or
+/// `None` when a constant bit rules `d` out.
+fn count_is(count: &[Formula], d: usize) -> Option<Vec<Lit>> {
+    if d >> count.len() != 0 {
+        return None;
+    }
+    let mut cube = Vec::new();
+    for (i, bit) in count.iter().enumerate() {
+        let want = d >> i & 1 == 1;
+        match bit {
+            Formula::True | Formula::False => {
+                if (*bit == Formula::True) != want {
+                    return None;
+                }
+            }
+            Formula::Var(v) => cube.push(Lit::new(*v, want)),
+            Formula::Not(inner) => match **inner {
+                Formula::Var(v) => cube.push(Lit::new(v, !want)),
+                _ => unreachable!("count bits are literals"),
+            },
+            _ => unreachable!("count bits are literals"),
         }
     }
-    Some(upper)
+    Some(cube)
 }
 
 /// `k_{T,P}`: minimum distance between models of `t` and models of
@@ -167,7 +258,7 @@ pub fn delta_sets_over(
     limit: usize,
 ) -> Option<Vec<BTreeSet<Var>>> {
     let _span = revkb_obs::span("revision.phase.distance_circuit");
-    let Some(mut session) = PairSession::open(a, b, xs) else {
+    let Some(mut session) = PairSession::open(a, b, xs, &[]) else {
         return Some(Vec::new());
     };
     // differs[i] ≡ (x_i ≢ y_i), defined once for the whole session.
@@ -392,6 +483,58 @@ mod tests {
         let p = v(0).not().and(v(1).not());
         assert_eq!(min_distance_over(&t, &p, &[Var(0)]), Some(1));
         assert_eq!(min_distance(&t, &p), Some(2));
+    }
+
+    /// A Dalal chain step hands the next one a model of `Φᵢ`, and the
+    /// next session seeds its phases with it: on a fixed `Φ₂` over 12
+    /// letters (a planted random 3-CNF `T` with at most 32 models, two
+    /// cube revisions) the first solve of `Φ₂[X/Y] ∧ P³` needs no
+    /// conflict at all, where the cold one needs dozens, and the
+    /// distance comes out the same.
+    #[test]
+    fn witness_warm_starts_the_next_session() {
+        let mut seed = 99u64;
+        let mut rnd = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        let xs: Vec<Var> = (0..12).map(Var).collect();
+        let alpha = Alphabet::new(xs.clone());
+        let mut lit = || Formula::lit(Var((rnd() % 12) as u32), rnd() & 1 == 0);
+        let anchor = 0b1011_0110_0101;
+        let mut clauses = Vec::new();
+        while alpha.models(&Formula::and_all(clauses.clone())).len() > 32 {
+            let mut clause: Vec<Formula> = (0..3).map(|_| lit()).collect();
+            if !clause.iter().any(|l| alpha.eval_mask(l, anchor)) {
+                clause[0] = clause[0].clone().not();
+            }
+            clauses.push(Formula::or_all(clause));
+        }
+        let t = Formula::and_all(clauses);
+        let ps: Vec<Formula> = (0..3)
+            .map(|_| Formula::and_all((0..3).map(|_| lit())))
+            .collect();
+
+        let mut supply = supply_above(std::iter::once(&t).chain(&ps));
+        let mut witness = Witness::new();
+        let mut phi = t.clone();
+        for p in &ps[..2] {
+            phi = crate::compact::iterated::dalal_step(&phi, p, &xs, &mut witness, &mut supply);
+        }
+        let first_solve_conflicts = |hint: &[(Var, bool)]| {
+            let session = PairSession::open(&phi, &ps[2], &xs, hint).expect("satisfiable");
+            session.solver.stats.conflicts
+        };
+        let (cold, warm) = (first_solve_conflicts(&[]), first_solve_conflicts(&witness));
+        assert!(cold >= 10, "the cold solve took only {cold} conflicts");
+        assert_eq!(
+            warm, 0,
+            "the warm solve took {warm} conflicts, the cold one {cold}"
+        );
+        let k = |hint: &[(Var, bool)]| closest_over(&phi, &ps[2], &xs, hint).unwrap().k;
+        assert_eq!(k(&witness), k(&[]));
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod model_check;
 pub mod model_set;
 pub mod postulates;
 pub mod semantic;
+mod truth_table;
 
 pub use advice::{advise, Advice, OperatorKind, Profile};
 pub use api::{Engine, GfuvEngine, WidtioEngine};
@@ -64,7 +65,7 @@ pub use compact::{CompactRep, EngineStats, QueryError};
 pub use containment::{check_containments, containment_matrix, FIGURE1_EDGES};
 pub use contraction::{contract, contract_on};
 pub use counterfactual::{holds as counterfactual_holds, might_hold, Counterfactual};
-pub use engine::{CompileError, DelayedKb, RevisedKb};
+pub use engine::{CompileError, DelayedKb, RevisedKb, RevisionChain};
 pub use engine_formula_based::{GfuvKb, WidtioKb, WorldBudgetExceeded};
 pub use equivalence::{
     logically_equivalent, query_equivalent_bdd, query_equivalent_enum,
