@@ -19,7 +19,7 @@
 //! paper's strategies is behind a knowledge base.
 
 use crate::compact::{CompactRep, EngineStats};
-use crate::engine::{DelayedKb, RevisedKb};
+use crate::engine::{DelayedKb, RevisedKb, RevisionChain};
 use crate::engine_formula_based::{GfuvKb, WidtioKb, WorldBudgetExceeded};
 use crate::error::Error;
 use crate::formula_based::Theory;
@@ -62,6 +62,12 @@ pub trait Engine {
     /// *is* the parallel path.
     fn par_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
         self.try_entails_batch(queries)
+    }
+
+    /// The revision chain this engine answers for, when it is one that
+    /// can take another step ([`RevisionChain::extend`]).
+    fn revision_chain(&self) -> Option<&RevisionChain> {
+        None
     }
 
     /// Infallible single query.
@@ -143,6 +149,38 @@ impl Engine for RevisedKb {
 
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
         RevisedKb::try_entails_batch(self, queries).map_err(Error::from)
+    }
+}
+
+impl Engine for RevisionChain {
+    fn describe(&self) -> String {
+        self.compiled().describe()
+    }
+
+    fn alphabet(&self) -> Vec<Var> {
+        self.compiled().alphabet()
+    }
+
+    fn compiled_size(&self) -> Option<usize> {
+        Some(self.compiled().size())
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.compiled().stats()
+    }
+
+    fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
+        self.compiled().try_entails(q).map_err(Error::from)
+    }
+
+    fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
+        self.compiled()
+            .try_entails_batch(queries)
+            .map_err(Error::from)
+    }
+
+    fn revision_chain(&self) -> Option<&RevisionChain> {
+        Some(self)
     }
 }
 
