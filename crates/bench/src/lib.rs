@@ -173,10 +173,10 @@ impl Cell {
     }
 }
 
-/// One operator's batch-query workload, answered twice through the
-/// same [`SessionPool`]: once sequentially, once sharded across the
-/// workers. Captures the head-to-head wall times and the pool's
-/// merged statistics.
+/// One operator's batch-query workload, answered twice, each time on a
+/// fresh [`SessionPool`]: once sequentially, once sharded across the
+/// workers. Captures the head-to-head wall times and the parallel
+/// pool's statistics.
 #[derive(Debug, Clone)]
 pub struct BatchWorkload {
     /// Worker threads in the pool.
@@ -191,29 +191,36 @@ pub struct BatchWorkload {
     /// (they must — a `false` here is a correctness bug, and the
     /// report says so rather than hiding it).
     pub answers_match: bool,
-    /// The pool's statistics after both passes (per-worker blocks,
-    /// merged counters, CPU-vs-wall time accounting).
+    /// The parallel pool's statistics after its pass (per-worker
+    /// blocks, merged counters, CPU-vs-wall time accounting).
     pub pool: PoolStats,
 }
 
-/// Run `queries` through a fresh pool over `base` twice — a
+/// Run `queries` over `base` twice, each pass on a fresh pool — a
 /// sequential pass and a parallel pass — and capture the comparison.
+/// The passes get a pool each because parallel workers are forked from
+/// worker 0 with its memo: after a sequential pass on the same pool,
+/// the parallel pass would only read memoised answers.
 ///
 /// The parallel pass uses a forced-parallel threshold so the
 /// comparison is honest even for small sweeps; worker count comes
 /// from `threads` (pass [`revkb_sat::default_threads`] for the
 /// `REVKB_THREADS`-aware default).
 pub fn run_batch_workload(base: &Formula, queries: &[Formula], threads: usize) -> BatchWorkload {
-    let mut pool = SessionPool::with_config(
-        base,
-        PoolConfig {
-            threads,
-            sequential_threshold: 0,
-        },
-    );
+    let new_pool = || {
+        SessionPool::with_config(
+            base,
+            PoolConfig {
+                threads,
+                sequential_threshold: 0,
+            },
+        )
+    };
+    let mut sequential_pool = new_pool();
     let start = Instant::now();
-    let sequential = pool.entails_batch(queries);
+    let sequential = sequential_pool.entails_batch(queries);
     let sequential_wall_micros = start.elapsed().as_micros() as u64;
+    let mut pool = new_pool();
     let start = Instant::now();
     let parallel = pool.par_entails_batch(queries);
     let parallel_wall_micros = start.elapsed().as_micros() as u64;

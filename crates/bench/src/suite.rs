@@ -238,9 +238,14 @@ fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
 }
 
 /// `query.sequential` / `query.parallel` — a 64-query batch through
-/// one sharded [`SessionPool`], each way, with per-query latency
+/// a sharded [`SessionPool`], each way, with per-query latency
 /// percentiles read from the `sat.session.query_micros` histogram
 /// under a temporarily-enabled `Summary` trace mode.
+///
+/// Every trial and the instrumented pass answer the batch on a fresh
+/// pool, built outside the timed region: a pool answers queries it has
+/// seen from its memo, and parallel workers are forked with worker 0's
+/// memo, so a reused pool would time memo lookups instead of solving.
 fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_0001);
     let base = random_satisfiable(&mut rng, 4, 10, 0);
@@ -252,19 +257,28 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         .filter(|q| q.vars().iter().all(|&v| alpha.contains(v)))
         .take(64)
         .collect();
-    let mut pool = SessionPool::with_config(
-        &base,
-        PoolConfig {
-            threads: revkb_sat::default_threads(),
-            sequential_threshold: 0,
-        },
-    );
-    let (seq_median, seq_trials) = timed_trials(cfg, || {
-        let _ = pool.entails_batch(&queries);
-    });
-    let (par_median, par_trials) = timed_trials(cfg, || {
-        let _ = pool.par_entails_batch(&queries);
-    });
+    let new_pool = || {
+        SessionPool::with_config(
+            &base,
+            PoolConfig {
+                threads: revkb_sat::default_threads(),
+                sequential_threshold: 0,
+            },
+        )
+    };
+    let timed_on_fresh_pools = |batch: fn(&mut SessionPool, &[Formula]) -> Vec<bool>| {
+        let runs = cfg.warmup + cfg.trials;
+        let mut fresh: Vec<SessionPool> = (0..runs).map(|_| new_pool()).collect();
+        // Used pools are dropped after the trials, not inside them.
+        let mut used = Vec::with_capacity(runs);
+        timed_trials(cfg, || {
+            let mut pool = fresh.pop().expect("one pool per run");
+            let _ = batch(&mut pool, &queries);
+            used.push(pool);
+        })
+    };
+    let (seq_median, seq_trials) = timed_on_fresh_pools(SessionPool::entails_batch);
+    let (par_median, par_trials) = timed_on_fresh_pools(SessionPool::par_entails_batch);
 
     // Percentiles: run one instrumented pass of each kind under the
     // Summary mode, then restore whatever mode the process had. The
@@ -292,14 +306,14 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         revkb_obs::set_mode(prev);
         extra
     };
-    let seq_extra = percentiles(false, &mut pool);
-    let par_extra = percentiles(true, &mut pool);
+    let seq_extra = percentiles(false, &mut new_pool());
+    let par_extra = percentiles(true, &mut new_pool());
 
     let mut seq = result(cfg, "query.sequential".into(), seq_median, seq_trials);
     seq.extra = seq_extra;
     let mut par = result(cfg, "query.parallel".into(), par_median, par_trials);
     par.extra
-        .push(("threads", Value::Number(pool.threads() as f64)));
+        .push(("threads", Value::Number(new_pool().threads() as f64)));
     par.extra.extend(par_extra);
     vec![seq, par]
 }

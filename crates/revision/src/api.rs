@@ -41,9 +41,8 @@ pub trait Engine {
     /// occurrences), or `None` if nothing has been compiled yet.
     fn compiled_size(&self) -> Option<usize>;
 
-    /// Statistics of the engine's query machinery, uniformly shaped.
-    /// Engines without an incremental session (GFUV, WIDTIO) report
-    /// the empty block.
+    /// Statistics of the engine's query session, uniformly shaped
+    /// (the empty block until the first query).
     fn stats(&self) -> EngineStats;
 
     /// Answer `T * P… ⊨ Q`, or report why the query is unanswerable
@@ -218,110 +217,97 @@ impl Engine for DelayedKb {
     }
 }
 
-/// [`GfuvKb`] bound to its base alphabet, as an [`Engine`].
+/// The base alphabet `V(T) ∪ V(P)` of a formula-based revision, on
+/// which its answers are defined.
+fn formula_based_alphabet(theory: &Theory, p: &Formula) -> Vec<Var> {
+    let mut vars = p.vars();
+    for f in &theory.formulas {
+        f.collect_vars(&mut vars);
+    }
+    vars.into_iter().collect()
+}
+
+/// [`GfuvKb`] as an [`Engine`]: queries run on one incremental session
+/// over the materialised worlds.
 ///
-/// The bare `GfuvKb` answers any formula by iterating the worlds; the
-/// wrapper adds the same out-of-alphabet guard the compiled engines
-/// enforce, so trait-object dispatch cannot silently answer a query
-/// the guarantee says nothing about.
+/// `⋁W ⊨ Q` iff every world entails `Q`, so the engine answers through
+/// a logically equivalent [`CompactRep`] of `⋁W` over `V(T) ∪ V(P)`:
+/// `⋁W` is Tseitin-loaded once, as [`GfuvKb::shared_p_representation`],
+/// and the rep's alphabet guard rejects queries the guarantee says
+/// nothing about. [`GfuvKb::entails`] stays the one-shot reference, one
+/// solver per world and query.
 #[derive(Debug, Clone)]
 pub struct GfuvEngine {
-    kb: GfuvKb,
-    alphabet: Vec<Var>,
+    rep: CompactRep,
+    /// `|⋁W|` of the explicit representation, the paper's size measure.
+    size: usize,
+    worlds: usize,
 }
 
 impl GfuvEngine {
     /// Materialise `W(T,P)` up to `budget` worlds (Theorem 3.1 says
     /// this can be exponential — the budget keeps it honest).
     pub fn compile(theory: Theory, p: Formula, budget: usize) -> Result<Self, WorldBudgetExceeded> {
-        let mut vars = theory.conjunction().vars();
-        p.collect_vars(&mut vars);
+        let base = formula_based_alphabet(&theory, &p);
         let kb = GfuvKb::compile(theory, p, budget)?;
         Ok(Self {
-            kb,
-            alphabet: vars.into_iter().collect(),
+            rep: CompactRep::logical(kb.shared_p_representation(), base),
+            size: kb.explicit_size(),
+            worlds: kb.world_count(),
         })
-    }
-
-    /// The wrapped possible-worlds engine.
-    pub fn kb(&self) -> &GfuvKb {
-        &self.kb
-    }
-
-    fn check_alphabet(&self, q: &Formula) -> Result<(), Error> {
-        if let Some(&var) = q.vars().iter().find(|v| !self.alphabet.contains(v)) {
-            return Err(Error::Query(crate::compact::QueryError::OutOfAlphabet {
-                var,
-            }));
-        }
-        Ok(())
     }
 }
 
 impl Engine for GfuvEngine {
     fn describe(&self) -> String {
-        format!("gfuv({} worlds)", self.kb.world_count())
+        format!("gfuv({} worlds)", self.worlds)
     }
 
     fn alphabet(&self) -> Vec<Var> {
-        self.alphabet.clone()
+        self.rep.base.clone()
     }
 
     fn compiled_size(&self) -> Option<usize> {
-        Some(self.kb.explicit_representation().size())
+        Some(self.size)
     }
 
     fn stats(&self) -> EngineStats {
-        EngineStats::default()
+        self.rep.stats()
     }
 
     fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
-        self.check_alphabet(q)?;
-        Ok(self.kb.entails(q))
+        Engine::try_entails(&mut self.rep, q)
     }
 
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        for q in queries {
-            self.check_alphabet(q)?;
-        }
-        Ok(queries.iter().map(|q| self.kb.entails(q)).collect())
+        Engine::try_entails_batch(&mut self.rep, queries)
     }
 }
 
-/// [`WidtioKb`] bound to its base alphabet, as an [`Engine`].
+/// [`WidtioKb`] as an [`Engine`]: queries run on one incremental
+/// session over the kept sub-theory.
 ///
 /// WIDTIO may throw out every formula mentioning a letter, so the
-/// alphabet is recorded at compile time from the *inputs* — the kept
-/// sub-theory alone would under-approximate it.
+/// alphabet is taken at compile time from the *inputs* — the kept
+/// sub-theory alone would under-approximate it. [`WidtioKb::entails`]
+/// stays the one-shot reference.
 #[derive(Debug, Clone)]
 pub struct WidtioEngine {
     kb: WidtioKb,
-    alphabet: Vec<Var>,
+    rep: CompactRep,
 }
 
 impl WidtioEngine {
-    /// Compile `T *wid P` and record `V(T) ∪ V(P)`.
+    /// Compile `T *wid P` over `V(T) ∪ V(P)`.
     pub fn compile(theory: &Theory, p: &Formula) -> Self {
-        let mut vars = theory.conjunction().vars();
-        p.collect_vars(&mut vars);
-        Self {
-            kb: WidtioKb::compile(theory, p),
-            alphabet: vars.into_iter().collect(),
-        }
+        let kb = WidtioKb::compile(theory, p);
+        let rep = CompactRep::logical(kb.theory().conjunction(), formula_based_alphabet(theory, p));
+        Self { kb, rep }
     }
 
     /// The wrapped compiled sub-theory engine.
     pub fn kb(&self) -> &WidtioKb {
         &self.kb
-    }
-
-    fn check_alphabet(&self, q: &Formula) -> Result<(), Error> {
-        if let Some(&var) = q.vars().iter().find(|v| !self.alphabet.contains(v)) {
-            return Err(Error::Query(crate::compact::QueryError::OutOfAlphabet {
-                var,
-            }));
-        }
-        Ok(())
     }
 }
 
@@ -331,7 +317,7 @@ impl Engine for WidtioEngine {
     }
 
     fn alphabet(&self) -> Vec<Var> {
-        self.alphabet.clone()
+        self.rep.base.clone()
     }
 
     fn compiled_size(&self) -> Option<usize> {
@@ -339,19 +325,15 @@ impl Engine for WidtioEngine {
     }
 
     fn stats(&self) -> EngineStats {
-        EngineStats::default()
+        self.rep.stats()
     }
 
     fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
-        self.check_alphabet(q)?;
-        Ok(self.kb.entails(q))
+        Engine::try_entails(&mut self.rep, q)
     }
 
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        for q in queries {
-            self.check_alphabet(q)?;
-        }
-        Ok(queries.iter().map(|q| self.kb.entails(q)).collect())
+        Engine::try_entails_batch(&mut self.rep, queries)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The result type of a compact construction.
 
 use revkb_logic::{Formula, Var};
-use revkb_sat::{PoolConfig, PoolStats, QuerySession, SessionPool, SolverStats};
+use revkb_sat::{PoolConfig, PoolStats, SessionPool, SolverStats};
 use std::cell::RefCell;
 
 /// Error answering a query through a [`CompactRep`].
@@ -33,37 +33,36 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Combined statistics of a representation's query engines: the
-/// single-query [`QuerySession`] and the batch [`SessionPool`], both
-/// lazily created, either possibly absent. Exposed uniformly as
+/// Statistics of a representation's query engine, one lazily created
+/// [`SessionPool`]. `session` is its worker 0, which answers single
+/// queries and sequential batches; `pool` adds the batch accounting and
+/// the forked workers once a batch has run. Exposed uniformly as
 /// `stats()` on [`CompactRep`], `RevisedKb`, and `DelayedKb`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Counters of the single-query session, if one has answered yet.
+    /// Counters of the session (worker 0), if any query has run yet.
     pub session: Option<SolverStats>,
-    /// Counters of the batch pool, if one has answered yet.
+    /// Counters of the pool, if any batch has run yet. Its first
+    /// `per_worker` block is `session`.
     pub pool: Option<PoolStats>,
 }
 
 impl EngineStats {
-    /// Are both engines still unused?
+    /// Is the engine still unused?
     pub fn is_empty(&self) -> bool {
         self.session.is_none() && self.pool.is_none()
     }
 
-    /// All counters folded into one [`SolverStats`] block. Its
-    /// `total_query_micros` follows the CPU-time semantics of
-    /// [`SolverStats::merge`] — do not read it as elapsed time when
-    /// the pool ran in parallel.
+    /// All counters folded into one [`SolverStats`] block, each worker
+    /// (and so each query) once. Its `total_query_micros` follows the
+    /// CPU-time semantics of [`SolverStats::merge`] — do not read it as
+    /// elapsed time when the pool ran in parallel.
     pub fn merged(&self) -> SolverStats {
-        let mut merged = SolverStats::default();
-        if let Some(session) = &self.session {
-            merged.merge(session);
+        match (&self.pool, &self.session) {
+            (Some(pool), _) => pool.merged(),
+            (None, Some(session)) => *session,
+            (None, None) => SolverStats::default(),
         }
-        if let Some(pool) = &self.pool {
-            merged.merge(&pool.merged());
-        }
-        merged
     }
 
     /// Render as a JSON object: `session` and `pool` (each an object
@@ -93,13 +92,14 @@ impl EngineStats {
 /// representations (criterion (2)), `formula` uses only `base` letters
 /// and `T' ≡ T * P`.
 ///
-/// Entailment queries go through a lazily-created incremental
-/// [`QuerySession`]: the first call to [`CompactRep::entails`] /
-/// [`CompactRep::try_entails`] Tseitin-loads `formula` into a solver
-/// once, and every later query reuses that solver (and its learned
-/// clauses). Mutating `formula` after the first query is a footgun —
-/// the session keeps answering for the formula it loaded; construct a
-/// fresh `CompactRep` instead.
+/// Entailment queries go through one lazily created [`SessionPool`]:
+/// the first query or batch Tseitin-loads `formula` into worker 0
+/// once. Single queries and sequential batches run on that worker, so
+/// they share its learned clauses and memo; the pool forks further
+/// workers from it only when a batch first takes the parallel path.
+/// Mutating `formula` after the first query is a footgun — the pool
+/// keeps answering for the formula it loaded; construct a fresh
+/// `CompactRep` instead.
 #[derive(Debug)]
 pub struct CompactRep {
     /// The representation formula `T'`.
@@ -110,10 +110,8 @@ pub struct CompactRep {
     /// (criterion (2)); otherwise only query equivalence (criterion
     /// (1)) is guaranteed.
     pub logical: bool,
-    /// Lazily-created incremental query engine over `formula`.
-    session: RefCell<Option<QuerySession>>,
-    /// Lazily-created sharded pool for batch queries (independent of
-    /// the single-query session so mixed workloads keep both warm).
+    /// Lazily created query engine over `formula`, for single queries
+    /// and batches alike.
     pool: RefCell<Option<SessionPool>>,
     /// Configuration the lazy pool is created with; `None` means
     /// [`PoolConfig::default`] (which honours `REVKB_THREADS`).
@@ -122,7 +120,7 @@ pub struct CompactRep {
 
 impl Clone for CompactRep {
     fn clone(&self) -> Self {
-        // The clone starts with a fresh (unloaded) session rather than
+        // The clone starts with a fresh (unloaded) pool rather than
         // a copy of the solver state: cloning is used to build derived
         // representations, not to share query workloads. The pool
         // configuration, being a tuning knob rather than state, does
@@ -140,18 +138,21 @@ impl CompactRep {
             formula,
             base,
             logical,
-            session: RefCell::new(None),
             pool: RefCell::new(None),
             pool_config: RefCell::new(None),
         }
     }
 
-    /// Configure the batch pool that [`CompactRep::entails_batch`]
-    /// lazily creates (worker count, sequential threshold). A no-op on
-    /// an already-created pool — call it before the first batch. The
-    /// default (no call) honours `REVKB_THREADS` via
-    /// [`PoolConfig::default`].
+    /// Configure the pool that the first query or batch lazily creates
+    /// (worker count, sequential threshold). Call it before the first
+    /// query: an already-created pool keeps its configuration, and
+    /// debug builds panic on such a late call. The default (no call)
+    /// honours `REVKB_THREADS` via [`PoolConfig::default`].
     pub fn set_pool_config(&self, config: PoolConfig) {
+        debug_assert!(
+            self.pool.borrow().is_none(),
+            "set_pool_config after the first query has no effect"
+        );
         *self.pool_config.borrow_mut() = Some(config);
     }
 
@@ -180,18 +181,28 @@ impl CompactRep {
     /// [`QueryError::OutOfAlphabet`] instead of a silently meaningless
     /// boolean.
     pub fn try_entails(&self, q: &Formula) -> Result<bool, QueryError> {
-        if let Some(&var) = q.vars().iter().find(|v| !self.base.contains(v)) {
-            return Err(QueryError::OutOfAlphabet { var });
+        self.check_alphabet(q)?;
+        Ok(self.with_pool(|pool| pool.entails(q)))
+    }
+
+    fn check_alphabet(&self, q: &Formula) -> Result<(), QueryError> {
+        match q.vars().into_iter().find(|v| !self.base.contains(v)) {
+            Some(var) => Err(QueryError::OutOfAlphabet { var }),
+            None => Ok(()),
         }
-        let mut slot = self.session.borrow_mut();
-        let session = slot.get_or_insert_with(|| {
+    }
+
+    fn with_pool<R>(&self, f: impl FnOnce(&mut SessionPool) -> R) -> R {
+        let mut slot = self.pool.borrow_mut();
+        let pool = slot.get_or_insert_with(|| {
             // Reserve the whole base alphabet for queries, not just
             // V(formula): the construction may have simplified a base
             // letter away, yet queries over it remain legitimate.
             let num_query_vars = self.base.iter().map(|v| v.0 + 1).max().unwrap_or(0);
-            QuerySession::with_query_alphabet(&self.formula, num_query_vars)
+            let config = self.pool_config.borrow().clone().unwrap_or_default();
+            SessionPool::with_query_alphabet(&self.formula, num_query_vars, config)
         });
-        Ok(session.entails(q))
+        f(pool)
     }
 
     /// Answer `T * P ⊨ Q` through the representation.
@@ -210,29 +221,22 @@ impl CompactRep {
         }
     }
 
-    /// Answer a batch of queries `T * P ⊨ Qᵢ` through a sharded
-    /// [`SessionPool`] (parallel above the pool's batch threshold,
-    /// sequential below it), or report the first out-of-alphabet
-    /// query. The answer at index `i` is for `queries[i]`.
+    /// Answer a batch of queries `T * P ⊨ Qᵢ` through the
+    /// representation's [`SessionPool`] (parallel above the pool's
+    /// batch threshold, sequential on the single-query session below
+    /// it), or report the first out-of-alphabet query. The answer at
+    /// index `i` is for `queries[i]`.
     ///
     /// Every query is alphabet-checked **before** any is answered, so
     /// an `Err` means no work was done and no session state changed.
     pub fn try_entails_batch(&self, queries: &[Formula]) -> Result<Vec<bool>, QueryError> {
         for q in queries {
-            if let Some(&var) = q.vars().iter().find(|v| !self.base.contains(v)) {
-                return Err(QueryError::OutOfAlphabet { var });
-            }
+            self.check_alphabet(q)?;
         }
-        let mut slot = self.pool.borrow_mut();
-        let pool = slot.get_or_insert_with(|| {
-            let num_query_vars = self.base.iter().map(|v| v.0 + 1).max().unwrap_or(0);
-            let config = self.pool_config.borrow().clone().unwrap_or_default();
-            SessionPool::with_query_alphabet(&self.formula, num_query_vars, config)
-        });
-        Ok(pool.par_entails_batch(queries))
+        Ok(self.with_pool(|pool| pool.par_entails_batch(queries)))
     }
 
-    /// Answer a batch of queries through the sharded pool.
+    /// Answer a batch of queries through the pool.
     ///
     /// # Panics
     ///
@@ -245,20 +249,23 @@ impl CompactRep {
         }
     }
 
-    /// Statistics of the incremental query session, if any query has
-    /// been answered yet.
+    /// Statistics of the incremental query session (the pool's worker
+    /// 0, which also answers sequential batches), if any query or
+    /// batch has been answered yet.
     pub fn query_stats(&self) -> Option<SolverStats> {
-        self.session.borrow().as_ref().map(|s| s.stats())
+        self.pool.borrow().as_ref().map(SessionPool::session_stats)
     }
 
-    /// Statistics of the batch-query pool, if any batch has been
-    /// answered yet.
+    /// Statistics of the pool, if any batch has been answered yet.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.borrow().as_ref().map(SessionPool::stats)
+        self.pool
+            .borrow()
+            .as_ref()
+            .map(SessionPool::stats)
+            .filter(|stats| stats.batches > 0)
     }
 
-    /// Combined statistics of both query engines (the single-query
-    /// session and the batch pool), uniformly shaped as
+    /// Statistics of the query engine, uniformly shaped as
     /// [`EngineStats`].
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -330,6 +337,28 @@ mod tests {
     }
 
     #[test]
+    fn singles_and_batches_share_one_session() {
+        let rep = CompactRep::logical(v(0).and(v(1)), vec![Var(0), Var(1)]);
+        rep.set_pool_config(PoolConfig {
+            threads: 4,
+            sequential_threshold: 8,
+        });
+        assert!(rep.entails(&v(0)));
+        assert!(rep.pool_stats().is_none(), "no batch has run yet");
+        assert_eq!(rep.entails_batch(&[v(0), v(1)]), vec![true, true]);
+        let stats = rep.stats();
+        let session = stats.session.expect("session ran");
+        assert_eq!(
+            (session.base_loads, session.queries, session.cache_hits),
+            (1, 3, 1),
+            "the batch ran on the single-query session and hit its memo"
+        );
+        let pool = stats.pool.as_ref().expect("a batch ran");
+        assert_eq!(pool.per_worker, vec![session], "no forks yet");
+        assert_eq!(stats.merged().queries, 3, "each query counted once");
+    }
+
+    #[test]
     fn batch_rejects_out_of_alphabet_before_answering() {
         let rep = CompactRep::logical(v(0), vec![Var(0)]);
         assert_eq!(
@@ -337,6 +366,15 @@ mod tests {
             Err(QueryError::OutOfAlphabet { var: Var(9) })
         );
         assert!(rep.pool_stats().is_none(), "no pool built on rejection");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set_pool_config after the first query")]
+    fn late_pool_config_is_loud() {
+        let rep = CompactRep::logical(v(0), vec![Var(0)]);
+        rep.entails(&v(0));
+        rep.set_pool_config(PoolConfig::with_threads(2));
     }
 
     #[test]

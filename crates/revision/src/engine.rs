@@ -238,11 +238,11 @@ impl RevisedKb {
         self.rep.try_entails(q)
     }
 
-    /// Step 2 for a whole batch: answers are sharded over a worker
-    /// pool (one incremental session per `REVKB_THREADS` worker) and
-    /// come back index-aligned with `queries`. Small batches run
-    /// sequentially; answers are identical to query-by-query
-    /// [`RevisedKb::entails`] either way.
+    /// Step 2 for a whole batch, on the pool that answers single
+    /// queries too: small batches run on its single-query session,
+    /// larger ones are sharded over `REVKB_THREADS` workers forked from
+    /// it. Answers come back index-aligned with `queries` and are
+    /// identical to query-by-query [`RevisedKb::entails`] either way.
     ///
     /// # Panics
     ///
@@ -285,7 +285,7 @@ impl RevisedKb {
         self.rep.size()
     }
 
-    /// Configure the lazy batch pool (see
+    /// Configure the lazy query pool (see
     /// [`crate::compact::CompactRep::set_pool_config`]).
     pub fn set_pool_config(&self, config: revkb_sat::PoolConfig) {
         self.rep.set_pool_config(config);

@@ -37,45 +37,63 @@ impl std::error::Error for WorldBudgetExceeded {}
 pub struct GfuvKb {
     theory: Theory,
     p: Formula,
-    /// Worlds as conjunctions `⋀T' ∧ P`, precomputed.
-    world_formulas: Vec<Formula>,
+    /// Worlds as index sets into `theory.formulas`.
+    worlds: Vec<Vec<usize>>,
 }
 
 impl GfuvKb {
     /// Materialise `W(T,P)` up to `budget` worlds.
     pub fn compile(theory: Theory, p: Formula, budget: usize) -> Result<Self, WorldBudgetExceeded> {
         let worlds = possible_worlds(&theory, &p, budget).ok_or(WorldBudgetExceeded { budget })?;
-        let world_formulas = worlds
-            .iter()
-            .map(|w| {
-                Formula::and_all(
-                    w.iter()
-                        .map(|&i| theory.formulas[i].clone())
-                        .chain([p.clone()]),
-                )
-            })
-            .collect();
-        Ok(Self {
-            theory,
-            p,
-            world_formulas,
-        })
+        Ok(Self { theory, p, worlds })
     }
 
     /// Number of possible worlds.
     pub fn world_count(&self) -> usize {
-        self.world_formulas.len()
+        self.worlds.len()
+    }
+
+    /// The world `T'` as the conjunction `⋀T' ∧ P`.
+    fn world_formula(&self, world: &[usize]) -> Formula {
+        Formula::and_all(
+            world
+                .iter()
+                .map(|&i| self.theory.formulas[i].clone())
+                .chain([self.p.clone()]),
+        )
     }
 
     /// `T *GFUV P ⊨ Q`: consequence in every world.
     pub fn entails(&self, q: &Formula) -> bool {
-        self.world_formulas.iter().all(|w| revkb_sat::entails(w, q))
+        self.worlds
+            .iter()
+            .all(|w| revkb_sat::entails(&self.world_formula(w), q))
     }
 
     /// The explicit representation `(⋁ ⋀T') ∧ P` and its size — what
     /// Theorem 3.1 says cannot stay polynomial.
     pub fn explicit_representation(&self) -> Formula {
-        Formula::or_all(self.world_formulas.iter().cloned())
+        Formula::or_all(self.worlds.iter().map(|w| self.world_formula(w)))
+    }
+
+    /// `|⋁W|`, the size of [`GfuvKb::explicit_representation`], summed
+    /// world by world without building the disjunction.
+    pub fn explicit_size(&self) -> usize {
+        self.worlds
+            .iter()
+            .map(|w| self.world_formula(w).size())
+            .sum()
+    }
+
+    /// `P ∧ ⋁ ⋀T'`: equivalent to [`GfuvKb::explicit_representation`],
+    /// with `P` stated once instead of once per world — the form a
+    /// solver loads.
+    pub fn shared_p_representation(&self) -> Formula {
+        let worlds = self
+            .worlds
+            .iter()
+            .map(|w| Formula::and_all(w.iter().map(|&i| self.theory.formulas[i].clone())));
+        Formula::and_all([self.p.clone(), Formula::or_all(worlds)])
     }
 
     /// The inputs.
@@ -156,6 +174,19 @@ mod tests {
     }
 
     #[test]
+    fn shared_p_representation_is_equivalent() {
+        let t = Theory::new([v(0), v(0).implies(v(1)), v(2), v(1).or(v(3))]);
+        for p in [v(1).not(), v(0).not().or(v(2).not()), v(4).and(v(4).not())] {
+            let kb = GfuvKb::compile(t.clone(), p.clone(), 100).unwrap();
+            let explicit = kb.explicit_representation();
+            let shared = kb.shared_p_representation();
+            assert!(revkb_sat::entails(&explicit, &shared), "{p:?}");
+            assert!(revkb_sat::entails(&shared, &explicit), "{p:?}");
+            assert_eq!(kb.explicit_size(), explicit.size(), "{p:?}");
+        }
+    }
+
+    #[test]
     fn explicit_representation_counts() {
         let t = Theory::new([v(0), v(1)]);
         let p = v(0).not().or(v(1).not());
@@ -163,5 +194,6 @@ mod tests {
         assert_eq!(kb.world_count(), 2);
         let explicit = kb.explicit_representation();
         assert!(revkb_sat::satisfiable(&explicit));
+        assert_eq!(kb.explicit_size(), explicit.size());
     }
 }

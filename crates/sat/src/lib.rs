@@ -12,8 +12,9 @@
 //! - [`QuerySession`]: incremental entailment — load a knowledge base
 //!   once, answer many queries against it, with [`SolverStats`]
 //!   observability;
-//! - [`SessionPool`]: batch entailment sharded over one worker
-//!   session per thread (`REVKB_THREADS`), with merged [`PoolStats`].
+//! - [`SessionPool`]: one session for single queries and batches,
+//!   with further workers forked from it to shard a parallel batch
+//!   over `REVKB_THREADS` threads, and merged [`PoolStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,21 +1,28 @@
-//! A sharded pool of [`QuerySession`]s for batch entailment.
+//! A sharded pool of [`QuerySession`]s: the one query engine of a
+//! compiled knowledge base.
 //!
 //! The paper's pipeline amortises one compilation of `T * P` across
 //! many queries; [`QuerySession`] already amortises the Tseitin load
-//! and the learned clauses across a *sequential* query stream. This
-//! module adds the remaining axis: **parallelism across queries**.
-//! A [`SessionPool`] owns one session per worker thread, all loaded
-//! from the same compiled base, and answers a batch by sharding it
-//! over the workers with a simple atomic work queue
-//! ([`SessionPool::par_entails_batch`]). Small batches fall back to
-//! the sequential path automatically — spawning threads for three
-//! queries costs more than it saves.
+//! and the learned clauses across a *sequential* query stream. A
+//! [`SessionPool`] serves both single queries and batches from one
+//! Tseitin load. Worker 0 is the session: it answers every single
+//! query ([`SessionPool::entails`]) and every batch that takes the
+//! sequential path, so singles and batches share one memo. The other
+//! workers are forks of worker 0 ([`QuerySession::fork`]), made when a
+//! batch first takes the parallel path; a pool that never runs one —
+//! single queries only, or one configured thread — holds one solver.
+//! A parallel batch answers each query some worker has memoised on
+//! that worker, so a query answered in an earlier batch never reaches
+//! a solver again, and shards the rest over the workers with a simple
+//! atomic work queue ([`SessionPool::par_entails_batch`]). Small
+//! batches fall back to the sequential path automatically — spawning
+//! threads for three queries costs more than it saves.
 //!
 //! Answers are **bit-identical** to the sequential path by
-//! construction: every worker session is loaded from the same base,
-//! entailment is a semantic property of that base, and each answer is
-//! written to the slot of its query index — the shard assignment can
-//! never change an answer or its position.
+//! construction: every worker holds the same loaded base, entailment
+//! is a semantic property of that base, and each answer is written to
+//! the slot of its query index — the shard assignment can never change
+//! an answer or its position.
 //!
 //! Worker counts come from [`PoolConfig`]; the default reads the
 //! `REVKB_THREADS` environment variable and falls back to
@@ -30,6 +37,7 @@
 use crate::session::{QuerySession, SolverStats};
 use revkb_logic::Formula;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Environment variable overriding the default worker count.
@@ -38,7 +46,13 @@ pub const THREADS_ENV: &str = "REVKB_THREADS";
 /// The default worker count: `REVKB_THREADS` if set to a positive
 /// integer, otherwise the machine's available parallelism (1 if even
 /// that is unknown).
+///
+/// The available parallelism is read once per process: on Linux it
+/// parses the process's cgroup files, which costs more than loading a
+/// small knowledge base, and every first query of a knowledge base
+/// creates a pool.
 pub fn default_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if let Ok(raw) = std::env::var(THREADS_ENV) {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n >= 1 {
@@ -46,15 +60,17 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Tuning knobs for a [`SessionPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker sessions to build (clamped to at least 1).
+    /// Workers a parallel batch runs on (clamped to at least 1).
     pub threads: usize,
     /// Batches with fewer queries than this are answered sequentially
     /// on one worker — thread spawn and hand-off overhead dwarfs the
@@ -84,7 +100,8 @@ impl PoolConfig {
 /// Aggregated statistics of a [`SessionPool`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker sessions in the pool.
+    /// Workers a parallel batch runs on (the configured count; see
+    /// `per_worker` for the workers built so far).
     pub threads: usize,
     /// Batch calls answered (sequential + parallel).
     pub batches: u64,
@@ -92,7 +109,8 @@ pub struct PoolStats {
     pub parallel_batches: u64,
     /// Batch calls that fell back to the sequential path.
     pub sequential_batches: u64,
-    /// Queries answered across all batches.
+    /// Queries answered across all batches (single queries on worker
+    /// 0 are counted in its `per_worker` block, not here).
     pub queries: u64,
     /// Measured elapsed time across batch calls, in microseconds.
     /// This is real wall-clock time: concurrent worker activity is
@@ -100,7 +118,8 @@ pub struct PoolStats {
     pub wall_time_micros: u64,
     /// Elapsed time of the most recent batch call, in microseconds.
     pub last_batch_wall_micros: u64,
-    /// Per-worker session counters.
+    /// Counters of the workers built so far: worker 0, plus the
+    /// forks once a batch has taken the parallel path.
     pub per_worker: Vec<SolverStats>,
 }
 
@@ -151,7 +170,9 @@ impl PoolStats {
     }
 }
 
-/// A pool of worker [`QuerySession`]s over one compiled base.
+/// A pool of worker [`QuerySession`]s over one compiled base: worker
+/// 0 loads the base and answers single queries and sequential batches;
+/// the other workers are forked from it at the first parallel batch.
 ///
 /// ```
 /// use revkb_logic::{Formula, Var};
@@ -171,7 +192,9 @@ impl PoolStats {
 /// ```
 #[derive(Debug)]
 pub struct SessionPool {
+    /// Worker 0, then the forks made at the first parallel batch.
     workers: Vec<QuerySession>,
+    threads: usize,
     sequential_threshold: usize,
     batches: u64,
     parallel_batches: u64,
@@ -204,16 +227,9 @@ impl SessionPool {
     }
 
     fn build(first: QuerySession, config: PoolConfig) -> Self {
-        let threads = config.threads.max(1);
-        // The base is Tseitin-transformed exactly once; the other
-        // workers clone the loaded solver instead of re-encoding.
-        let mut workers = Vec::with_capacity(threads);
-        workers.push(first);
-        for _ in 1..threads {
-            workers.push(workers[0].clone());
-        }
         SessionPool {
-            workers,
+            workers: vec![first],
+            threads: config.threads.max(1),
             sequential_threshold: config.sequential_threshold,
             batches: 0,
             parallel_batches: 0,
@@ -224,9 +240,26 @@ impl SessionPool {
         }
     }
 
-    /// Worker sessions in the pool.
+    /// Workers a parallel batch runs on.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
+    }
+
+    /// Answer one query on worker 0, the pool's session. It shares
+    /// worker 0's memo with the sequential batches and is not counted
+    /// as a batch.
+    ///
+    /// # Panics
+    ///
+    /// As [`QuerySession::entails`]: if the query collides with the
+    /// base's internal Tseitin letters.
+    pub fn entails(&mut self, q: &Formula) -> bool {
+        self.workers[0].entails(q)
+    }
+
+    /// Counters of worker 0, the session that answers single queries.
+    pub fn session_stats(&self) -> SolverStats {
+        self.workers[0].stats()
     }
 
     /// Answer a batch sequentially on the first worker. The answer at
@@ -245,42 +278,56 @@ impl SessionPool {
         answers
     }
 
-    /// Answer a batch in parallel: the queries are sharded over the
-    /// workers through an atomic work queue, so a slow query on one
-    /// worker does not hold up the rest of the batch. The answer at
-    /// index `i` is for `queries[i]`, exactly as in
+    /// Answer a batch in parallel. A query some worker has answered
+    /// before is answered again from that worker's memo; the rest are
+    /// sharded over the workers through an atomic work queue, so a slow
+    /// query on one worker does not hold up the rest of the batch. The
+    /// answer at index `i` is for `queries[i]`, exactly as in
     /// [`SessionPool::entails_batch`] — parallelism never changes an
     /// answer or its position.
     ///
     /// Batches smaller than the configured `sequential_threshold`
     /// (and every batch on a 1-thread pool) take the sequential path.
+    /// The first batch that takes the parallel path forks the other
+    /// workers from worker 0, memo and learned clauses included; the
+    /// base is never Tseitin-loaded again.
     ///
     /// # Panics
     ///
     /// As [`QuerySession::entails`]: if a query collides with the
     /// base's internal Tseitin letters.
     pub fn par_entails_batch(&mut self, queries: &[Formula]) -> Vec<bool> {
-        if self.workers.len() == 1 || queries.len() < self.sequential_threshold {
+        if self.threads == 1 || queries.len() < self.sequential_threshold {
             return self.entails_batch(queries);
         }
         let _span = revkb_obs::span("sat.pool.batch");
         let start = Instant::now();
-        let next = AtomicUsize::new(0);
+        while self.workers.len() < self.threads {
+            let fork = self.workers[0].fork();
+            self.workers.push(fork);
+        }
         let mut answers = vec![false; queries.len()];
+        let mut open = Vec::with_capacity(queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            match self.workers.iter_mut().find_map(|w| w.memoised(q)) {
+                Some(answer) => answers[i] = answer,
+                None => open.push(i),
+            }
+        }
+        let next = AtomicUsize::new(0);
         let per_worker: Vec<Vec<(usize, bool)>> = std::thread::scope(|scope| {
+            if open.is_empty() {
+                return Vec::new();
+            }
             let handles: Vec<_> = self
                 .workers
                 .iter_mut()
                 .map(|worker| {
-                    let next = &next;
+                    let (next, open) = (&next, &open);
                     scope.spawn(move || {
                         let _span = revkb_obs::span("sat.pool.worker");
                         let mut taken = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
+                        while let Some(&i) = open.get(next.fetch_add(1, Ordering::Relaxed)) {
                             taken.push((i, worker.entails(&queries[i])));
                         }
                         taken
@@ -315,7 +362,7 @@ impl SessionPool {
     /// wall-time accounting).
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            threads: self.workers.len(),
+            threads: self.threads,
             batches: self.batches,
             parallel_batches: self.parallel_batches,
             sequential_batches: self.sequential_batches,
@@ -376,9 +423,9 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.sequential_batches, 1);
         assert_eq!(stats.parallel_batches, 0);
-        // Only worker 0 saw the queries.
+        // Only worker 0 exists, and it saw the queries.
+        assert_eq!(stats.per_worker.len(), 1);
         assert_eq!(stats.per_worker[0].queries, 2);
-        assert!(stats.per_worker[1..].iter().all(|w| w.queries == 0));
     }
 
     #[test]
@@ -406,14 +453,80 @@ mod tests {
         assert_eq!(stats.queries, 35);
         let merged = stats.merged();
         assert_eq!(merged.queries, 35);
-        // Every worker keeps its own Tseitin-loaded copy of the base.
-        assert_eq!(merged.base_loads, 3);
+        // One Tseitin load: workers 1 and 2 are forks of worker 0.
+        assert_eq!(merged.base_loads, 1);
+        assert_eq!(merged.solver_constructions, 1);
+        assert_eq!(stats.per_worker.len(), 3);
         // CPU total sums worker busy time; wall time is measured once.
         assert_eq!(
             stats.cpu_time_total_micros(),
             merged.total_query_micros,
             "cpu_time_total is the merged busy-time sum"
         );
+    }
+
+    #[test]
+    fn singles_share_worker_zero_and_forks_wait_for_a_parallel_batch() {
+        let base = v(0).and(v(1));
+        let mut pool = SessionPool::with_config(
+            &base,
+            PoolConfig {
+                threads: 4,
+                sequential_threshold: 4,
+            },
+        );
+        assert!(pool.entails(&v(0)));
+        assert!(!pool.entails(&v(0).not()));
+        assert_eq!(pool.entails_batch(&[v(0), v(1)]), vec![true, true]);
+        let stats = pool.stats();
+        assert_eq!(
+            stats.per_worker.len(),
+            1,
+            "no forks before a parallel batch"
+        );
+        assert_eq!(stats.threads, 4);
+        assert_eq!((stats.batches, stats.queries), (1, 2));
+        let session = pool.session_stats();
+        assert_eq!((session.queries, session.cache_hits), (4, 1));
+
+        let queries: Vec<Formula> = (0..8).map(|i| v(i % 2)).collect();
+        assert!(pool.par_entails_batch(&queries).iter().all(|&a| a));
+        let stats = pool.stats();
+        assert_eq!(stats.per_worker.len(), 4);
+        assert_eq!(stats.parallel_batches, 1);
+        let merged = stats.merged();
+        assert_eq!(merged.queries, 12, "every query counted once");
+        assert_eq!((merged.base_loads, merged.solver_constructions), (1, 1));
+        // The forks inherited worker 0's memo: every query is a hit.
+        assert_eq!(merged.cache_misses, 3);
+
+        // A repeated parallel batch meets every query on a worker that
+        // answered it: all hits, each answer memoised once.
+        let literal = |i: u32, on: bool| if on { v(i) } else { v(i).not() };
+        let fresh: Vec<Formula> = (0..8)
+            .map(|i| {
+                let (a, b) = (literal(0, i & 1 == 1), literal(1, i & 2 == 2));
+                if i & 4 == 4 {
+                    a.and(b)
+                } else {
+                    a.or(b)
+                }
+            })
+            .collect();
+        let memo_len = |pool: &SessionPool| -> usize {
+            pool.workers.iter().map(QuerySession::cache_len).sum()
+        };
+        let before = memo_len(&pool);
+        let answers = pool.par_entails_batch(&fresh);
+        let misses = pool.stats().merged().cache_misses;
+        assert_eq!(memo_len(&pool), before + fresh.len());
+        assert_eq!(pool.par_entails_batch(&fresh), answers);
+        assert_eq!(
+            pool.stats().merged().cache_misses,
+            misses,
+            "repeats are hits"
+        );
+        assert_eq!(memo_len(&pool), before + fresh.len());
     }
 
     #[test]

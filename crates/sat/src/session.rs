@@ -51,10 +51,12 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// Queries that reached the solver.
     pub cache_misses: u64,
-    /// Tseitin loads of the knowledge base (always 1 per session;
-    /// the one-shot path pays one per query).
+    /// Tseitin loads of the knowledge base (1 for a session that
+    /// loaded it, 0 for a [`QuerySession::fork`]; the one-shot path
+    /// pays one per query).
     pub base_loads: u64,
-    /// Solvers constructed (always 1 per session).
+    /// Solvers constructed (1 for a session that loaded the base, 0
+    /// for a fork, which copies its parent's solver).
     pub solver_constructions: u64,
     /// Decisions taken by the solver.
     pub decisions: u64,
@@ -205,15 +207,12 @@ impl QuerySession {
     /// such a query would silently collide with Tseitin letters, so
     /// it is rejected in every build profile.
     pub fn entails(&mut self, q: &Formula) -> bool {
+        if let Some(answer) = self.memoised(q) {
+            return answer;
+        }
         let start = Instant::now();
         self.stats.queries += 1;
         OBS_QUERIES.inc();
-        if let Some(&answer) = self.cache.get(q) {
-            self.stats.cache_hits += 1;
-            OBS_CACHE_HITS.inc();
-            self.record_time(start);
-            return answer;
-        }
         self.stats.cache_misses += 1;
         OBS_CACHE_MISSES.inc();
         if let Some(v) = q
@@ -252,6 +251,31 @@ impl QuerySession {
         self.cache.insert(q.clone(), answer);
         self.record_time(start);
         answer
+    }
+
+    /// Answer `q` from the memo alone. A hit counts as a query and a
+    /// cache hit; `None` (never answered here) counts as nothing.
+    pub fn memoised(&mut self, q: &Formula) -> Option<bool> {
+        let start = Instant::now();
+        let answer = *self.cache.get(q)?;
+        self.stats.queries += 1;
+        OBS_QUERIES.inc();
+        self.stats.cache_hits += 1;
+        OBS_CACHE_HITS.inc();
+        self.record_time(start);
+        Some(answer)
+    }
+
+    /// A copy of this session for another worker: the loaded solver,
+    /// its learned clauses and the memo carry over, the counters start
+    /// at zero. The copy performed no Tseitin load and built no solver,
+    /// so folding its [`SolverStats`] into this session's counts every
+    /// load, construction and query once.
+    pub fn fork(&self) -> Self {
+        let mut fork = self.clone();
+        fork.stats = SolverStats::default();
+        fork.solver.stats = crate::solver::Stats::default();
+        fork
     }
 
     /// Is the loaded base consistent? (Answered incrementally; the
@@ -400,6 +424,29 @@ mod tests {
         assert_eq!(merged.total_query_micros, 1600);
         // "Most recent" across concurrent sessions: keep the max.
         assert_eq!(merged.last_query_micros, 80);
+    }
+
+    #[test]
+    fn fork_keeps_the_memo_and_zeroes_the_counters() {
+        let mut s = QuerySession::new(&v(0).and(v(1)));
+        assert!(s.entails(&v(0)));
+        assert!(!s.entails(&v(0).not()));
+        let mut fork = s.fork();
+        // Retained learnt clauses are a gauge of the copied solver, not
+        // work the fork did.
+        let zeroed = SolverStats {
+            learnt_clauses: 0,
+            ..fork.stats()
+        };
+        assert_eq!(zeroed, SolverStats::default());
+        assert_eq!(fork.cache_len(), 2);
+        assert!(fork.entails(&v(0)));
+        assert!(fork.entails(&v(1)));
+        let stats = fork.stats();
+        assert_eq!((stats.queries, stats.cache_hits), (2, 1));
+        assert_eq!((stats.base_loads, stats.solver_constructions), (0, 0));
+        // The parent is untouched by the fork's queries.
+        assert_eq!(s.stats().queries, 2);
     }
 
     #[test]

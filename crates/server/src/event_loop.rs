@@ -262,6 +262,9 @@ mod linux {
         token: u64,
         request: Request,
         started: Instant,
+        /// When the loop thread handed the job to a worker channel;
+        /// the wait until a worker picks it up is queue time.
+        dispatched: Instant,
         req: u64,
         reply: Reply,
     }
@@ -398,7 +401,8 @@ mod linux {
                 Ok(job) => job,
                 Err(_) => break,
             };
-            let response = server.execute_admitted(&job.request, job.started, job.req);
+            let response =
+                server.execute_admitted(&job.request, job.started, job.dispatched, job.req);
             push_completion(
                 &completions,
                 &wake,
@@ -417,7 +421,8 @@ mod linux {
         for job in rx {
             match job {
                 ControlJob::Request(job) => {
-                    let response = server.execute_control(&job.request, job.started, job.req);
+                    let response =
+                        server.execute_control(&job.request, job.started, job.dispatched, job.req);
                     push_completion(
                         &completions,
                         &wake,
@@ -623,6 +628,7 @@ mod linux {
                                 token: conn.token,
                                 request,
                                 started,
+                                dispatched: Instant::now(),
                                 req,
                                 reply: Reply::Line,
                             }));
@@ -634,6 +640,7 @@ mod linux {
                                 token: conn.token,
                                 request,
                                 started,
+                                dispatched: Instant::now(),
                                 req,
                                 reply: Reply::Line,
                             });
@@ -791,6 +798,7 @@ mod linux {
                                     token: conn.token,
                                     request,
                                     started,
+                                    dispatched: Instant::now(),
                                     req,
                                     reply: Reply::Http { keep_alive: keep },
                                 }));
@@ -802,6 +810,7 @@ mod linux {
                                     token: conn.token,
                                     request,
                                     started,
+                                    dispatched: Instant::now(),
                                     req,
                                     reply: Reply::Http { keep_alive: keep },
                                 });

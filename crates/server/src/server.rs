@@ -437,7 +437,8 @@ struct SlowEntry {
     /// The request's trace id (0 for paths that never resolved one,
     /// e.g. unparseable lines).
     trace: u64,
-    /// Time spent waiting for an execution permit, microseconds.
+    /// Time spent queued, microseconds: waiting in an event-loop
+    /// worker channel plus waiting for an execution permit.
     queue_micros: u64,
     /// Time spent compiling, microseconds (0 for non-revise work).
     compile_micros: u64,
@@ -1311,13 +1312,16 @@ impl Server {
     }
 
     /// Run a control command routed by [`Server::route_request`]
-    /// (event-loop control worker).
+    /// (event-loop control worker). The wait since `dispatched`, when
+    /// the loop thread queued the job, is charged as queue time.
     pub(crate) fn execute_control(
         &self,
         request: &Request,
         started: Instant,
+        dispatched: Instant,
         req: u64,
     ) -> Response {
+        note_queue_micros(u64::try_from(dispatched.elapsed().as_micros()).unwrap_or(u64::MAX));
         let trace = request.trace.unwrap_or_else(obs::new_trace_id);
         let response = {
             let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
@@ -1329,13 +1333,17 @@ impl Server {
     }
 
     /// Run an admitted data-plane command routed by
-    /// [`Server::route_request`] (event-loop worker pool).
+    /// [`Server::route_request`] (event-loop worker pool). The wait
+    /// since `dispatched`, when the loop thread queued the job, is
+    /// charged as queue time.
     pub(crate) fn execute_admitted(
         &self,
         request: &Request,
         started: Instant,
+        dispatched: Instant,
         req: u64,
     ) -> Response {
+        note_queue_micros(u64::try_from(dispatched.elapsed().as_micros()).unwrap_or(u64::MAX));
         let trace = request.trace.unwrap_or_else(obs::new_trace_id);
         let response = {
             let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);

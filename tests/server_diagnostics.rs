@@ -224,6 +224,81 @@ fn slow_log_entries_carry_trace_and_phase_breakdown() {
     );
 }
 
+/// Queue time covers the event loop's hand-off to its workers: on a
+/// one-worker server, a pipelined burst waits in the worker channel,
+/// and the slow log charges that wait to `queue_micros`, inside each
+/// request's end-to-end total.
+#[test]
+fn pipelined_burst_charges_the_worker_hand_off_to_queue_time() {
+    const BURST: usize = 48;
+    let server = Server::new(
+        ServerConfig::default()
+            .with_threads(1)
+            .with_slow_ms(0)
+            .with_slow_log_cap(4 * BURST),
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || {
+        server.serve_event_loop(listener).expect("event loop");
+    });
+    let (mut stream, mut reader) = connect(addr);
+    send_line(
+        &mut stream,
+        r#"{"cmd":"load","kb":"k","t":"a & (b | c) & (d -> e)"}"#,
+    );
+    assert!(read_line(&mut reader).contains("\"ok\":true"));
+
+    let letters = ["a", "!b", "c", "d", "!e"];
+    let mut burst = String::new();
+    for i in 0..BURST {
+        let q = format!(
+            "{} | {} -> {}",
+            letters[i % 5],
+            letters[(i / 5) % 5],
+            letters[(i / 25) % 5]
+        );
+        burst.push_str(&format!(
+            "{{\"cmd\":\"query\",\"kb\":\"k\",\"q\":\"{q}\"}}\n"
+        ));
+    }
+    stream.write_all(burst.as_bytes()).expect("burst write");
+    for _ in 0..BURST {
+        assert!(read_line(&mut reader).contains("\"ok\":true"));
+    }
+
+    send_line(&mut stream, r#"{"cmd":"stats"}"#);
+    let stats = Json::parse(&read_line(&mut reader)).expect("stats JSON");
+    let slow_log = stats
+        .get("result")
+        .and_then(|r| r.get("slow_log"))
+        .and_then(Json::as_array)
+        .expect("stats carries slow_log");
+    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64).expect(k);
+    let mut queries: Vec<&Json> = slow_log
+        .iter()
+        .filter(|e| e.get("cmd").and_then(Json::as_str) == Some("query"))
+        .collect();
+    queries.sort_by_key(|e| field(e, "req"));
+    assert_eq!(queries.len(), BURST, "every query is in the slow log");
+    for e in &queries {
+        assert!(
+            field(e, "micros") >= field(e, "queue_micros") + field(e, "compile_micros"),
+            "phases exceed the total: {e:?}"
+        );
+    }
+    let waited = queries[1..]
+        .iter()
+        .filter(|e| field(e, "queue_micros") > 0)
+        .count();
+    assert!(
+        2 * waited > BURST - 1,
+        "later requests of the burst waited for the one worker: {queries:?}"
+    );
+    shutdown(&mut stream, &mut reader);
+    handle.join().expect("serve thread");
+}
+
 /// The log ring is bounded and level-filtered: overfilling it keeps
 /// only the newest `LOG_RING_CAPACITY` records, and records below the
 /// configured level are never recorded.
