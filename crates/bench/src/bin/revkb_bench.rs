@@ -1,8 +1,8 @@
 //! `revkb-bench` — the continuous-performance regression harness.
 //!
 //! ```text
-//! revkb-bench                         # run the suite, write BENCH_PR10.json
-//! revkb-bench --baseline BENCH_PR9.json   # compare; exit 1 on regression
+//! revkb-bench                         # run the suite, write BENCH_PR16.json
+//! revkb-bench --baseline BENCH_PR16.json  # compare; exit 1 on regression
 //! revkb-bench --load-only             # just the load generator, no report
 //! ```
 //!
@@ -45,7 +45,7 @@ struct Args {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
-        out: "BENCH_PR10.json".to_string(),
+        out: "BENCH_PR16.json".to_string(),
         baseline: None,
         warn_only: false,
         server_report: true,
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
     println!();
 
     // Load-only runs are smoke checks: print the table, write nothing
-    // (a partial report would shadow the real BENCH_PR10.json).
+    // (a partial report would shadow the committed BENCH_PR16.json).
     if !args.load_only {
         let report = report_json(&args.config, &meta, &results);
         if let Err(e) = std::fs::write(&args.out, &report) {

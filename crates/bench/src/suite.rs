@@ -16,7 +16,7 @@
 //! generation is seeded (`REVKB_BENCH_SEED`), each benchmark runs
 //! `REVKB_BENCH_WARMUP` discarded warmup rounds followed by
 //! `REVKB_BENCH_TRIALS` measured trials, and the reported figure is
-//! the **median** trial. The emitted report (`BENCH_PR10.json`) is
+//! the **median** trial. The emitted report (`BENCH_PR16.json`) is
 //! schema-versioned and can be replayed as a `--baseline` to detect
 //! regressions: a benchmark regresses only when it is both relatively
 //! slower than its per-benchmark tolerance *and* absolutely slower by
@@ -408,7 +408,7 @@ fn server_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let acceptor = {
         let server = server.clone();
         std::thread::spawn(move || {
-            let _ = server.serve_tcp(listener);
+            let _ = server.serve_event_loop(listener);
         })
     };
     let mut writer = TcpStream::connect(addr).expect("connect loopback");
@@ -674,7 +674,7 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let acceptor = {
         let server = primary.clone();
         std::thread::spawn(move || {
-            let _ = server.serve_tcp(listener);
+            let _ = server.serve_event_loop(listener);
         })
     };
     let committed = primary.wal_committed_bytes().expect("durable primary");
@@ -722,7 +722,7 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         let serve_thread = {
             let server = replica.clone();
             std::thread::spawn(move || {
-                let _ = server.serve_tcp(listener);
+                let _ = server.serve_event_loop(listener);
             })
         };
         replicas.push((replica, raddr, repl_thread, serve_thread));

@@ -121,32 +121,13 @@ fn committed_report_names(file: &str) -> Vec<String> {
         .collect()
 }
 
-/// The committed `BENCH_PR6.json` is the baseline CI compares against
-/// and `BENCH_PR7.json` is the current report: both must stay valid
-/// and parseable with the schema this build supports, and the current
-/// report must cover the full named suite the harness runs today.
+/// The committed `BENCH_PR16.json` is the baseline CI compares
+/// against: it must stay valid and parseable with the schema this
+/// build supports, and it must cover the full named suite the harness
+/// runs today.
 #[test]
 fn committed_reports_are_valid_schema_v1() {
-    let baseline = committed_report_names("BENCH_PR6.json");
-    for name in [
-        "compile.dalal",
-        "compile.winslett",
-        "query.sequential",
-        "query.parallel",
-        "bdd.apply",
-        "logic.tseitin",
-        "cache.touch",
-        "server.revise.cold",
-        "server.revise.warm",
-        "server.boot.snapshot",
-        "server.boot.replay",
-    ] {
-        assert!(
-            baseline.iter().any(|n| n == name),
-            "baseline is missing {name}"
-        );
-    }
-    let current = committed_report_names("BENCH_PR7.json");
+    let committed = committed_report_names("BENCH_PR16.json");
     for name in [
         "compile.dalal",
         "compile.winslett",
@@ -161,10 +142,17 @@ fn committed_reports_are_valid_schema_v1() {
         "server.boot.replay",
         "repl.catchup",
         "repl.read_fanout",
+        "obs.scrape",
+        "obs.sample_tick",
+        "obs.log_emit",
+        "obs.flight_record",
+        "server.load.open_loop",
+        "server.load.pipeline",
+        "server.load.http",
     ] {
         assert!(
-            current.iter().any(|n| n == name),
-            "current report is missing {name}"
+            committed.iter().any(|n| n == name),
+            "committed report is missing {name}"
         );
     }
 }

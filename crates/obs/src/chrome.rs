@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_events() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Chrome);
         crate::reset();
         CHROME_C.inc();
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn write_chrome_trace_lands_complete_on_disk() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Chrome);
         crate::reset();
         {

@@ -191,7 +191,16 @@ pub fn enabled() -> bool {
 pub(crate) mod testutil {
     //! Unit tests across modules mutate the global mode and
     //! registries; this lock serialises them.
-    pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Take the lock, recovering it if a failed test poisoned it, so
+    /// one failure does not fail every later test that serialises
+    /// here.
+    pub(crate) fn lock() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]

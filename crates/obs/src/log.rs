@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn suppressed_records_never_format() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         let was = log_level();
         set_log_level(Level::Info);
         log_ring_reset();
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_filterable() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         let was = log_level();
         set_log_level(Level::Error);
         log_ring_reset();
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn log_file_receives_ndjson_lines() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         let was = log_level();
         set_log_level(Level::Info);
         log_ring_reset();

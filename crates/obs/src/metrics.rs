@@ -397,9 +397,6 @@ mod tests {
     use super::*;
     use crate::TraceMode;
 
-    // Tests here mutate the global mode; serialise them.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     static C: Counter = Counter::new("test.counter");
     static G: Gauge = Gauge::new("test.gauge");
     static H: Histogram = Histogram::new("test.hist");
@@ -498,7 +495,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Off);
         // Compare against the values before, not zero: another test of
         // this module may already have recorded into the same statics.
@@ -514,7 +511,7 @@ mod tests {
 
     #[test]
     fn enabled_records_and_registers() {
-        let _g = TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Summary);
         C.reset();
         G.reset();

@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_valid_and_sorted() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Spans);
         crate::reset();
         SNAP_C.add(7);
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn drain_resets_state() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Summary);
         crate::reset();
         SNAP_C.add(3);

@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn nested_spans_record_hierarchy() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Spans);
         crate::reset();
         {
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn span_attributes_are_retained_on_events() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Spans);
         crate::reset();
         {
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn summary_mode_keeps_aggregates_only() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Summary);
         crate::reset();
         {
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn off_mode_records_nothing() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Off);
         crate::reset();
         {
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_merge_at_drain() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Spans);
         crate::reset();
         std::thread::scope(|scope| {

@@ -545,7 +545,7 @@ mod tests {
     #[test]
     fn obs_source_mirrors_registered_instruments() {
         static TS_C: crate::Counter = crate::Counter::new("timeseries.test.counter");
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(crate::TraceMode::Summary);
         crate::reset();
         TS_C.add(3);

@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded_and_ordered() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         let was = flight_enabled();
         set_flight_enabled(true);
         flight_reset();
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn flight_records_spans_even_in_off_mode() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(crate::TraceMode::Off);
         let was = flight_enabled();
         set_flight_enabled(true);
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn flight_disabled_restores_the_null_path() {
-        let _g = crate::testutil::TEST_LOCK.lock().unwrap();
+        let _g = crate::testutil::lock();
         crate::set_mode(crate::TraceMode::Off);
         let was = flight_enabled();
         set_flight_enabled(false);

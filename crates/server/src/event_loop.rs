@@ -1,4 +1,5 @@
-//! The epoll-based non-blocking I/O front end.
+//! The epoll-based non-blocking I/O front end — the server's only TCP
+//! data plane.
 //!
 //! One readiness thread multiplexes every data-plane connection:
 //! non-blocking accept, read, and write, with a per-connection state
@@ -8,8 +9,7 @@
 //! worker/admission machinery:
 //!
 //! - **admission runs on the loop thread** ([`Server` routing]) so a
-//!   flood of connections is answered `overloaded` in arrival order,
-//!   exactly as the blocking front end would answer it;
+//!   flood of connections is answered `overloaded` in arrival order;
 //! - admitted data-plane commands go to a pool of
 //!   `ServerConfig::threads` workers (the same permit gate and
 //!   deadlines apply);
@@ -35,7 +35,13 @@
 //! A `replicate` request hands the whole connection off to a
 //! dedicated blocking thread (the WAL shipping stream is not
 //! line-framed); any bytes the replica pipelined behind the handshake
-//! are discarded, matching the blocking front end.
+//! are discarded.
+//!
+//! **Framing is linear and bounded**: each read scans only the bytes
+//! no earlier read scanned, the consumed lines are dropped from the
+//! buffer once per read, and a line longer than
+//! [`crate::http::MAX_BODY_BYTES`] — the gateway's body cap — is answered
+//! `line_too_long` and the connection closed.
 //!
 //! On shutdown the loop stops accepting, flushes every buffered
 //! response (bounded by a 5 s grace period) so the `shutdown` answer
@@ -46,8 +52,8 @@
 //! anyway) in the private `sys` shim — the only `unsafe` in the
 //! workspace.
 //!
-//! On non-Linux targets [`Server::serve_event_loop`] falls back to
-//! the blocking thread-per-connection front end.
+//! On non-Linux targets [`Server::serve_event_loop`] returns
+//! [`io::ErrorKind::Unsupported`]; serve those with `--stdio`.
 
 use crate::server::Server;
 use std::io;
@@ -73,11 +79,11 @@ pub fn raise_nofile(target: u64) -> u64 {
 
 impl Server {
     /// Serve the data plane on `listener` with the epoll event loop
-    /// until a `shutdown` command arrives. Answers are identical to
-    /// [`Server::serve_tcp`] — same routing, same admission, same
-    /// envelopes — plus the HTTP/JSON gateway (`POST /v1`, metrics
-    /// GETs) on the same port. Falls back to `serve_tcp` on
-    /// non-Linux targets.
+    /// until a `shutdown` command arrives: NDJSON lines answered
+    /// exactly as [`Server::handle_line`] answers them, plus the
+    /// HTTP/JSON gateway (`POST /v1`, metrics GETs) on the same port.
+    /// Linux only: elsewhere this returns
+    /// [`io::ErrorKind::Unsupported`] at once.
     pub fn serve_event_loop(&self, listener: TcpListener) -> io::Result<()> {
         #[cfg(target_os = "linux")]
         {
@@ -85,7 +91,11 @@ impl Server {
         }
         #[cfg(not(target_os = "linux"))]
         {
-            self.serve_tcp(listener)
+            drop(listener);
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "--listen needs the Linux event loop; use --stdio on this platform",
+            ))
         }
     }
 }
@@ -103,7 +113,7 @@ mod linux {
 
     use crate::http;
     use crate::json::Json;
-    use crate::protocol::{parse_request, Request};
+    use crate::protocol::{codes, parse_request, Request, RequestError};
     use crate::server::{Routing, Server};
     use revkb_obs as obs;
 
@@ -305,6 +315,12 @@ mod linux {
         proto: Proto,
         /// Unframed bytes (line protocol and pre-sniff).
         line_buf: Vec<u8>,
+        /// `line_buf[..consumed]` is already dispatched; dropped from
+        /// the buffer once per read.
+        consumed: usize,
+        /// `line_buf[consumed..scanned]` holds no newline, so the next
+        /// search starts at `scanned`.
+        scanned: usize,
         /// Bytes queued for the peer; `written` of them already sent.
         write_buf: Vec<u8>,
         written: usize,
@@ -329,6 +345,8 @@ mod linux {
                 token,
                 proto: Proto::Unknown,
                 line_buf: Vec::new(),
+                consumed: 0,
+                scanned: 0,
                 write_buf: Vec::new(),
                 written: 0,
                 pending: 0,
@@ -533,6 +551,7 @@ mod linux {
                     return After::Keep;
                 }
                 Ok(n) => match feed(ctx, conn, &chunk[..n]) {
+                    After::Keep if conn.closing => return After::Keep,
                     After::Keep => {}
                     other => return other,
                 },
@@ -576,21 +595,53 @@ mod linux {
         }
     }
 
-    /// Dispatch the complete NDJSON lines in the buffer. Commands that
-    /// pipeline are routed as soon as their line arrives. Any other
-    /// command waits in the buffer until no request of the
-    /// connection is in flight, and nothing after it is routed until it
-    /// answers; the completion that empties the connection resumes
-    /// dispatch.
+    /// Dispatch the complete NDJSON lines in the buffer, then drop the
+    /// dispatched prefix. Commands that pipeline are routed as soon as
+    /// their line arrives. Any other command waits in the buffer until
+    /// no request of the connection is in flight, and nothing after it
+    /// is routed until it answers; the completion that empties the
+    /// connection resumes dispatch.
     fn process_lines(ctx: &Ctx, conn: &mut Conn) -> After {
+        let after = dispatch_lines(ctx, conn);
+        conn.line_buf.drain(..conn.consumed);
+        conn.scanned -= conn.consumed;
+        conn.consumed = 0;
+        after
+    }
+
+    fn dispatch_lines(ctx: &Ctx, conn: &mut Conn) -> After {
         while !conn.alone_in_flight {
-            let Some(pos) = conn.line_buf.iter().position(|&b| b == b'\n') else {
+            let found = conn.line_buf[conn.scanned..]
+                .iter()
+                .position(|&b| b == b'\n');
+            conn.scanned = found.map_or(conn.line_buf.len(), |i| conn.scanned + i);
+            if conn.scanned - conn.consumed > http::MAX_BODY_BYTES {
+                // Answer `line_too_long`, drop the buffer, and close
+                // once everything owed has flushed.
+                let err = RequestError {
+                    id: None,
+                    trace: None,
+                    message: format!("request line exceeds {} bytes", http::MAX_BODY_BYTES),
+                };
+                let response =
+                    ctx.server
+                        .reject_line(codes::LINE_TOO_LONG, &err, Instant::now(), None);
+                conn.write_buf.extend_from_slice(response.as_bytes());
+                conn.write_buf.push(b'\n');
+                conn.consumed = conn.line_buf.len();
+                conn.scanned = conn.consumed;
+                conn.closing = true;
+                return After::Keep;
+            }
+            if found.is_none() {
                 break;
-            };
-            let line = String::from_utf8_lossy(&conn.line_buf[..pos]).into_owned();
+            }
+            let pos = conn.scanned;
+            let line = String::from_utf8_lossy(&conn.line_buf[conn.consumed..pos]).into_owned();
             let line = line.trim();
             if line.is_empty() {
-                conn.line_buf.drain(..=pos);
+                conn.consumed = pos + 1;
+                conn.scanned = conn.consumed;
                 continue;
             }
             let started = Instant::now();
@@ -598,10 +649,13 @@ mod linux {
             if conn.pending > 0 && matches!(&parsed, Ok(request) if !request.cmd.pipelines()) {
                 break;
             }
-            conn.line_buf.drain(..=pos);
+            conn.consumed = pos + 1;
+            conn.scanned = conn.consumed;
             match parsed {
                 Err(e) => {
-                    let response = ctx.server.reject_line(&e, started, None);
+                    let response = ctx
+                        .server
+                        .reject_line(codes::BAD_REQUEST, &e, started, None);
                     conn.write_buf.extend_from_slice(response.as_bytes());
                     conn.write_buf.push(b'\n');
                 }
@@ -763,8 +817,11 @@ mod linux {
                         // error code — same contract as the line
                         // protocol, where a bad request still gets a
                         // well-formed reply line.
-                        let body =
-                            format!("{}\n", ctx.server.reject_line(&e, started, trace_header));
+                        let body = format!(
+                            "{}\n",
+                            ctx.server
+                                .reject_line(codes::BAD_REQUEST, &e, started, trace_header)
+                        );
                         let response = http::Response {
                             status: 200,
                             content_type: http::JSON_CONTENT_TYPE,

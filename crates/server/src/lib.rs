@@ -19,7 +19,7 @@
 //!   `(operator, backend, T, P…)` keys so recompiling a base another
 //!   client already compiled is free;
 //! - [`server`]: admission control, per-request deadlines, compile
-//!   degradation, and the stdio/TCP serving loops;
+//!   degradation, and the stdio serving loop;
 //! - [`wal`]: the durable store — an append-only, checksummed
 //!   write-ahead log of committed mutations plus periodic artifact
 //!   snapshots, replayed on boot so a restarted server serves warm
@@ -38,7 +38,9 @@
 //! - [`event_loop`]: the epoll-based non-blocking front end — one
 //!   readiness thread multiplexing thousands of pipelined line- or
 //!   HTTP-protocol connections onto the existing worker/admission
-//!   machinery.
+//!   machinery; the only TCP data-plane front end (Linux only);
+//! - [`launch`]: the one command-line launcher, shared by
+//!   `revkb-server` and `revkb-cli serve`.
 //!
 //! See `crates/server/PROTOCOL.md` for the wire format.
 
@@ -51,6 +53,7 @@
 pub mod event_loop;
 pub mod http;
 pub mod json;
+pub mod launch;
 pub mod metrics;
 pub mod protocol;
 pub mod registry;

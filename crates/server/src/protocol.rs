@@ -42,6 +42,9 @@ pub const MIN_PROTOCOL_VERSION: u64 = 1;
 pub mod codes {
     /// The request line is not valid JSON or not a valid request.
     pub const BAD_REQUEST: &str = "bad_request";
+    /// A TCP request line is longer than `http::MAX_BODY_BYTES`; the
+    /// server answers this and closes the connection.
+    pub const LINE_TOO_LONG: &str = "line_too_long";
     /// The named knowledge base does not exist.
     pub const UNKNOWN_KB: &str = "unknown_kb";
     /// A revise used a different operator than the KB's history; the
@@ -410,7 +413,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 
 /// A response envelope, not yet rendered to its wire line. This is
 /// the transport-agnostic return value of `Server::execute`: stdio,
-/// blocking TCP, the event loop, and the HTTP gateway all render the
+/// the event loop's NDJSON lines, and the HTTP gateway all render the
 /// same [`Response`] with [`Response::render`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {

@@ -1,8 +1,9 @@
 //! The server proper: admission control, deadlines, degradation, and
-//! the command dispatcher, plus the stdio and TCP serving loops.
+//! the command dispatcher, plus the stdio serving loop (TCP is served
+//! by [`crate::event_loop`]).
 //!
-//! Concurrency model: any number of connection threads feed
-//! [`Server::handle_line`]. A request is first **admitted** (bounded
+//! Concurrency model: the stdio loop and the event loop's workers
+//! run requests through one dispatcher concurrently. A request is first **admitted** (bounded
 //! in-flight count — beyond it the server answers `overloaded` instead
 //! of queueing unboundedly), then waits for one of a fixed number of
 //! **execution permits** (so at most `threads` requests run engine
@@ -398,16 +399,6 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Decrements the open-connection gauge when a blocking connection
-/// thread exits by any path.
-struct ConnGuard<'a>(&'a Server);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.connection_closed();
-    }
-}
-
 /// Where one parsed request goes next, as decided on the event-loop
 /// thread by [`Server::route_request`].
 pub(crate) enum Routing {
@@ -530,8 +521,8 @@ struct Inner {
     /// `series` section of `stats` (populated right after
     /// construction; `None` only mid-build).
     sampler: Mutex<Option<obs::Sampler>>,
-    /// Data-plane connections currently open (blocking TCP threads
-    /// plus event-loop registrations).
+    /// Data-plane connections currently open on the event loop
+    /// (replication streams included until they end).
     connections: AtomicU64,
 }
 
@@ -874,15 +865,15 @@ impl Server {
         let started = Instant::now();
         match parse_request(line) {
             Ok(request) => Some(self.execute_from(&request, started).render()),
-            Err(e) => Some(self.reject_line(&e, started, None)),
+            Err(e) => Some(self.reject_line(codes::BAD_REQUEST, &e, started, None)),
         }
     }
 
     /// The transport-agnostic service entry point: run one parsed
     /// request through the full pipeline — version check, control
     /// plane, gating, admission, deadline-bounded execution — and
-    /// return the response envelope. Every transport (stdio, blocking
-    /// TCP, the event loop, the HTTP gateway) and the replay paths
+    /// return the response envelope. Every transport (stdio, the event
+    /// loop's NDJSON lines, the HTTP gateway) and the replay paths
     /// funnel through the same machinery this calls.
     pub fn execute(&self, request: &Request) -> Response {
         self.execute_from(request, Instant::now())
@@ -902,15 +893,18 @@ impl Server {
         response
     }
 
-    /// Answer an unparseable line. Shares the accounting path with
-    /// real requests (a `req` id, the error counter, latency and
-    /// slow-log bookkeeping under `bad_request`). `trace` is the
-    /// transport-supplied trace id, when one survived the parse
-    /// failure (e.g. a valid `traceparent` header on a bad body); a
-    /// trace salvaged from the body itself wins over it, matching the
-    /// body-beats-header precedence of well-formed requests.
+    /// Answer a line that is no request with `code` (`bad_request`
+    /// for an unparseable line, `line_too_long` for an oversized one).
+    /// Shares the accounting path with real requests (a `req` id, the
+    /// error counter, latency and slow-log bookkeeping under
+    /// `bad_request`). `trace` is the transport-supplied trace id,
+    /// when one survived the parse failure (e.g. a valid `traceparent`
+    /// header on a bad body); a trace salvaged from the body itself
+    /// wins over it, matching the body-beats-header precedence of
+    /// well-formed requests.
     pub(crate) fn reject_line(
         &self,
+        code: &str,
         err: &RequestError,
         started: Instant,
         trace: Option<u64>,
@@ -920,7 +914,7 @@ impl Server {
         let response = {
             let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
             self.inner.counters.error();
-            bad_request_response(err, req, trace)
+            rejection_response(code, err, req, trace)
         };
         self.note_request("bad_request", req, trace, started);
         response
@@ -1276,9 +1270,9 @@ impl Server {
     /// `allow_replicate` is false for HTTP, which cannot carry a raw
     /// record stream).
     ///
-    /// Runs on the loop thread, so admission happens at arrival order:
-    /// a flood of connections sees `overloaded` exactly as the
-    /// blocking front end would answer it.
+    /// Runs on the loop thread, so admission happens in arrival order:
+    /// a flood of connections sees `overloaded` in the order its
+    /// requests arrived.
     pub(crate) fn route_request(
         &self,
         request: &Request,
@@ -2608,30 +2602,6 @@ impl Server {
         Ok(())
     }
 
-    /// Accept TCP connections until a `shutdown` command arrives (from
-    /// any connection), then join every connection thread so no
-    /// response is lost.
-    pub fn serve_tcp(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
-        while !self.is_shutting_down() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let server = self.clone();
-                    handles.push(std::thread::spawn(move || server.serve_conn(stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-
     /// The configuration this server was built with.
     pub(crate) fn config(&self) -> &ServerConfig {
         &self.inner.config
@@ -2648,69 +2618,6 @@ impl Server {
     pub(crate) fn connection_closed(&self) {
         self.inner.connections.fetch_sub(1, Ordering::Relaxed);
         metrics::CONNECTIONS.dec();
-    }
-
-    /// One connection: manual line buffering on top of short read
-    /// timeouts, so the thread notices a shutdown initiated elsewhere
-    /// instead of blocking in `read` forever. (A `BufReader::read_line`
-    /// would lose buffered partial lines on every timeout.)
-    fn serve_conn(&self, mut stream: TcpStream) {
-        if stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .is_err()
-        {
-            return;
-        }
-        self.connection_opened();
-        let _conn = ConnGuard(self);
-        // Each response is a single small segment; without TCP_NODELAY,
-        // Nagle's algorithm holds it back waiting for the peer's delayed
-        // ACK, adding tens of milliseconds to every round trip.
-        let _ = stream.set_nodelay(true);
-        let mut buffer: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    buffer.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                        let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line_bytes[..pos]);
-                        // `replicate` consumes the whole connection:
-                        // after the handshake response, the socket
-                        // carries a raw record stream, not lines.
-                        if line.contains("\"replicate\"") {
-                            if let Ok(request) = parse_request(&line) {
-                                if matches!(request.cmd, Command::Replicate { .. }) {
-                                    let req = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-                                    self.handle_replicate(&mut stream, req, &request);
-                                    return;
-                                }
-                            }
-                        }
-                        if let Some(response) = self.handle_line(&line) {
-                            if write_framed(&mut stream, response).is_err() {
-                                return;
-                            }
-                        }
-                        if self.is_shutting_down() {
-                            let _ = stream.flush();
-                            return;
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.is_shutting_down() {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
     }
 
     // ------------------------------------------------ metrics plane
@@ -3491,14 +3398,15 @@ fn operator_mismatch(prev: ModelBasedOp, requested: OpName) -> ExecError {
     )
 }
 
-/// Render a `bad_request` response reusing the already-rendered id
-/// from a [`RequestError`] (the id is valid JSON by construction).
-fn bad_request_response(err: &RequestError, req: u64, trace: u64) -> String {
+/// Render a rejection with `code` (`bad_request`, `line_too_long`),
+/// reusing the already-rendered id from a [`RequestError`] (the id is
+/// valid JSON by construction).
+fn rejection_response(code: &str, err: &RequestError, req: u64, trace: u64) -> String {
     let id = err.id.clone().unwrap_or_else(|| "null".to_string());
     format!(
         "{{\"v\":{PROTOCOL_VERSION},\"id\":{id},\"req\":{req},\"trace\":\"{}\",\"ok\":false,\"code\":\"{}\",\"error\":{}}}",
         obs::format_trace_id(trace),
-        codes::BAD_REQUEST,
+        code,
         Json::str(&err.message).render()
     )
 }

@@ -7,7 +7,11 @@
 //! revkb-cli check   --op forbus -t "a & b" -p "!a" -m "b"
 //! revkb-cli postulates --op winslett [--cases 100]
 //! revkb-cli trace   127.0.0.1:9100 4fd0aeccc9f1bb2a
+//! revkb-cli serve   --listen 127.0.0.1:7878 --data-dir kbs
 //! ```
+//!
+//! `serve` is `revkb-server` under another name: it runs the same
+//! launcher, [`revkb::server::launch::run`], with the same flags.
 //!
 //! Formulas use the `revkb` concrete syntax (`& | ! -> <-> <+>`);
 //! theories for `worlds` are `;`-separated formula lists. Exits with
@@ -26,7 +30,7 @@ fn main() -> ExitCode {
     // they go; they cannot go through `run`'s collect-then-print
     // contract.
     if args.first().map(String::as_str) == Some("serve") {
-        return serve(&args[1..]);
+        return revkb::server::launch::run(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("top") {
         return top(&args[1..]);
@@ -49,7 +53,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   [--stdio | --listen ADDR [--io evloop|blocking]]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\noperators: winslett borgida forbus satoh dalal weber"
+    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   (--stdio | --listen ADDR) [every other revkb-server flag]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\noperators: winslett borgida forbus satoh dalal weber"
 }
 
 /// Parsed flag map: `--key value` and `-k value` pairs.
@@ -77,66 +81,6 @@ fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, Stri
 
 fn operator(name: &str) -> Result<ModelBasedOp, String> {
     ModelBasedOp::from_name(name).ok_or_else(|| format!("unknown operator {name:?}"))
-}
-
-/// `revkb-cli serve`: run the NDJSON revision service (stdio by
-/// default, TCP with `--listen ADDR`). TCP uses the epoll event loop
-/// (with the HTTP gateway) unless `--io blocking` or
-/// `REVKB_SERVER_IO=blocking` picks the thread-per-connection front
-/// end. Tuning comes from the `REVKB_SERVER_*` environment variables.
-fn serve(args: &[String]) -> ExitCode {
-    use revkb::server::{Server, ServerConfig};
-    // `Server::open` honours REVKB_SERVER_DATA_DIR; without it this is
-    // exactly the old in-memory `Server::new`.
-    let server = match Server::open(ServerConfig::from_env()) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("revkb: cannot open server data dir: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let env_io = std::env::var("REVKB_SERVER_IO").unwrap_or_default();
-    let serve_tcp = |addr: &str, io: &str| -> std::io::Result<()> {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
-        if let Ok(local) = listener.local_addr() {
-            println!("listening {local}");
-        }
-        if io == "blocking" {
-            server.serve_tcp(listener)
-        } else {
-            server.serve_event_loop(listener)
-        }
-    };
-    let outcome = match args {
-        [] => serve_stdio(&server),
-        [flag] if flag == "--stdio" => serve_stdio(&server),
-        [flag, addr] if flag == "--listen" => serve_tcp(addr, &env_io),
-        [flag, addr, io_flag, io] if flag == "--listen" && io_flag == "--io" => {
-            if io != "evloop" && io != "blocking" {
-                eprintln!("error: --io needs evloop|blocking");
-                return ExitCode::FAILURE;
-            }
-            serve_tcp(addr, io)
-        }
-        _ => {
-            eprintln!("usage: revkb-cli serve [--stdio | --listen ADDR [--io evloop|blocking]]");
-            return ExitCode::FAILURE;
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn serve_stdio(server: &revkb::server::Server) -> std::io::Result<()> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    server.serve_stdio(std::io::BufReader::new(stdin.lock()), stdout.lock())
 }
 
 /// `revkb-cli top ADDR`: a live terminal dashboard over a server's

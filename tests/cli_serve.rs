@@ -1,0 +1,159 @@
+//! `revkb-cli serve` is `revkb-server` under another name: the same
+//! launcher, so the durable store, the metrics sidecar and the event
+//! loop all come up from its flags, and a flag `revkb-server` refuses
+//! is refused here too.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::path::Path;
+use std::process::{Child, ChildStderr, Command, Stdio};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+const CLI: &str = env!("CARGO_BIN_EXE_revkb-cli");
+
+fn serve(args: &[&str]) -> Command {
+    let mut command = Command::new(CLI);
+    command
+        .arg("serve")
+        .args(args)
+        .env("REVKB_LOG", "info")
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    command
+}
+
+/// The data-plane address from the `listening ADDR` banner on stdout.
+fn data_addr(child: &mut Child) -> String {
+    let mut banner = String::new();
+    BufReader::new(child.stdout.as_mut().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    banner
+        .trim()
+        .strip_prefix("listening ")
+        .unwrap_or_else(|| panic!("bad banner {banner:?}"))
+        .to_string()
+}
+
+/// The sidecar address from the `metrics listening ADDR` log line on
+/// stderr; the rest of stderr is drained on a thread (joined once the
+/// child exits) so the child never blocks on a full pipe.
+fn metrics_addr(stderr: ChildStderr) -> (String, JoinHandle<()>) {
+    let mut lines = BufReader::new(stderr).lines();
+    let addr = lines
+        .by_ref()
+        .map(|line| line.expect("read stderr"))
+        .find_map(|line| {
+            line.split_once("metrics listening ")
+                .map(|(_, addr)| addr.trim().to_string())
+        })
+        .expect("metrics banner on stderr");
+    (addr, std::thread::spawn(move || lines.for_each(drop)))
+}
+
+fn call(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    writeln!(stream, "{line}").expect("write request");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read response");
+    response
+}
+
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect data plane");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
+fn http_get_status(addr: &str, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect metrics");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("write GET");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read GET");
+    response.lines().next().unwrap_or_default().to_string()
+}
+
+fn shutdown_and_wait(mut child: Child, addr: &str) {
+    let (mut stream, mut reader) = connect(addr);
+    let bye = call(&mut stream, &mut reader, r#"{"cmd":"shutdown"}"#);
+    assert!(bye.contains(r#""ok":true"#), "{bye}");
+    let status = child.wait().expect("wait for serve");
+    assert!(status.success(), "serve exited {status}");
+}
+
+fn data_dir() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("revkb-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `serve --listen 127.0.0.1:0 EXTRA… --data-dir DIR`.
+fn serve_durable(dir: &Path, extra: &[&str]) -> Child {
+    serve(&["--listen", "127.0.0.1:0"])
+        .args(extra)
+        .arg("--data-dir")
+        .arg(dir)
+        .spawn()
+        .expect("spawn revkb-cli serve")
+}
+
+#[test]
+fn cli_serve_runs_the_server_launcher() {
+    let dir = data_dir();
+
+    // First boot: metrics sidecar, durable store, event loop.
+    let mut child = serve_durable(&dir, &["--metrics-addr", "127.0.0.1:0"]);
+    let (maddr, drain) = metrics_addr(child.stderr.take().expect("piped stderr"));
+    let addr = data_addr(&mut child);
+    assert_eq!(http_get_status(&maddr, "/healthz"), "HTTP/1.1 200 OK");
+
+    let (mut stream, mut reader) = connect(&addr);
+    let mut ask = |line: &str| call(&mut stream, &mut reader, line);
+    assert!(ask(r#"{"cmd":"load","kb":"k","t":"a & b; b -> c"}"#).contains(r#""ok":true"#));
+    assert!(
+        ask(r#"{"cmd":"revise","kb":"k","op":"dalal","p":"!b | !c"}"#).contains(r#""ok":true"#)
+    );
+    // Dalal keeps the P-models one flip from (a,b,c) = (1,1,1):
+    // (1,0,1) and (1,1,0). Both satisfy `a`; only one satisfies `b`.
+    assert!(ask(r#"{"cmd":"query","kb":"k","q":"a"}"#).contains(r#""entails":true"#));
+    assert!(ask(r#"{"cmd":"query","kb":"k","q":"b"}"#).contains(r#""entails":false"#));
+    shutdown_and_wait(child, &addr);
+    drain.join().expect("stderr drain");
+
+    // Restart on the same directory: the KB comes back from the log.
+    let mut child = serve_durable(&dir, &[]);
+    let addr = data_addr(&mut child);
+    let (mut stream, mut reader) = connect(&addr);
+    let list = call(&mut stream, &mut reader, r#"{"cmd":"list"}"#);
+    assert!(
+        list.contains(r#""k""#),
+        "restarted server lost the KB: {list}"
+    );
+    drop((stream, reader));
+    shutdown_and_wait(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The removed front-end selector is an unknown argument, exactly as
+/// it is for `revkb-server`.
+#[test]
+fn cli_serve_refuses_the_removed_io_flag() {
+    let removed = concat!("--", "io");
+    let output = serve(&["--stdio", removed, "blocking"])
+        .output()
+        .expect("run revkb-cli serve");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("unknown argument {removed:?}")),
+        "{stderr}"
+    );
+}

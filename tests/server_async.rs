@@ -1,8 +1,8 @@
 //! The epoll event loop front end: pipelining against a sequential
-//! oracle, byte-identical behaviour versus the blocking TCP path
-//! across all eight revision operators, protocol version negotiation,
-//! and the HTTP/1.1 gateway (data-plane routes, keep-alive, and a
-//! malformed-request battery).
+//! oracle, byte-identical behaviour versus in-process
+//! `Server::handle_line` across all eight revision operators, protocol
+//! version negotiation, NDJSON line bounds, and the HTTP/1.1 gateway
+//! (data-plane routes, keep-alive, and a malformed-request battery).
 //!
 //! Every test talks to a real listener over loopback TCP — the same
 //! bytes a foreign client would send — so the serialization boundary
@@ -17,24 +17,14 @@ const OPERATORS: [&str; 8] = [
     "winslett", "borgida", "forbus", "satoh", "dalal", "weber", "gfuv", "widtio",
 ];
 
-enum Front {
-    EventLoop,
-    Blocking,
-}
-
 /// Serve a fresh server on a loopback listener; returns the address
 /// and the join handle (the loop exits after `shutdown`).
-fn spawn_front(front: Front) -> (SocketAddr, std::thread::JoinHandle<()>) {
+fn spawn_event_loop() -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::new(ServerConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || match front {
-        Front::EventLoop => {
-            server.serve_event_loop(listener).expect("event loop");
-        }
-        Front::Blocking => {
-            server.serve_tcp(listener).expect("blocking loop");
-        }
+    let handle = std::thread::spawn(move || {
+        server.serve_event_loop(listener).expect("event loop");
     });
     (addr, handle)
 }
@@ -102,28 +92,30 @@ fn differential_script() -> Vec<String> {
     script
 }
 
-/// The event loop and the blocking path answer the differential
-/// script byte-for-byte identically — same envelopes, same `req`
-/// numbering, same error text — across all eight operators.
+/// The event loop answers the differential script byte-for-byte as
+/// `Server::handle_line` does on a fresh in-process server — same
+/// envelopes, same `req` numbering, same error text — across all
+/// eight operators.
 #[test]
-fn event_loop_matches_blocking_front_end() {
-    let mut transcripts = Vec::new();
-    for front in [Front::EventLoop, Front::Blocking] {
-        let (addr, handle) = spawn_front(front);
-        let (mut stream, mut reader) = connect(addr);
-        let mut transcript = Vec::new();
-        for line in differential_script() {
-            send_line(&mut stream, &line);
-            transcript.push(read_line(&mut reader));
-        }
-        shutdown(&mut stream, &mut reader);
-        handle.join().expect("serve thread");
-        transcripts.push(transcript);
+fn event_loop_matches_handle_line() {
+    let (addr, handle) = spawn_event_loop();
+    let (mut stream, mut reader) = connect(addr);
+    let mut over_tcp = Vec::new();
+    for line in differential_script() {
+        send_line(&mut stream, &line);
+        over_tcp.push(read_line(&mut reader));
     }
-    let (evloop, blocking) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(evloop.len(), blocking.len());
-    for (e, b) in evloop.iter().zip(blocking) {
-        assert_eq!(e, b, "front ends diverged");
+    shutdown(&mut stream, &mut reader);
+    handle.join().expect("serve thread");
+
+    let in_process = Server::new(ServerConfig::default());
+    let oracle: Vec<String> = differential_script()
+        .iter()
+        .map(|line| in_process.handle_line(line).expect("non-blank line"))
+        .collect();
+    assert_eq!(over_tcp.len(), oracle.len());
+    for (tcp, direct) in over_tcp.iter().zip(&oracle) {
+        assert_eq!(tcp, direct, "event loop diverged from handle_line");
     }
 }
 
@@ -137,7 +129,7 @@ fn pipelined_burst_matches_sequential_oracle() {
     let script = differential_script();
 
     // Sequential oracle.
-    let (addr, handle) = spawn_front(Front::EventLoop);
+    let (addr, handle) = spawn_event_loop();
     let (mut stream, mut reader) = connect(addr);
     let mut oracle = std::collections::HashMap::new();
     for line in &script {
@@ -155,7 +147,7 @@ fn pipelined_burst_matches_sequential_oracle() {
     handle.join().expect("serve thread");
 
     // One burst, same script, fresh server.
-    let (addr, handle) = spawn_front(Front::EventLoop);
+    let (addr, handle) = spawn_event_loop();
     let (mut stream, mut reader) = connect(addr);
     let burst: String = script.iter().map(|l| format!("{l}\n")).collect();
     stream.write_all(burst.as_bytes()).expect("burst write");
@@ -192,7 +184,7 @@ fn pipelined_burst_matches_sequential_oracle() {
 /// stamped with the current protocol version.
 #[test]
 fn version_negotiation() {
-    let (addr, handle) = spawn_front(Front::EventLoop);
+    let (addr, handle) = spawn_event_loop();
     let (mut stream, mut reader) = connect(addr);
 
     send_line(&mut stream, r#"{"id":1,"cmd":"hello"}"#);
@@ -260,6 +252,53 @@ fn execute_matches_line_transport() {
     }
 }
 
+/// A request line is capped at the HTTP gateway's body bound
+/// (1 MiB): 2 MiB with no newline, or one byte over the cap with its
+/// newline, is answered `line_too_long` and the connection closed,
+/// and the server goes on serving other connections.
+#[test]
+fn overlong_line_is_refused_and_the_server_keeps_serving() {
+    const CAP: usize = 1024 * 1024;
+    let (addr, handle) = spawn_event_loop();
+    for (len, newline) in [(2 * CAP, false), (CAP + 1, true)] {
+        let (stream, mut reader) = connect(addr);
+        let writer = {
+            let mut stream = stream.try_clone().expect("clone stream");
+            std::thread::spawn(move || {
+                let mut line = br#"{"cmd":"load","kb":"k","t":""#.to_vec();
+                line.resize(len, b'a');
+                if newline {
+                    line.push(b'\n');
+                }
+                // The server stops reading past the cap and closes the
+                // connection, so the tail of this write may fail.
+                let _ = stream.write_all(&line);
+            })
+        };
+        let resp = Json::parse(&read_line(&mut reader)).expect("response JSON");
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("line_too_long"),
+            "{len} bytes"
+        );
+        let mut rest = String::new();
+        let closed = match reader.read_line(&mut rest) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "connection left open after line_too_long: {rest}");
+        writer.join().expect("writer thread");
+    }
+
+    let (mut second, mut second_reader) = connect(addr);
+    send_line(&mut second, r#"{"cmd":"ping"}"#);
+    let pong = read_line(&mut second_reader);
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    shutdown(&mut second, &mut second_reader);
+    handle.join().expect("serve thread");
+}
+
 // ---------------------------------------------------------------
 // HTTP gateway (Linux: the gateway lives on the epoll front end).
 // ---------------------------------------------------------------
@@ -308,7 +347,7 @@ mod http_gateway {
     /// the same listener.
     #[test]
     fn gateway_routes_answer_the_data_plane() {
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_event_loop();
         let (mut stream, mut reader) = connect(addr);
 
         post(&mut stream, "/v1/load", r#"{"kb":"k","t":"a & b; b -> c"}"#);
@@ -419,7 +458,7 @@ mod http_gateway {
                 413,
             ),
         ];
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_event_loop();
         for (bytes, expected) in cases {
             let (mut stream, mut reader) = connect(addr);
             stream.write_all(bytes).expect("malformed write");
@@ -454,7 +493,7 @@ mod http_gateway {
     /// connection, and both kinds run concurrently on one listener.
     #[test]
     fn line_and_http_clients_share_the_listener() {
-        let (addr, handle) = spawn_front(Front::EventLoop);
+        let (addr, handle) = spawn_event_loop();
 
         let (mut line_conn, mut line_reader) = connect(addr);
         send_line(&mut line_conn, r#"{"cmd":"load","kb":"s","t":"a"}"#);

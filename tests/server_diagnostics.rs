@@ -156,27 +156,6 @@ fn pipelined_burst_keeps_traces_with_their_requests() {
     handle.join().expect("serve thread");
 }
 
-/// The blocking TCP front end echoes traces exactly like the event
-/// loop (the differential pins both to the stdio behaviour above).
-#[test]
-fn blocking_front_end_echoes_the_trace() {
-    let server = Server::new(ServerConfig::default());
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || {
-        server.serve_tcp(listener).expect("blocking loop");
-    });
-    let (mut stream, mut reader) = connect(addr);
-    send_line(
-        &mut stream,
-        r#"{"cmd":"load","kb":"k","t":"a","trace":"00000000000000ab"}"#,
-    );
-    let resp = Json::parse(&read_line(&mut reader)).expect("response JSON");
-    assert_eq!(trace_of(&resp), "00000000000000ab");
-    shutdown(&mut stream, &mut reader);
-    handle.join().expect("serve thread");
-}
-
 /// Slow-log entries are joinable to traces and broken into phases:
 /// with `slow_ms` zero every request qualifies, and the entry for a
 /// degraded revise carries the client's trace id plus queue / compile
@@ -473,7 +452,7 @@ fn replica_replay_spans_join_primary_appends_by_wal_offset() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind primary");
     let addr = listener.local_addr().expect("primary addr");
     let srv = primary.clone();
-    let serve = std::thread::spawn(move || srv.serve_tcp(listener));
+    let serve = std::thread::spawn(move || srv.serve_event_loop(listener));
 
     call(&primary, r#"{"cmd":"load","kb":"k","t":"a; a -> b"}"#);
     call(
@@ -529,7 +508,7 @@ fn replica_replay_spans_join_primary_appends_by_wal_offset() {
     serve
         .join()
         .expect("primary thread")
-        .expect("serve_tcp exits cleanly");
+        .expect("event loop exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

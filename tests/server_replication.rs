@@ -116,7 +116,7 @@ fn start_primary(dir: &Path) -> (Server, SocketAddr, JoinHandle<std::io::Result<
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind primary");
     let addr = listener.local_addr().expect("primary addr");
     let srv = primary.clone();
-    let thread = std::thread::spawn(move || srv.serve_tcp(listener));
+    let thread = std::thread::spawn(move || srv.serve_event_loop(listener));
     (primary, addr, thread)
 }
 
@@ -125,7 +125,7 @@ fn shutdown_primary(primary: &Server, thread: JoinHandle<std::io::Result<()>>) {
     thread
         .join()
         .expect("primary thread join")
-        .expect("serve_tcp exits cleanly");
+        .expect("event loop exits cleanly");
 }
 
 fn stop_replica(replica: &Server, thread: JoinHandle<()>) {

@@ -141,7 +141,7 @@ fn four_clients_match_single_threaded_oracle() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let srv = server.clone();
-    let server_thread = thread::spawn(move || srv.serve_tcp(listener));
+    let server_thread = thread::spawn(move || srv.serve_event_loop(listener));
 
     let clients: Vec<_> = (0..4usize)
         .map(|i| {
@@ -172,16 +172,16 @@ fn four_clients_match_single_threaded_oracle() {
     assert!(stats.get("timeouts").and_then(Json::as_u64).unwrap() >= 1);
     assert_eq!(stats.get("in_flight").and_then(Json::as_u64), Some(0));
 
-    // Clean shutdown: the accept loop and every connection thread join.
+    // Clean shutdown: the event loop drains and its workers join.
     let bye = probe.call(r#"{"cmd":"shutdown"}"#);
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     drop(probe);
     server_thread
         .join()
         .expect("server thread join")
-        .expect("serve_tcp exits cleanly");
+        .expect("event loop exits cleanly");
 
-    // The listener is gone once serve_tcp returns: a fresh connection
+    // The listener is gone once serve_event_loop returns: a fresh connection
     // is refused outright, or at best reset without an answer.
     if let Ok(stream) = TcpStream::connect(addr) {
         let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
@@ -201,7 +201,7 @@ fn zero_queue_server_sheds_load_over_tcp() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let srv = server.clone();
-    let server_thread = thread::spawn(move || srv.serve_tcp(listener));
+    let server_thread = thread::spawn(move || srv.serve_event_loop(listener));
 
     let mut client = Client::connect(addr);
     let resp = client.call(r#"{"cmd":"load","kb":"k","t":"a"}"#);
@@ -214,5 +214,5 @@ fn zero_queue_server_sheds_load_over_tcp() {
     server_thread
         .join()
         .expect("server thread join")
-        .expect("serve_tcp exits cleanly");
+        .expect("event loop exits cleanly");
 }
