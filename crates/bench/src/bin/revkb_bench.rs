@@ -1,8 +1,8 @@
 //! `revkb-bench` — the continuous-performance regression harness.
 //!
 //! ```text
-//! revkb-bench                         # run the suite, write BENCH_PR16.json
-//! revkb-bench --baseline BENCH_PR16.json  # compare; exit 1 on regression
+//! revkb-bench                         # run the suite, write BENCH_PR17.json
+//! revkb-bench --baseline BENCH_PR17.json  # compare; exit 1 on regression
 //! revkb-bench --load-only             # just the load generator, no report
 //! ```
 //!
@@ -19,13 +19,18 @@
 //! cold/warm grid formerly produced by the separate `server_bench`
 //! binary) unless `--no-server-report` is given.
 //!
+//! A baseline comparison fails on any change in a deterministic work
+//! count (`compiled_size`, `k_session_probes`, `k_session_conflicts`),
+//! even with `--warn-only`, which relaxes only the wall-time verdicts.
+//!
 //! `--load-only` skips everything except the open-loop load generator
 //! (`REVKB_BENCH_CONNS` connections against a spawned `revkb-server`)
 //! and writes no report files — the mode CI's connection-count smoke
 //! uses.
 
 use revkb_bench::suite::{
-    compare_against_baseline, report_json, run_suite, server_ops_report, SuiteConfig,
+    compare_against_baseline, comparison_fails, report_json, run_suite, server_ops_report,
+    SuiteConfig,
 };
 use revkb_bench::RunMeta;
 use std::process::ExitCode;
@@ -45,7 +50,7 @@ struct Args {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
-        out: "BENCH_PR16.json".to_string(),
+        out: "BENCH_PR17.json".to_string(),
         baseline: None,
         warn_only: false,
         server_report: true,
@@ -143,7 +148,7 @@ fn main() -> ExitCode {
     println!();
 
     // Load-only runs are smoke checks: print the table, write nothing
-    // (a partial report would shadow the committed BENCH_PR16.json).
+    // (a partial report would shadow the committed BENCH_PR17.json).
     if !args.load_only {
         let report = report_json(&args.config, &meta, &results);
         if let Err(e) = std::fs::write(&args.out, &report) {
@@ -175,28 +180,31 @@ fn main() -> ExitCode {
             "{:<22} {:>12} {:>12} {:>9} {:>8}  verdict",
             "benchmark", "baseline_us", "current_us", "delta_%", "tol_%"
         );
-        let mut regressions = 0usize;
         for c in &comparisons {
-            let verdict = if c.regressed {
-                regressions += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
+            let verdict = if c.regressed { "REGRESSED" } else { "ok" };
             println!(
                 "{:<22} {:>12.0} {:>12.0} {:>+9.1} {:>8.0}  {verdict}",
                 c.name, c.baseline, c.current, c.delta_pct, c.tolerance_pct
             );
+            for (extra, was, now) in &c.work_changed {
+                println!("{:<22} {extra} changed: {was} -> {now}  WORK CHANGED", "");
+            }
         }
+        let regressions = comparisons.iter().filter(|c| c.regressed).count();
+        let work_changes: usize = comparisons.iter().map(|c| c.work_changed.len()).sum();
         if regressions > 0 {
             eprintln!(
                 "revkb-bench: {regressions} regression(s) beyond tolerance vs {path}{}",
                 if args.warn_only { " (warn-only)" } else { "" }
             );
-            if !args.warn_only {
-                return ExitCode::FAILURE;
-            }
-        } else {
+        }
+        if work_changes > 0 {
+            eprintln!("revkb-bench: {work_changes} deterministic work count(s) changed vs {path}");
+        }
+        if comparison_fails(&comparisons, args.warn_only) {
+            return ExitCode::FAILURE;
+        }
+        if regressions + work_changes == 0 {
             println!("no regressions vs {path}");
         }
     }

@@ -16,17 +16,19 @@
 //! generation is seeded (`REVKB_BENCH_SEED`), each benchmark runs
 //! `REVKB_BENCH_WARMUP` discarded warmup rounds followed by
 //! `REVKB_BENCH_TRIALS` measured trials, and the reported figure is
-//! the **median** trial. The emitted report (`BENCH_PR16.json`) is
+//! the **median** trial. The emitted report (`BENCH_PR17.json`) is
 //! schema-versioned and can be replayed as a `--baseline` to detect
 //! regressions: a benchmark regresses only when it is both relatively
 //! slower than its per-benchmark tolerance *and* absolutely slower by
 //! more than [`MIN_DELTA_MICROS`] (so micro-benchmarks near the timer
-//! floor cannot flap CI).
+//! floor cannot flap CI). Deterministic work counts recorded as extras
+//! ([`WORK_EXTRAS`]) are compared exactly instead, and any change in
+//! one fails the comparison.
 
 use crate::json::Value;
 use crate::RunMeta;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use revkb_instances::{random_formula, random_kcnf, random_satisfiable};
 use revkb_logic::{tseitin_auto, Formula};
 use revkb_sat::{PoolConfig, SessionPool};
@@ -235,6 +237,61 @@ fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
             r
         })
         .collect()
+}
+
+/// `compile.dalal_chain` — one compile per trial of a fixed, seeded,
+/// planted Dalal chain: a random 3-CNF `T` over 12 letters that a
+/// planted model satisfies, with at most 32 models, revised three times
+/// by cubes of three literals. One more compile, under the `Summary`
+/// trace mode, counts its deterministic work: `compiled_size`, and the
+/// probes its `k`-sessions ask and the conflicts they meet, all three
+/// in [`WORK_EXTRAS`].
+fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
+    use revkb_revision::{ModelBasedOp, RevisedKb};
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA1A_C4A1);
+    let letters: Vec<revkb_logic::Var> = (0..12).map(revkb_logic::Var).collect();
+    let alpha = revkb_logic::Alphabet::new(letters);
+    let planted: u64 = rng.gen_range(0..1 << 12);
+    let mut clauses = Vec::new();
+    while alpha.models(&Formula::and_all(clauses.clone())).len() > 32 {
+        let clause = random_kcnf(&mut rng, 12, 1, 3);
+        if alpha.eval_mask(&clause, planted) {
+            clauses.push(clause);
+        }
+    }
+    let t = Formula::and_all(clauses);
+    let ps: Vec<Formula> = (0..3)
+        .map(|_| {
+            Formula::and_all((0..3).map(|_| {
+                revkb_logic::Formula::lit(revkb_logic::Var(rng.gen_range(0..12)), rng.gen_bool(0.5))
+            }))
+        })
+        .collect();
+    let compile = || RevisedKb::compile_iterated(ModelBasedOp::Dalal, &t, &ps).expect("compiles");
+
+    let prev = revkb_obs::mode();
+    revkb_obs::set_mode(revkb_obs::TraceMode::Summary);
+    revkb_obs::reset();
+    let size = compile().size();
+    let work = revkb_obs::snapshot();
+    revkb_obs::reset();
+    revkb_obs::set_mode(prev);
+    let count = |name| work.counter(name).unwrap_or(0) as f64;
+
+    let (median, trials) = timed_trials(cfg, || drop(compile()));
+    let mut r = result(cfg, "compile.dalal_chain".into(), median, trials);
+    r.extra = vec![
+        ("compiled_size", Value::Number(size as f64)),
+        (
+            "k_session_probes",
+            Value::Number(count("revision.k_session.probes")),
+        ),
+        (
+            "k_session_conflicts",
+            Value::Number(count("revision.k_session.conflicts")),
+        ),
+    ];
+    r
 }
 
 /// `query.sequential` / `query.parallel` — a 64-query batch through
@@ -907,6 +964,7 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
 /// Run the whole fixed suite in order.
 pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut results = compile_benches(cfg);
+    results.push(dalal_chain_bench(cfg));
     results.extend(query_benches(cfg));
     results.push(bdd_bench(cfg));
     results.push(tseitin_bench(cfg));
@@ -969,13 +1027,31 @@ pub struct Comparison {
     /// Regression verdict: relatively beyond tolerance *and*
     /// absolutely beyond [`MIN_DELTA_MICROS`].
     pub regressed: bool,
+    /// The [`WORK_EXTRAS`] whose value changed from the baseline, as
+    /// `(extra, baseline, current)`.
+    pub work_changed: Vec<(&'static str, f64, f64)>,
+}
+
+/// Extras that count deterministic work, not time: a change in any of
+/// them from the baseline fails the comparison whatever the wall time
+/// does, `--warn-only` included ([`comparison_fails`]).
+pub const WORK_EXTRAS: [&str; 3] = ["compiled_size", "k_session_probes", "k_session_conflicts"];
+
+/// Does a baseline comparison fail? On any change in a
+/// [`WORK_EXTRAS`] count, always; on a wall-time regression, unless
+/// `warn_only`.
+pub fn comparison_fails(comparisons: &[Comparison], warn_only: bool) -> bool {
+    comparisons
+        .iter()
+        .any(|c| !c.work_changed.is_empty() || (c.regressed && !warn_only))
 }
 
 /// Compare current results against a baseline `BENCH_*.json`.
 ///
 /// Benchmarks present only on one side are skipped (a new benchmark is
 /// not a regression; a removed one is a review question, not a CI
-/// failure). Errors only on unparseable or wrong-schema baselines.
+/// failure), and so are [`WORK_EXTRAS`] present only on one side.
+/// Errors only on unparseable or wrong-schema baselines.
 pub fn compare_against_baseline(
     results: &[BenchResult],
     baseline_json: &str,
@@ -1013,6 +1089,22 @@ pub fn compare_against_baseline(
             0.0
         };
         let regressed = delta_pct > r.tolerance_pct && delta > MIN_DELTA_MICROS;
+        let work_changed = r
+            .extra
+            .iter()
+            .filter_map(|(key, value)| {
+                let key = WORK_EXTRAS.into_iter().find(|w| w == key)?;
+                let (Value::Number(current), Some(baseline)) = (
+                    value,
+                    base.get("extra")
+                        .and_then(|extra| extra.get(key))
+                        .and_then(Json::as_f64),
+                ) else {
+                    return None;
+                };
+                (*current != baseline).then_some((key, baseline, *current))
+            })
+            .collect();
         comparisons.push(Comparison {
             name: r.name.clone(),
             baseline: base_median,
@@ -1020,6 +1112,7 @@ pub fn compare_against_baseline(
             delta_pct,
             tolerance_pct: r.tolerance_pct,
             regressed,
+            work_changed,
         });
     }
     Ok(comparisons)
@@ -1196,6 +1289,46 @@ mod tests {
         tiny[0].median = 1400.0; // +40% but only +400us < 500us floor
         let comparisons = compare_against_baseline(&tiny, &baseline).unwrap();
         assert!(comparisons.iter().all(|c| !c.regressed));
+    }
+
+    #[test]
+    fn work_counts_gate_even_when_wall_time_warns_only() {
+        let chain = |median: f64, conflicts: f64| BenchResult {
+            name: "compile.dalal_chain".into(),
+            unit: "micros",
+            median,
+            trials: vec![median],
+            tolerance_pct: 15.0,
+            extra: vec![
+                ("compiled_size", Value::Number(3000.0)),
+                ("k_session_conflicts", Value::Number(conflicts)),
+            ],
+        };
+        let cfg = SuiteConfig::default();
+        let baseline = report_json(&cfg, &RunMeta::capture(), &[chain(1000.0, 40.0)]);
+        let compare = |r| compare_against_baseline(&[r], &baseline).unwrap();
+
+        // Much slower, same work: fails only without --warn-only.
+        let slower = compare(chain(5000.0, 40.0));
+        assert!(slower[0].regressed && slower[0].work_changed.is_empty());
+        assert!(comparison_fails(&slower, false));
+        assert!(!comparison_fails(&slower, true));
+
+        // Faster, but the work changed: fails either way, and says how.
+        let changed = compare(chain(500.0, 39.0));
+        assert!(!changed[0].regressed);
+        assert_eq!(
+            changed[0].work_changed,
+            vec![("k_session_conflicts", 40.0, 39.0)]
+        );
+        assert!(comparison_fails(&changed, true));
+
+        // A count the baseline does not have is not compared.
+        let mut extra_count = chain(1000.0, 40.0);
+        extra_count
+            .extra
+            .push(("k_session_probes", Value::Number(7.0)));
+        assert!(!comparison_fails(&compare(extra_count), true));
     }
 
     #[test]

@@ -121,15 +121,16 @@ fn committed_report_names(file: &str) -> Vec<String> {
         .collect()
 }
 
-/// The committed `BENCH_PR16.json` is the baseline CI compares
+/// The committed `BENCH_PR17.json` is the baseline CI compares
 /// against: it must stay valid and parseable with the schema this
 /// build supports, and it must cover the full named suite the harness
 /// runs today.
 #[test]
 fn committed_reports_are_valid_schema_v1() {
-    let committed = committed_report_names("BENCH_PR16.json");
+    let committed = committed_report_names("BENCH_PR17.json");
     for name in [
         "compile.dalal",
+        "compile.dalal_chain",
         "compile.winslett",
         "query.sequential",
         "query.parallel",

@@ -188,14 +188,6 @@ impl<'a, S: VarSupply> CircuitBuilder<'a, S> {
         let defs = self.aux.into_iter().zip(self.gates);
         Formula::and_all(defs.map(|(w, g)| Formula::var(w).iff(g)).chain([output]))
     }
-
-    /// Close the circuit as its gate definitions instead: each gate
-    /// letter `w` with the function `g` of `w ≡ g`, in order, so every
-    /// `g` mentions only inputs and earlier gate letters. For callers
-    /// that encode the gates themselves.
-    pub fn into_gates(self) -> Vec<(Var, Formula)> {
-        self.aux.into_iter().zip(self.gates).collect()
-    }
 }
 
 #[cfg(test)]

@@ -175,6 +175,11 @@ impl CountingSupply {
         Self { next }
     }
 
+    /// The variable the next [`VarSupply::fresh_var`] call returns.
+    pub fn peek(&self) -> Var {
+        Var(self.next)
+    }
+
     /// Start just above every variable of `f`.
     pub fn above_formula(f: &Formula) -> Self {
         let next = f.vars().iter().map(|v| v.0 + 1).max().unwrap_or(0);

@@ -11,7 +11,7 @@
 //!   ([`Substitution`]);
 //! - [`Interpretation`] (sets of letters) and dense [`Alphabet`]
 //!   bitmask model enumeration;
-//! - clausal form ([`Cnf`], [`tseitin`]) and DIMACS I/O;
+//! - clausal form ([`Cnf`], [`tseitin`], [`SharedCnf`]) and DIMACS I/O;
 //! - a parser ([`parse`]) and pretty-printer ([`render`]).
 
 #![forbid(unsafe_code)]
@@ -23,6 +23,7 @@ pub mod eval;
 pub mod formula;
 pub mod parser;
 pub mod printer;
+pub mod shared_cnf;
 pub mod simplify_cnf;
 pub mod subst;
 pub mod transform;
@@ -35,8 +36,9 @@ pub use cnf::{
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use eval::{tt_entails, tt_equivalent, tt_satisfiable, tt_valid, Alphabet, Interpretation};
 pub use formula::{vectors_differ_everywhere, vectors_equal, Formula};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, parse_nested, ParseError, ParseErrorKind, MAX_DEPTH};
 pub use printer::render;
+pub use shared_cnf::SharedCnf;
 pub use simplify_cnf::{simplify_cnf, SimplifyStats};
 pub use subst::Substitution;
 pub use var::{Signature, Var};

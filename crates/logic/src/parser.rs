@@ -15,10 +15,20 @@
 //!
 //! Identifiers are interned into the supplied [`Signature`], so parsing
 //! `"g | b"` then `"!g"` reuses the same letters.
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: every `!`, every open
+//! parenthesis, and every `->`, `<->` or `<+>` applied nests the
+//! formula one level deeper. Everything downstream of the parser
+//! (Tseitin, substitution, rendering, even dropping the formula) walks
+//! the tree recursively, so an unbounded depth from one hostile input
+//! would overflow the stack and abort the process.
 
 use crate::formula::Formula;
 use crate::var::Signature;
 use std::fmt;
+
+/// The deepest nesting [`parse`] accepts (see the module docs).
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +37,17 @@ pub struct ParseError {
     pub position: usize,
     /// Human-readable description.
     pub message: String,
+    /// What went wrong.
+    pub kind: ParseErrorKind,
+}
+
+/// Why a parse failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not a well-formed formula.
+    Syntax,
+    /// The formula nests deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -48,9 +69,23 @@ impl std::error::Error for ParseError {}
 /// assert!(revkb_logic::tt_entails(&f.and(g), &parse("bill", &mut sig).unwrap()));
 /// ```
 pub fn parse(input: &str, sig: &mut Signature) -> Result<Formula, ParseError> {
+    parse_nested(input, sig, MAX_DEPTH)
+}
+
+/// [`parse`] with the nesting cap set to `max_depth` instead of
+/// [`MAX_DEPTH`]. A server replaying its own log passes `usize::MAX`:
+/// a record written before the cap existed was accepted then, and must
+/// come back on restart.
+pub fn parse_nested(
+    input: &str,
+    sig: &mut Signature,
+    max_depth: usize,
+) -> Result<Formula, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        max_depth,
         sig,
     };
     p.skip_ws();
@@ -65,6 +100,9 @@ pub fn parse(input: &str, sig: &mut Signature) -> Result<Formula, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting of the construct being parsed.
+    depth: usize,
+    max_depth: usize,
     sig: &'a mut Signature,
 }
 
@@ -73,7 +111,22 @@ impl<'a> Parser<'a> {
         ParseError {
             position: self.pos,
             message: message.to_string(),
+            kind: ParseErrorKind::Syntax,
         }
+    }
+
+    /// Go one level deeper, or fail past `max_depth`. The caller
+    /// comes back up by decrementing `depth`.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > self.max_depth {
+            return Err(ParseError {
+                position: self.pos,
+                message: format!("formula nested deeper than {} levels", self.max_depth),
+                kind: ParseErrorKind::TooDeep,
+            });
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -97,19 +150,27 @@ impl<'a> Parser<'a> {
 
     fn parse_iff(&mut self) -> Result<Formula, ParseError> {
         let mut left = self.parse_implies()?;
+        // Each operator of a chain nests everything before it.
+        let mut chained = 0;
         loop {
             self.skip_ws();
-            if self.eat("<->") {
-                self.skip_ws();
-                let right = self.parse_implies()?;
-                left = left.iff(right);
+            let iff = if self.eat("<->") {
+                true
             } else if self.eat("<+>") {
-                self.skip_ws();
-                let right = self.parse_implies()?;
-                left = left.xor(right);
+                false
             } else {
+                self.depth -= chained;
                 return Ok(left);
-            }
+            };
+            self.nest()?;
+            chained += 1;
+            self.skip_ws();
+            let right = self.parse_implies()?;
+            left = if iff {
+                left.iff(right)
+            } else {
+                left.xor(right)
+            };
         }
     }
 
@@ -117,8 +178,10 @@ impl<'a> Parser<'a> {
         let left = self.parse_or()?;
         self.skip_ws();
         if self.eat("->") {
+            self.nest()?;
             self.skip_ws();
             let right = self.parse_implies()?;
+            self.depth -= 1;
             Ok(left.implies(right))
         } else {
             Ok(left)
@@ -167,14 +230,13 @@ impl<'a> Parser<'a> {
     fn parse_unary(&mut self) -> Result<Formula, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'!') | Some(b'~') => {
-                self.pos += 1;
-                Ok(self.parse_unary()?.not())
-            }
             // '-' negation, but not the '->' arrow (can't start a term).
-            Some(b'-') if self.bytes.get(self.pos + 1) != Some(&b'>') => {
+            Some(b'!') | Some(b'~') | Some(b'-') if !self.bytes[self.pos..].starts_with(b"->") => {
                 self.pos += 1;
-                Ok(self.parse_unary()?.not())
+                self.nest()?;
+                let f = self.parse_unary()?.not();
+                self.depth -= 1;
+                Ok(f)
             }
             _ => self.parse_atom(),
         }
@@ -185,7 +247,9 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'(') => {
                 self.pos += 1;
+                self.nest()?;
                 let f = self.parse_iff()?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.peek() == Some(b')') {
                     self.pos += 1;
@@ -294,6 +358,49 @@ mod tests {
         assert!(parse("(a", &mut sig).is_err());
         assert!(parse("a b", &mut sig).is_err());
         assert!(parse("", &mut sig).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let mut sig = Signature::new();
+        let too_deep = |input: &str, sig: &mut Signature| {
+            parse(input, sig).expect_err("over the cap").kind == ParseErrorKind::TooDeep
+        };
+        let nots = |n| format!("{}a", "!".repeat(n));
+        let parens = |n| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        let chain = |n, op: &str| format!("a{}", format!(" {op} a").repeat(n));
+        let arrows = |n| format!("{}a", "a -> ".repeat(n));
+        for input in [nots(MAX_DEPTH), parens(MAX_DEPTH), arrows(MAX_DEPTH)] {
+            assert!(parse(&input, &mut sig).is_ok(), "at the cap");
+        }
+        assert!(parse(&chain(MAX_DEPTH, "<->"), &mut sig).is_ok());
+        assert!(parse(&chain(MAX_DEPTH, "<+>"), &mut sig).is_ok());
+        for input in [
+            nots(MAX_DEPTH + 1),
+            parens(MAX_DEPTH + 1),
+            arrows(MAX_DEPTH + 1),
+            chain(MAX_DEPTH + 1, "<->"),
+            chain(MAX_DEPTH + 1, "<+>"),
+            format!("{}{}", "(".repeat(MAX_DEPTH / 2), nots(MAX_DEPTH / 2 + 1)),
+        ] {
+            assert!(too_deep(&input, &mut sig), "{}…", &input[..20]);
+        }
+        // Flat conjunctions and disjunctions nest nothing, and closed
+        // parentheses give their depth back.
+        assert!(parse(&chain(10 * MAX_DEPTH, "&"), &mut sig).is_ok());
+        assert!(parse(
+            &format!("{} & {}", parens(MAX_DEPTH), parens(MAX_DEPTH)),
+            &mut sig
+        )
+        .is_ok());
+        // The cap is a parameter of `parse_nested`.
+        assert!(parse_nested(&nots(MAX_DEPTH + 1), &mut sig, MAX_DEPTH + 1).is_ok());
+        assert!(parse_nested(&nots(3), &mut sig, 2).is_err());
+        // A plain syntax error is not a depth error.
+        assert_eq!(
+            parse("(a", &mut sig).unwrap_err().kind,
+            ParseErrorKind::Syntax
+        );
     }
 
     #[test]

@@ -31,11 +31,11 @@
 
 use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
-use crate::distance::{closest_over, delta_sets_over, omega_of, Witness};
+use crate::distance::{closest_in, delta_sets_in, omega_of, renamed_phases, Sides, Witness};
 use crate::engine::{RevisionChain, DELTA_LIMIT};
 use crate::semantic::ModelBasedOp;
 use revkb_circuits::{distance_less_direct, exa};
-use revkb_logic::{CountingSupply, Formula, Substitution, Var, VarSupply};
+use revkb_logic::{tseitin, CountingSupply, Formula, SharedCnf, Substitution, Var, VarSupply};
 use revkb_qbf::Qbf;
 use revkb_sat::supply_above;
 use std::collections::BTreeSet;
@@ -72,29 +72,80 @@ fn differ_exactly(xs: &[Var], ys: &[Var], s: &BTreeSet<Var>) -> Formula {
     }))
 }
 
+/// A step's result: the next running representation and its Tseitin
+/// clauses, which are the previous step's clauses renamed plus the
+/// clauses of the new parts alone.
+pub(crate) type Step = (Formula, SharedCnf);
+
+/// The result of a step on a degenerate pair (see
+/// [`degenerate_result`]), with its clauses.
+fn degenerate_step(p: &Formula, supply: &mut CountingSupply) -> Step {
+    let result = degenerate_result(p);
+    let cnf = SharedCnf::from(tseitin(&result, supply));
+    (result, cnf)
+}
+
+/// `δ` between the running representation (its clauses `prev_cnf`)
+/// and `Pⁱ` (its clauses `p_cnf`), measured over `xs`: one session in
+/// which the representation's letters `xs` are renamed to letters of
+/// the session's own.
+fn step_delta(
+    prev_cnf: &SharedCnf,
+    p_cnf: &SharedCnf,
+    xs: &[Var],
+    delta_limit: usize,
+    supply: &CountingSupply,
+) -> Option<Vec<BTreeSet<Var>>> {
+    let mut own = supply.clone();
+    let ys: Vec<Var> = xs.iter().map(|_| own.fresh_var()).collect();
+    let a = prev_cnf.rename(xs, &ys);
+    let sides = Sides {
+        a: &a,
+        b: p_cnf,
+        xs,
+        ys: &ys,
+        supply: own,
+    };
+    delta_sets_in(sides, delta_limit)
+}
+
 /// One step of Theorem 5.1: `Φᵢ = Φᵢ₋₁[X/Yᵢ] ∧ Pⁱ ∧ EXA(kᵢ, X, Yᵢ, Wᵢ)`
 /// over the base letters `X = xs`, with `kᵢ` computed offline against
-/// `prev = Φᵢ₋₁`. `witness` is a model of `prev` (or empty), which
-/// seeds the distance session; the step replaces it with a model of
-/// `Φᵢ`, the closest pair the session found, so the next step starts
+/// `prev = Φᵢ₋₁`, whose clauses are `prev_cnf`. The distance session
+/// loads `prev_cnf[X/Yᵢ]` and the clauses of `Pⁱ`, the first two parts
+/// of `Φᵢ`'s clauses. `witness` is a model of `prev_cnf` (or empty),
+/// which seeds the session; the step replaces it with a model of `Φᵢ`'s
+/// clauses, the closest pair the session found, so the next step starts
 /// warm.
 pub(crate) fn dalal_step(
     prev: &Formula,
+    prev_cnf: &SharedCnf,
     p: &Formula,
     xs: &[Var],
     witness: &mut Witness,
-    supply: &mut impl VarSupply,
-) -> Formula {
-    let Some(closest) = closest_over(prev, p, xs, witness) else {
-        witness.clear();
-        return degenerate_result(p);
-    };
+    supply: &mut CountingSupply,
+) -> Step {
     let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
+    let renamed = prev_cnf.rename(xs, &ys);
+    let p_cnf = SharedCnf::from(tseitin(p, supply));
+    let sides = Sides {
+        a: &renamed,
+        b: &p_cnf,
+        xs,
+        ys: &ys,
+        supply: supply.clone(),
+    };
+    let Some(closest) = closest_in(sides, &renamed_phases(witness, xs, &ys)) else {
+        witness.clear();
+        return degenerate_step(p, supply);
+    };
     let exa_k = exa(closest.k, xs, &ys, supply);
-    *witness = closest.rest;
-    witness.extend(xs.iter().copied().zip(closest.x));
-    witness.extend(ys.iter().copied().zip(closest.y));
-    prev.rename(xs, &ys).and(p.clone()).and(exa_k)
+    let exa_cnf = SharedCnf::from(tseitin(&exa_k, supply));
+    *witness = closest.model;
+    (
+        prev.rename(xs, &ys).and(p.clone()).and(exa_k),
+        renamed.and(p_cnf).and(exa_cnf),
+    )
 }
 
 /// Theorem 5.1: `Φₘ`, the query-equivalent representation of
@@ -104,22 +155,28 @@ pub fn dalal_iterated(t: &Formula, ps: &[Formula], supply: &mut CountingSupply) 
 }
 
 /// One step of Corollary 5.2's formula (10): substitute the letters
-/// `Ωᵢ` of the running representation by fresh letters, conjoin `Pⁱ`.
-/// `None` when the `δᵢ` enumeration exceeds `delta_limit`.
+/// `Ωᵢ` of the running representation (clauses `prev_cnf`) by fresh
+/// letters, conjoin `Pⁱ`. `None` when the `δᵢ` enumeration exceeds
+/// `delta_limit`.
 pub(crate) fn weber_step(
     prev: &Formula,
+    prev_cnf: &SharedCnf,
     p: &Formula,
     xs: &[Var],
     delta_limit: usize,
-    supply: &mut impl VarSupply,
-) -> Option<Formula> {
-    let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    supply: &mut CountingSupply,
+) -> Option<Step> {
+    let p_cnf = SharedCnf::from(tseitin(p, supply));
+    let delta = step_delta(prev_cnf, &p_cnf, xs, delta_limit, supply)?;
     if delta.is_empty() {
-        return Some(degenerate_result(p));
+        return Some(degenerate_step(p, supply));
     }
     let omega = omega_of(delta);
     let zs: Vec<Var> = omega.iter().map(|_| supply.fresh_var()).collect();
-    Some(prev.rename(&omega, &zs).and(p.clone()))
+    Some((
+        prev.rename(&omega, &zs).and(p.clone()),
+        prev_cnf.rename(&omega, &zs).and(p_cnf),
+    ))
 }
 
 /// Corollary 5.2 (formula 10): the query-equivalent representation of
@@ -237,22 +294,29 @@ pub fn satoh_qbf_paper(t: &Formula, p: &Formula, supply: &mut impl VarSupply) ->
 /// ```text
 /// prev[V(P)/Y] ∧ P ∧ ⋁_{S ∈ δᵢ} differ(V(P), Y) = S
 /// ```
+///
+/// `prev_cnf` is `prev`'s clauses; the step returns the result's.
 pub(crate) fn satoh_step(
     prev: &Formula,
+    prev_cnf: &SharedCnf,
     p: &Formula,
     xs: &[Var],
     delta_limit: usize,
-    supply: &mut impl VarSupply,
-) -> Option<Formula> {
-    let delta = delta_sets_over(prev, p, xs, delta_limit)?;
+    supply: &mut CountingSupply,
+) -> Option<Step> {
+    let p_cnf = SharedCnf::from(tseitin(p, supply));
+    let delta = step_delta(prev_cnf, &p_cnf, xs, delta_limit, supply)?;
     if delta.is_empty() {
-        return Some(degenerate_result(p));
+        return Some(degenerate_step(p, supply));
     }
     let pvars: Vec<Var> = p.vars().into_iter().collect();
     let ys: Vec<Var> = pvars.iter().map(|_| supply.fresh_var()).collect();
-    let renamed = prev.rename(&pvars, &ys);
     let selector = Formula::or_all(delta.iter().map(|s| differ_exactly(&pvars, &ys, s)));
-    Some(renamed.and(p.clone()).and(selector))
+    let selector_cnf = SharedCnf::from(tseitin(&selector, supply));
+    Some((
+        prev.rename(&pvars, &ys).and(p.clone()).and(selector),
+        prev_cnf.rename(&pvars, &ys).and(p_cnf).and(selector_cnf),
+    ))
 }
 
 /// Query-equivalent representation of `T *S P¹ *S … *S Pᵐ` for

@@ -1,7 +1,7 @@
 //! The result type of a compact construction.
 
-use revkb_logic::{Formula, Var};
-use revkb_sat::{PoolConfig, PoolStats, SessionPool, SolverStats};
+use revkb_logic::{Formula, SharedCnf, Var};
+use revkb_sat::{PoolConfig, PoolStats, QuerySession, SessionPool, SolverStats};
 use std::cell::RefCell;
 
 /// Error answering a query through a [`CompactRep`].
@@ -93,13 +93,15 @@ impl EngineStats {
 /// and `T' ≡ T * P`.
 ///
 /// Entailment queries go through one lazily created [`SessionPool`]:
-/// the first query or batch Tseitin-loads `formula` into worker 0
-/// once. Single queries and sequential batches run on that worker, so
-/// they share its learned clauses and memo; the pool forks further
-/// workers from it only when a batch first takes the parallel path.
-/// Mutating `formula` after the first query is a footgun — the pool
-/// keeps answering for the formula it loaded; construct a fresh
-/// `CompactRep` instead.
+/// the first query or batch loads `formula` into worker 0 once, from
+/// the Tseitin clauses the construction kept when it kept them (the
+/// session then owns the only copy, and the representation lets them
+/// go), and by a Tseitin pass otherwise. Single queries and sequential batches run
+/// on that worker, so they share its learned clauses and memo; the
+/// pool forks further workers from it only when a batch first takes
+/// the parallel path. Mutating `formula` after the first query is a
+/// footgun — the pool keeps answering for the formula it loaded;
+/// construct a fresh `CompactRep` instead.
 #[derive(Debug)]
 pub struct CompactRep {
     /// The representation formula `T'`.
@@ -110,6 +112,11 @@ pub struct CompactRep {
     /// (criterion (2)); otherwise only query equivalence (criterion
     /// (1)) is guaranteed.
     pub logical: bool,
+    /// `formula` in clausal form, when the construction kept its
+    /// Tseitin clauses and no query session or later step has taken
+    /// them yet: the clauses, and phases from a model of them (see
+    /// [`QuerySession::from_clauses`]).
+    clauses: RefCell<Option<(SharedCnf, Vec<bool>)>>,
     /// Lazily created query engine over `formula`, for single queries
     /// and batches alike.
     pool: RefCell<Option<SessionPool>>,
@@ -126,6 +133,7 @@ impl Clone for CompactRep {
         // configuration, being a tuning knob rather than state, does
         // carry over.
         let rep = Self::new(self.formula.clone(), self.base.clone(), self.logical);
+        *rep.clauses.borrow_mut() = self.clauses.borrow().clone();
         *rep.pool_config.borrow_mut() = self.pool_config.borrow().clone();
         rep
     }
@@ -138,6 +146,7 @@ impl CompactRep {
             formula,
             base,
             logical,
+            clauses: RefCell::new(None),
             pool: RefCell::new(None),
             pool_config: RefCell::new(None),
         }
@@ -164,6 +173,21 @@ impl CompactRep {
     /// A logically equivalent representation.
     pub fn logical(formula: Formula, base: Vec<Var>) -> Self {
         Self::new(formula, base, true)
+    }
+
+    /// The same representation, whose query session loads `cnf`, the
+    /// Tseitin clauses of `formula`, instead of encoding it again, and
+    /// seeds its phases with `phases`, a model of `cnf` by letter
+    /// index (possibly partial).
+    pub(crate) fn with_clauses(self, cnf: SharedCnf, phases: Vec<bool>) -> Self {
+        *self.clauses.borrow_mut() = Some((cnf, phases));
+        self
+    }
+
+    /// Take the clauses and phases given by [`CompactRep::with_clauses`],
+    /// unless the query session or an earlier call took them already.
+    pub(crate) fn take_clauses(&self) -> Option<(SharedCnf, Vec<bool>)> {
+        self.clauses.borrow_mut().take()
     }
 
     /// The paper's size measure `|T'|` (variable occurrences).
@@ -200,7 +224,11 @@ impl CompactRep {
             // letter away, yet queries over it remain legitimate.
             let num_query_vars = self.base.iter().map(|v| v.0 + 1).max().unwrap_or(0);
             let config = self.pool_config.borrow().clone().unwrap_or_default();
-            SessionPool::with_query_alphabet(&self.formula, num_query_vars, config)
+            let session = match self.take_clauses() {
+                Some((cnf, phases)) => QuerySession::from_clauses(&cnf, &phases, num_query_vars),
+                None => QuerySession::with_query_alphabet(&self.formula, num_query_vars),
+            };
+            SessionPool::with_session(session, config)
         });
         f(pool)
     }

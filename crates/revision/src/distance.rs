@@ -8,75 +8,140 @@
 //! everything here runs on the CDCL solver and scales to alphabets far
 //! beyond `2ⁿ` enumeration:
 //!
-//! - `k_{T,P}`: probe `T[X/Y] ∧ P ∧ EXA(d, X, Y, W)` for `d = 0, 1, …`
+//! - `k_{T,P}`: the session's first model bounds it from above by its
+//!   own distance `u`; a unary counter of the differences between `X`
+//!   and `Y`, capped at `u`, then asks "the distance is at most `d`"
+//!   for `d = 0, 1, …` as one assumption each.
 //! - `δ(T,P)`: find a satisfying difference, shrink it to a ⊆-minimal
 //!   one, block all its supersets, repeat.
 //!
-//! Each call is one incremental session: `T[X/Y] ∧ P` is
-//! Tseitin-loaded once into one solver, and every probe or shrink
-//! constraint is encoded under a fresh activation literal, solved
-//! under that assumption and retired by a unit clause — the pattern of
-//! [`revkb_sat::QuerySession`]. The two sides share no letter, so the
-//! session's first solve also decides whether both are satisfiable,
-//! and callers use that answer instead of checking each side first.
+//! Each call is one incremental session over `T[X/Y] ∧ P`, loaded once
+//! into one solver from clauses ([`Sides`]): the general entry points
+//! Tseitin-encode `T` and `P` and rename `T` apart, and a revision
+//! chain hands over the clauses it already keeps, renamed without
+//! encoding anything again. Every probe or shrink constraint is
+//! encoded under a fresh activation literal or asked as an assumption,
+//! the pattern of [`revkb_sat::QuerySession`]. The two sides share no
+//! letter, so the session's first solve also decides whether both are
+//! satisfiable, and callers use that answer instead of checking each
+//! side first.
 
-use revkb_circuits::CircuitBuilder;
 use revkb_logic::{
-    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, Substitution, Var, VarSupply,
+    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, SharedCnf, Var, VarSupply,
 };
 use revkb_sat::{supply_above, Solver};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-/// A model of a formula, as the value of each of its letters.
-pub(crate) type Witness = Vec<(Var, bool)>;
+/// Distance probes asked by `k_{T,P}` sessions ([`closest_in`]), and
+/// the conflicts those sessions met, first solve included: the
+/// deterministic work counts of Dalal's offline step.
+static OBS_K_PROBES: revkb_obs::Counter = revkb_obs::Counter::new("revision.k_session.probes");
+static OBS_K_CONFLICTS: revkb_obs::Counter =
+    revkb_obs::Counter::new("revision.k_session.conflicts");
 
-/// One incremental SAT session over `a[X/Y] ∧ b`, where `X = xs` and
-/// `Y` are fresh copies: each model pairs a model of `a` (on `Y`) with
-/// a model of `b` (on `X`).
+/// A model of a representation's clauses: the value of `Var(i)` at
+/// index `i`, for a prefix of the letters (possibly empty).
+pub(crate) type Witness = Vec<bool>;
+
+/// `witness`, a model of a representation's clauses by letter index,
+/// as phases of the same clauses with `xs` renamed to `ys`.
+pub(crate) fn renamed_phases(witness: &[bool], xs: &[Var], ys: &[Var]) -> Vec<(Var, bool)> {
+    let mut names: Vec<Var> = (0..witness.len() as u32).map(Var).collect();
+    for (x, &y) in xs.iter().zip(ys) {
+        if let Some(name) = names.get_mut(x.index()) {
+            *name = y;
+        }
+    }
+    names.into_iter().zip(witness.iter().copied()).collect()
+}
+
+/// The two sides of a distance computation, in clausal form: `a` with
+/// its measured letters renamed to `ys`, and `b` over `xs`. The sides
+/// share no letter.
+pub(crate) struct Sides<'a> {
+    pub(crate) a: &'a SharedCnf,
+    pub(crate) b: &'a SharedCnf,
+    pub(crate) xs: &'a [Var],
+    pub(crate) ys: &'a [Var],
+    /// Fresh letters above both sides, for the session's own encodings.
+    pub(crate) supply: CountingSupply,
+}
+
+/// The sides of the general entry points: `a` and `b` Tseitin-encoded,
+/// with every letter of `a` renamed to a fresh copy. A letter of `xs`
+/// outside `a` gets a fresh, free copy too.
+struct Apart {
+    a: SharedCnf,
+    b: SharedCnf,
+    ys: Vec<Var>,
+    supply: CountingSupply,
+}
+
+impl Apart {
+    fn new(a: &Formula, b: &Formula, xs: &[Var]) -> Self {
+        let mut supply = supply_above([a, b]);
+        let a_cnf = SharedCnf::from(tseitin(a, &mut supply));
+        let b = SharedCnf::from(tseitin(b, &mut supply));
+        let a_vars: Vec<Var> = a.vars().into_iter().collect();
+        let copies: Vec<Var> = a_vars.iter().map(|_| supply.fresh_var()).collect();
+        let ys = xs
+            .iter()
+            .map(|x| match a_vars.binary_search(x) {
+                Ok(i) => copies[i],
+                Err(_) => supply.fresh_var(),
+            })
+            .collect();
+        let a = a_cnf.rename(&a_vars, &copies);
+        Apart { a, b, ys, supply }
+    }
+
+    fn sides<'s>(&'s self, xs: &'s [Var]) -> Sides<'s> {
+        Sides {
+            a: &self.a,
+            b: &self.b,
+            xs,
+            ys: &self.ys,
+            supply: self.supply.clone(),
+        }
+    }
+}
+
+/// One incremental SAT session over the conjunction of two [`Sides`]:
+/// each model pairs a model of `a` (on `Y`) with a model of `b` (on
+/// `X`).
 struct PairSession {
     solver: Solver,
     supply: CountingSupply,
+    /// The session's own letters start here; every letter below it
+    /// belongs to one of the two sides.
+    first_own: Var,
     xs: Vec<Var>,
     ys: Vec<Var>,
-    /// Each letter of `a` with its copy in the session.
-    copies: Vec<(Var, Var)>,
 }
 
 impl PairSession {
-    /// Load `a[X/Y] ∧ b` and solve it once. `None` when it is
+    /// Load both sides and solve once. `None` when the conjunction is
     /// unsatisfiable, i.e. when `a` or `b` is; otherwise the first
-    /// model is available through [`PairSession::diff`]. A `hint` (a
-    /// model of `a`) seeds the phases of the copies, so the first
-    /// solve finds a model of `a[X/Y]` by propagation.
-    fn open(a: &Formula, b: &Formula, xs: &[Var], hint: &[(Var, bool)]) -> Option<Self> {
-        let mut supply = supply_above([a, b]);
-        let (a_renamed, copies) = rename_apart(a, &mut supply);
-        let copy_of: HashMap<Var, Var> = copies.iter().copied().collect();
-        let ys: Vec<Var> = xs
-            .iter()
-            .map(|x| {
-                copy_of
-                    .get(x)
-                    .copied()
-                    .unwrap_or_else(|| supply.fresh_var())
-            })
-            .collect();
+    /// model is available through [`PairSession::diff`]. `phases` (a
+    /// model of `a`, possibly partial, in the session's letters) seed
+    /// the saved phases, so the first solve finds a model of `a` by
+    /// propagation.
+    fn open(sides: Sides<'_>, phases: &[(Var, bool)]) -> Option<Self> {
         let mut solver = Solver::new();
-        solver.add_cnf(&tseitin(&a_renamed.and(b.clone()), &mut supply));
-        for (v, value) in hint {
-            if let Some(&copy) = copy_of.get(v) {
-                solver.hint_phase(copy, *value);
-            }
+        solver.add_shared_cnf(sides.a);
+        solver.add_shared_cnf(sides.b);
+        for &(v, value) in phases {
+            solver.hint_phase(v, value);
         }
         if !solver.solve() {
             return None;
         }
         Some(PairSession {
             solver,
-            supply,
-            xs: xs.to_vec(),
-            ys,
-            copies,
+            first_own: sides.supply.peek(),
+            supply: sides.supply,
+            xs: sides.xs.to_vec(),
+            ys: sides.ys.to_vec(),
         })
     }
 
@@ -96,37 +161,77 @@ impl PairSession {
         let act = Lit::pos(self.supply.fresh_var());
         self.solver.solve_with_gated(&cnf, act, assumptions)
     }
+
+    /// Load a unary counter of the positions where `X` and `Y` differ,
+    /// capped at `cap` ([`unary_counter`]).
+    fn load_counter(&mut self, cap: usize) -> Vec<Lit> {
+        let mut cnf = Cnf::new();
+        let bits = difference_bits(&self.xs, &self.ys, &mut self.supply, &mut cnf);
+        let at_least = unary_counter(&bits, cap, &mut self.supply, &mut cnf);
+        self.solver.add_cnf(&cnf);
+        at_least
+    }
 }
 
-/// Rename *all* letters of `t` to fresh ones so it shares nothing with
-/// the other side; returns `t` renamed and each letter with its copy.
-fn rename_apart(t: &Formula, supply: &mut impl VarSupply) -> (Formula, Vec<(Var, Var)>) {
-    let copies: Vec<(Var, Var)> = t
-        .vars()
-        .into_iter()
-        .map(|v| (v, supply.fresh_var()))
-        .collect();
-    let mut sub = Substitution::new();
-    for &(v, copy) in &copies {
-        sub = sub.bind(v, Formula::var(copy));
+/// One letter per position, forced true where `xs` and `ys` differ:
+/// `(xᵢ ⊕ yᵢ) → dᵢ`, the only direction a count from above needs.
+fn difference_bits(xs: &[Var], ys: &[Var], supply: &mut impl VarSupply, cnf: &mut Cnf) -> Vec<Lit> {
+    xs.iter()
+        .zip(ys)
+        .map(|(&x, &y)| {
+            let d = Lit::pos(supply.fresh_var());
+            cnf.push(vec![Lit::neg(x), Lit::pos(y), d]);
+            cnf.push(vec![Lit::pos(x), Lit::neg(y), d]);
+            d
+        })
+        .collect()
+}
+
+/// A totalizer (Bailleux–Boufkhad) over `bits`, capped at `cap ≥ 1`,
+/// written as clauses into `cnf`: returns `o` with `o[j]` forced true
+/// whenever at least `j + 1` of the bits are, for `j < min(|bits|, cap)`.
+/// Only that direction is encoded, so every assignment of the bits
+/// extends to the counter's letters, and assuming `¬o[d]` leaves
+/// exactly the assignments with at most `d` bits true.
+fn unary_counter(bits: &[Lit], cap: usize, supply: &mut impl VarSupply, cnf: &mut Cnf) -> Vec<Lit> {
+    if bits.len() <= 1 {
+        return bits.to_vec();
     }
-    (sub.apply(t), copies)
+    let (left, right) = bits.split_at(bits.len() / 2);
+    let left = unary_counter(left, cap, supply, cnf);
+    let right = unary_counter(right, cap, supply, cnf);
+    let out: Vec<Lit> = (0..(left.len() + right.len()).min(cap))
+        .map(|_| Lit::pos(supply.fresh_var()))
+        .collect();
+    for (i, &l) in left.iter().enumerate() {
+        cnf.push(vec![!l, out[i]]);
+        for (j, &r) in right
+            .iter()
+            .enumerate()
+            .take(out.len().saturating_sub(i + 1))
+        {
+            cnf.push(vec![!l, !r, out[i + j + 1]]);
+        }
+    }
+    for (j, &r) in right.iter().enumerate() {
+        cnf.push(vec![!r, out[j]]);
+    }
+    out
 }
 
 /// Are `a` and `b` both satisfiable? One solver over `a` renamed apart
 /// from `b`, conjoined with `b`.
 pub(crate) fn both_satisfiable(a: &Formula, b: &Formula) -> bool {
-    PairSession::open(a, b, &[], &[]).is_some()
+    PairSession::open(Apart::new(a, b, &[]).sides(&[]), &[]).is_some()
 }
 
-/// A closest pair between the models of `a` and `b`, at distance `k`
-/// over `xs`: the values on `xs` of `b`'s side (`x`) and of `a`'s side
-/// (`y`), and the values of `a`'s other letters.
+/// A closest pair between the models of two [`Sides`], at distance `k`
+/// over `xs`.
 pub(crate) struct Closest {
     pub(crate) k: usize,
-    pub(crate) x: Vec<bool>,
-    pub(crate) y: Vec<bool>,
-    pub(crate) rest: Witness,
+    /// The pair's model of both sides: `b`'s on `X`, `a`'s on `Y` and
+    /// on its other letters.
+    pub(crate) model: Witness,
 }
 
 /// `k_{T,P}` generalised: the minimum Hamming distance, measured over
@@ -137,98 +242,38 @@ pub(crate) struct Closest {
 /// This is exactly what iterated Dalal needs: `a` may be a compact
 /// representation with auxiliary letters, whose projection onto `xs`
 /// is the current revised theory.
-///
-/// The session's first model bounds `k` from above by its own
-/// distance, so only the distances below it are probed. The probes
-/// share one popcount circuit over the difference bits of `X` and `Y`,
-/// loaded once: `EXA(d, X, Y, W)` is that circuit plus "the count is
-/// `d`", which is a cube over the count bits and so is asked as solver
-/// assumptions.
 pub fn min_distance_over(a: &Formula, b: &Formula, xs: &[Var]) -> Option<usize> {
-    closest_over(a, b, xs, &[]).map(|closest| closest.k)
+    closest_in(Apart::new(a, b, xs).sides(xs), &[]).map(|closest| closest.k)
 }
 
-/// [`min_distance_over`], also returning the closest pair it found.
-/// `hint` is a model of `a` (possibly partial, possibly empty) that
-/// seeds the session's first solve.
-pub(crate) fn closest_over(
-    a: &Formula,
-    b: &Formula,
-    xs: &[Var],
-    hint: &[(Var, bool)],
-) -> Option<Closest> {
+/// [`min_distance_over`] on two [`Sides`], also returning the closest
+/// pair it found. `phases` seed the session's first solve (see
+/// [`PairSession::open`]).
+///
+/// The first model bounds `k` from above by its own distance `u`, so
+/// only the distances below `u` are probed, in increasing order, each
+/// as one assumption on a unary counter capped at `u`.
+pub(crate) fn closest_in(sides: Sides<'_>, phases: &[(Var, bool)]) -> Option<Closest> {
     let _span = revkb_obs::span("revision.phase.distance_circuit");
-    let mut session = PairSession::open(a, b, xs, hint)?;
+    let mut session = PairSession::open(sides, phases)?;
     let upper = session.diff().len();
     let k = if upper == 0 {
         0
     } else {
-        let count = load_popcount(&mut session);
+        let at_least = session.load_counter(upper);
         (0..upper)
             .find(|&d| {
-                count_is(&count, d).is_some_and(|cube| session.solver.solve_with_assumptions(&cube))
+                OBS_K_PROBES.inc();
+                session.solver.solve_with_assumptions(&[!at_least[d]])
             })
             .unwrap_or(upper)
     };
+    OBS_K_CONFLICTS.add(session.solver.stats.conflicts);
     // The last satisfiable solve was the probe at `k` or, when none
     // was, the first solve (at distance `upper = k`).
-    let value = |v| session.solver.model_value(v);
-    Some(Closest {
-        k,
-        x: session.xs.iter().map(|&x| value(x)).collect(),
-        y: session.ys.iter().map(|&y| value(y)).collect(),
-        rest: session
-            .copies
-            .iter()
-            .filter(|(v, _)| !xs.contains(v))
-            .map(|&(v, copy)| (v, value(copy)))
-            .collect(),
-    })
-}
-
-/// Load the popcount of the session's difference bits, one Tseitin
-/// definition per gate: the defining literal of a gate stands for its
-/// letter in the later gates, so no gate letter or `≡` is encoded.
-/// Returns the count's bits, each a literal or a constant.
-fn load_popcount(session: &mut PairSession) -> Vec<Formula> {
-    let mut circuit = CircuitBuilder::new(&mut session.supply);
-    let bits = circuit.diff_bits(&session.xs, &session.ys);
-    let count = circuit.popcount(&bits);
-    let gates = circuit.into_gates();
-    let mut defs = Cnf::new();
-    let mut wires = Substitution::new();
-    for (w, gate) in gates {
-        let lit = tseitin_definitions(&wires.apply(&gate), &mut defs, &mut session.supply);
-        wires = wires.bind(w, Formula::lit(lit.var(), lit.is_positive()));
-    }
-    session.solver.add_cnf(&defs);
-    count.iter().map(|bit| wires.apply(bit)).collect()
-}
-
-/// "The count is `d`" as unit assumptions on the count's bits, or
-/// `None` when a constant bit rules `d` out.
-fn count_is(count: &[Formula], d: usize) -> Option<Vec<Lit>> {
-    if d >> count.len() != 0 {
-        return None;
-    }
-    let mut cube = Vec::new();
-    for (i, bit) in count.iter().enumerate() {
-        let want = d >> i & 1 == 1;
-        match bit {
-            Formula::True | Formula::False => {
-                if (*bit == Formula::True) != want {
-                    return None;
-                }
-            }
-            Formula::Var(v) => cube.push(Lit::new(*v, want)),
-            Formula::Not(inner) => match **inner {
-                Formula::Var(v) => cube.push(Lit::new(v, !want)),
-                _ => unreachable!("count bits are literals"),
-            },
-            _ => unreachable!("count bits are literals"),
-        }
-    }
-    Some(cube)
+    let mut model = session.solver.model();
+    model.truncate(session.first_own.index());
+    Some(Closest { k, model })
 }
 
 /// `k_{T,P}`: minimum distance between models of `t` and models of
@@ -257,8 +302,14 @@ pub fn delta_sets_over(
     xs: &[Var],
     limit: usize,
 ) -> Option<Vec<BTreeSet<Var>>> {
+    delta_sets_in(Apart::new(a, b, xs).sides(xs), limit)
+}
+
+/// [`delta_sets_over`] on two [`Sides`].
+pub(crate) fn delta_sets_in(sides: Sides<'_>, limit: usize) -> Option<Vec<BTreeSet<Var>>> {
     let _span = revkb_obs::span("revision.phase.distance_circuit");
-    let Some(mut session) = PairSession::open(a, b, xs, &[]) else {
+    let xs = sides.xs;
+    let Some(mut session) = PairSession::open(sides, &[]) else {
         return Some(Vec::new());
     };
     // differs[i] ≡ (x_i ≢ y_i), defined once for the whole session.
@@ -346,6 +397,7 @@ pub fn union_vars(t: &Formula, p: &Formula) -> Vec<Var> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::iterated::dalal_step;
     use crate::semantic;
     use revkb_logic::Alphabet;
 
@@ -518,23 +570,159 @@ mod tests {
             .collect();
 
         let mut supply = supply_above(std::iter::once(&t).chain(&ps));
-        let mut witness = Witness::new();
+        let mut cnf = SharedCnf::from(tseitin(&t, &mut supply));
         let mut phi = t.clone();
+        let mut witness = Witness::new();
         for p in &ps[..2] {
-            phi = crate::compact::iterated::dalal_step(&phi, p, &xs, &mut witness, &mut supply);
+            (phi, cnf) = dalal_step(&phi, &cnf, p, &xs, &mut witness, &mut supply);
         }
-        let first_solve_conflicts = |hint: &[(Var, bool)]| {
-            let session = PairSession::open(&phi, &ps[2], &xs, hint).expect("satisfiable");
+        // The third step's session, as `dalal_step` opens it.
+        let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
+        let a = cnf.rename(&xs, &ys);
+        let b = SharedCnf::from(tseitin(&ps[2], &mut supply));
+        let sides = || Sides {
+            a: &a,
+            b: &b,
+            xs: &xs,
+            ys: &ys,
+            supply: supply.clone(),
+        };
+        let first_solve_conflicts = |phases: &[(Var, bool)]| {
+            let session = PairSession::open(sides(), phases).expect("satisfiable");
             session.solver.stats.conflicts
         };
-        let (cold, warm) = (first_solve_conflicts(&[]), first_solve_conflicts(&witness));
+        let phases = renamed_phases(&witness, &xs, &ys);
+        let (cold, warm) = (first_solve_conflicts(&[]), first_solve_conflicts(&phases));
         assert!(cold >= 10, "the cold solve took only {cold} conflicts");
         assert_eq!(
             warm, 0,
             "the warm solve took {warm} conflicts, the cold one {cold}"
         );
-        let k = |hint: &[(Var, bool)]| closest_over(&phi, &ps[2], &xs, hint).unwrap().k;
-        assert_eq!(k(&witness), k(&[]));
+        let k = |phases: &[(Var, bool)]| closest_in(sides(), phases).unwrap().k;
+        assert_eq!(k(&phases), k(&[]));
+    }
+
+    /// The unary counter, exhaustively: for up to 8 difference bits,
+    /// every cap and every `d` below it, assuming "at most `d`" leaves
+    /// exactly the `(X, Y)` with at most `d` differences, and every
+    /// `(X, Y)` extends to the counter's letters.
+    #[test]
+    fn unary_counter_counts_exactly() {
+        for n in 1..=8u32 {
+            let xs: Vec<Var> = (0..n).map(Var).collect();
+            let ys: Vec<Var> = (n..2 * n).map(Var).collect();
+            let ones = (1u32 << n) - 1;
+            // Every (X, Y) on the small widths; above them every X
+            // against two Y, which still gives every difference.
+            let pairs: Vec<u32> = if n <= 4 {
+                (0..1 << (2 * n)).collect()
+            } else {
+                (0..1 << n).flat_map(|x| [x, x | ones << n]).collect()
+            };
+            for cap in 1..=n as usize {
+                let mut supply = CountingSupply::new(2 * n);
+                let mut cnf = Cnf::new();
+                let bits = difference_bits(&xs, &ys, &mut supply, &mut cnf);
+                let at_least = unary_counter(&bits, cap, &mut supply, &mut cnf);
+                assert_eq!(at_least.len(), cap, "n = {n}");
+                // Each clause has a positive counter letter, so setting
+                // them all true extends any (X, Y).
+                let own = |l: &Lit| l.is_positive() && l.var().0 >= 2 * n;
+                assert!(cnf.clauses.iter().all(|c| c.iter().any(own)));
+                let mut solver = Solver::new();
+                solver.add_cnf(&cnf);
+                for &pair in &pairs {
+                    let mut probe: Vec<Lit> = (0..2 * n)
+                        .map(|i| Lit::new(Var(i), pair >> i & 1 == 1))
+                        .collect();
+                    let distance = ((pair ^ pair >> n) & ones).count_ones() as usize;
+                    probe.push(Lit::pos(Var(0)));
+                    for (d, &o) in at_least.iter().enumerate() {
+                        *probe.last_mut().expect("pushed") = !o;
+                        assert_eq!(
+                            solver.solve_with_assumptions(&probe),
+                            distance <= d,
+                            "n = {n}, cap = {cap}, d = {d}, (X, Y) = {pair:b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `k` on the representations Dalal chains build, against the
+    /// enumeration oracle: random 2–3-step chains over 6 letters, whose
+    /// `Φ` carries the auxiliary letters of every step, revised once
+    /// more by a random `P`, through the general entry point and
+    /// through the chain's own clauses. Some chains end in an
+    /// unsatisfiable step, and some `P` are unsatisfiable or consistent
+    /// with `Φ`, so `None` and `k = 0` come up as well.
+    #[test]
+    fn chain_distances_match_the_oracle() {
+        use crate::engine::RevisionChain;
+        use crate::semantic::{revise_iterated_on, ModelBasedOp};
+        let mut seed = 0xD15_7A9Cu64;
+        let mut rnd = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u32
+        };
+        let xs: Vec<Var> = (0..6).map(Var).collect();
+        let alpha = Alphabet::new(xs.clone());
+        let contradiction = v(0).and(v(0).not());
+        let mut lit = || Formula::lit(Var(rnd() % 6), rnd() & 1 == 0);
+        let (mut seen, mut with_aux) = ((0, 0, 0), 0);
+        for case in 0..60 {
+            let t = Formula::and_all((0..4).map(|_| Formula::or_all([lit(), lit()])));
+            let steps = 2 + case % 2;
+            let mut ps: Vec<Formula> = (0..steps)
+                .map(|_| Formula::and_all((0..2).map(|_| lit())))
+                .collect();
+            if case % 10 == 9 {
+                ps[steps - 1] = contradiction.clone();
+            }
+            let p = match case % 7 {
+                6 => contradiction.clone(),
+                _ => Formula::and_all((0..1 + case % 3).map(|_| lit())),
+            };
+            let mut chain = RevisionChain::new(ModelBasedOp::Dalal, t.clone(), xs.clone());
+            for q in &ps {
+                chain.extend(q).expect("Dalal steps cannot overflow");
+            }
+            let phi = chain.formula();
+            let phi_models = revise_iterated_on(ModelBasedOp::Dalal, &alpha, &t, &ps);
+            let expected =
+                semantic::k_global(phi_models.masks(), &alpha.models(&p)).map(|k| k as usize);
+            assert_eq!(min_distance_over(phi, &p, &xs), expected, "case {case}");
+
+            let rep = chain.compiled().representation();
+            let (cnf, _) = rep.take_clauses().expect("a Dalal chain keeps its clauses");
+            let mut supply = CountingSupply::new(cnf.num_vars().max(6));
+            let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
+            let a = cnf.rename(&xs, &ys);
+            let b = SharedCnf::from(tseitin(&p, &mut supply));
+            let sides = Sides {
+                a: &a,
+                b: &b,
+                xs: &xs,
+                ys: &ys,
+                supply,
+            };
+            let via_clauses = closest_in(sides, &[]).map(|c| c.k);
+            assert_eq!(via_clauses, expected, "case {case}, through the clauses");
+            match expected {
+                None => seen.0 += 1,
+                Some(0) => seen.1 += 1,
+                Some(_) => seen.2 += 1,
+            }
+            with_aux += usize::from(!rep.aux_vars().is_empty());
+        }
+        assert!(
+            seen.0 >= 5 && seen.1 >= 5 && seen.2 >= 5,
+            "(None, k = 0, k > 0) came up {seen:?} times"
+        );
+        assert!(with_aux >= 40, "only {with_aux} Φ carry auxiliary letters");
     }
 
     #[test]

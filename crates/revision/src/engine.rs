@@ -34,7 +34,7 @@ use crate::compact::{
 };
 use crate::distance::Witness;
 use crate::semantic::ModelBasedOp;
-use revkb_logic::{CountingSupply, Formula, Var};
+use revkb_logic::{tseitin, CountingSupply, Formula, SharedCnf, Var};
 use revkb_sat::supply_above;
 use std::fmt;
 
@@ -307,19 +307,27 @@ impl RevisedKb {
 /// that alphabet ([`RevisionChain::admits`]); a revision bringing new
 /// letters must be compiled from `T` again.
 ///
+/// Dalal, Satoh and Weber steps leave the running representation in
+/// clausal form too: its Tseitin clauses, encoded once per part and
+/// renamed in place of the formula ([`revkb_logic::SharedCnf`]). The
+/// next step's distance session loads them instead of encoding `T'`
+/// again, or the chain's query session does, whichever comes first:
+/// it takes them, so the chain keeps no copy beside the solver's, and
+/// a step after the first query encodes `T'` once more.
+///
 /// The chain is itself a query engine over its running representation
 /// ([`crate::api::Engine`]), so a holder keeps one copy of `T'`.
 #[derive(Debug, Clone)]
 pub struct RevisionChain {
-    /// The running representation over the base alphabet.
+    /// The running representation over the base alphabet, with the
+    /// clauses a Dalal, Satoh or Weber step left; after a Dalal step,
+    /// their phases are a model from its distance session, which
+    /// warm-starts the next one.
     kb: RevisedKb,
     /// Fresh letters for the next step: above every letter of the
-    /// representation and the base, and drawn from on across steps.
+    /// representation, its clauses and the base, and drawn from on
+    /// across steps.
     supply: Option<CountingSupply>,
-    /// Dalal only: a model of the representation from the last step's
-    /// distance session, which warm-starts the next one (empty when
-    /// unknown).
-    witness: Witness,
     /// Cap on each Satoh/Weber step's minimal-difference enumeration.
     delta_limit: usize,
 }
@@ -328,7 +336,7 @@ impl RevisionChain {
     /// The chain whose running representation is `formula` over the
     /// base alphabet `base`: `T` itself (with `V(T) ⊆ base`), or the
     /// compiled `T'` of a chain taken up again, such as a cached
-    /// artifact.
+    /// artifact. Nothing is encoded until a step or a query needs it.
     pub fn new(op: ModelBasedOp, formula: Formula, base: Vec<Var>) -> Self {
         RevisionChain {
             kb: RevisedKb {
@@ -336,7 +344,6 @@ impl RevisionChain {
                 rep: CompactRep::query(formula, base),
             },
             supply: None,
-            witness: Witness::new(),
             delta_limit: DELTA_LIMIT,
         }
     }
@@ -397,22 +404,41 @@ impl RevisionChain {
 
     /// The one per-operator step dispatch.
     fn step(&mut self, p: &Formula) -> Result<(), CompileError> {
-        let CompactRep { formula, base, .. } = &self.kb.rep;
+        let rep = &self.kb.rep;
+        let (formula, base) = (&rep.formula, &rep.base);
         let supply = self.supply.get_or_insert_with(|| {
             let top = formula.vars().into_iter().chain(base.iter().copied()).max();
             CountingSupply::new(top.map_or(0, |v| v.0 + 1))
         });
         let (limit, overflow) = (self.delta_limit, CompileError::DeltaEnumerationOverflow);
-        let next = match self.kb.op {
-            ModelBasedOp::Dalal => dalal_step(formula, p, base, &mut self.witness, supply),
-            ModelBasedOp::Weber => weber_step(formula, p, base, limit, supply).ok_or(overflow)?,
-            ModelBasedOp::Satoh => satoh_step(formula, p, base, limit, supply).ok_or(overflow)?,
-            ModelBasedOp::Winslett => winslett_step_expanded(formula, p, supply),
-            ModelBasedOp::Borgida => borgida_step(formula, p, supply),
-            ModelBasedOp::Forbus => forbus_step(formula, p, supply),
+        let (next, clauses) = match self.kb.op {
+            ModelBasedOp::Dalal => {
+                let (current, mut witness) = clauses_of(rep, supply);
+                let (next, cnf) = dalal_step(formula, &current, p, base, &mut witness, supply);
+                (next, Some((cnf, witness)))
+            }
+            ModelBasedOp::Weber => {
+                let (current, _) = clauses_of(rep, supply);
+                let (next, cnf) =
+                    weber_step(formula, &current, p, base, limit, supply).ok_or(overflow)?;
+                (next, Some((cnf, Witness::new())))
+            }
+            ModelBasedOp::Satoh => {
+                let (current, _) = clauses_of(rep, supply);
+                let (next, cnf) =
+                    satoh_step(formula, &current, p, base, limit, supply).ok_or(overflow)?;
+                (next, Some((cnf, Witness::new())))
+            }
+            ModelBasedOp::Winslett => (winslett_step_expanded(formula, p, supply), None),
+            ModelBasedOp::Borgida => (borgida_step(formula, p, supply), None),
+            ModelBasedOp::Forbus => (forbus_step(formula, p, supply), None),
         };
         let base = std::mem::take(&mut self.kb.rep.base);
-        self.kb.rep = CompactRep::query(next, base);
+        let mut rep = CompactRep::query(next, base);
+        if let Some((cnf, witness)) = clauses {
+            rep = rep.with_clauses(cnf, witness);
+        }
+        self.kb.rep = rep;
         Ok(())
     }
 
@@ -431,6 +457,19 @@ impl RevisionChain {
     pub fn into_compiled(self) -> RevisedKb {
         self.kb
     }
+}
+
+/// The clauses of the running representation `rep` and a model of
+/// them: those its last step left, taken from `rep`, or one Tseitin
+/// pass now (and no model) when there are none, because the chain has
+/// taken no step yet or its query session has taken them.
+fn clauses_of(rep: &CompactRep, supply: &mut CountingSupply) -> (SharedCnf, Witness) {
+    rep.take_clauses().unwrap_or_else(|| {
+        (
+            SharedCnf::from(tseitin(&rep.formula, supply)),
+            Witness::new(),
+        )
+    })
 }
 
 /// The bounded constructions (all but Dalal's and Weber's) refuse a

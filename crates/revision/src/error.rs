@@ -14,7 +14,7 @@
 use crate::compact::QueryError;
 use crate::engine::CompileError;
 use crate::engine_formula_based::WorldBudgetExceeded;
-use revkb_logic::ParseError;
+use revkb_logic::{ParseError, ParseErrorKind};
 use std::fmt;
 
 /// Any error the revision pipeline can produce, from parsing input
@@ -48,6 +48,7 @@ impl Error {
     /// of an error response) — do not rename them.
     pub fn code(&self) -> &'static str {
         match self {
+            Error::Parse(e) if e.kind == ParseErrorKind::TooDeep => "formula_too_deep",
             Error::Parse(_) => "parse",
             Error::Query(QueryError::OutOfAlphabet { .. }) => "out_of_alphabet",
             Error::Compile(CompileError::UpdateAlphabetTooLarge { .. }) => {
@@ -129,8 +130,17 @@ mod tests {
                 Error::Parse(ParseError {
                     position: 3,
                     message: "x".into(),
+                    kind: ParseErrorKind::Syntax,
                 }),
                 "parse",
+            ),
+            (
+                Error::Parse(ParseError {
+                    position: 1000,
+                    message: "x".into(),
+                    kind: ParseErrorKind::TooDeep,
+                }),
+                "formula_too_deep",
             ),
             (
                 Error::Query(QueryError::OutOfAlphabet { var: Var(7) }),
@@ -182,6 +192,7 @@ mod tests {
         let e: Error = ParseError {
             position: 0,
             message: "empty".into(),
+            kind: ParseErrorKind::Syntax,
         }
         .into();
         assert!(e.to_string().contains("parse error"));

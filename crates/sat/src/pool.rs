@@ -213,20 +213,13 @@ impl SessionPool {
 
     /// A pool over `base` with an explicit configuration.
     pub fn with_config(base: &Formula, config: PoolConfig) -> Self {
-        Self::build(QuerySession::new(base), config)
+        Self::with_session(QuerySession::new(base), config)
     }
 
-    /// Like [`SessionPool::with_config`], additionally reserving
-    /// `Var(0) .. Var(num_query_vars)` for queries (see
-    /// [`QuerySession::with_query_alphabet`]).
-    pub fn with_query_alphabet(base: &Formula, num_query_vars: u32, config: PoolConfig) -> Self {
-        Self::build(
-            QuerySession::with_query_alphabet(base, num_query_vars),
-            config,
-        )
-    }
-
-    fn build(first: QuerySession, config: PoolConfig) -> Self {
+    /// A pool whose worker 0 is `first`, a session that has loaded its
+    /// base already (for example [`QuerySession::with_query_alphabet`]
+    /// or [`QuerySession::from_clauses`]).
+    pub fn with_session(first: QuerySession, config: PoolConfig) -> Self {
         SessionPool {
             workers: vec![first],
             threads: config.threads.max(1),

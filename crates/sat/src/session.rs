@@ -22,7 +22,9 @@
 
 use crate::api::supply_above;
 use crate::solver::Solver;
-use revkb_logic::{tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, VarSupply};
+use revkb_logic::{
+    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, SharedCnf, Var, VarSupply,
+};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -175,20 +177,44 @@ impl QuerySession {
     /// letters start above both `V(base)` and `num_query_vars`.
     pub fn with_query_alphabet(base: &Formula, num_query_vars: u32) -> Self {
         let _span = revkb_obs::span("sat.base_load");
-        OBS_BASE_LOADS.inc();
-        let mut supply = supply_above([base]);
-        let first_internal_var = supply.fresh_var().0.max(num_query_vars);
-        let mut supply = CountingSupply::new(first_internal_var);
-        let cnf = tseitin(base, &mut supply);
+        let first_internal_var = supply_above([base]).fresh_var().0.max(num_query_vars);
+        let cnf = tseitin(base, &mut CountingSupply::new(first_internal_var));
+        Self::load(first_internal_var, cnf.num_vars, |solver| {
+            solver.add_cnf(&cnf);
+        })
+    }
+
+    /// A session over a base that is already in clausal form: `cnf`,
+    /// whose models restricted to the query letters are the base's
+    /// models. No Tseitin pass runs. `phases[i]` seeds the saved phase
+    /// of `Var(i)` (see [`Solver::hint_phase`]), so a model of `cnf`,
+    /// possibly partial, lets the first query's search walk to it.
+    /// Queries stay within `Var(0) .. Var(num_query_vars)`; every other
+    /// letter of `cnf` is the session's own.
+    pub fn from_clauses(cnf: &SharedCnf, phases: &[bool], num_query_vars: u32) -> Self {
+        let _span = revkb_obs::span("sat.base_load");
+        Self::load(num_query_vars, cnf.num_vars(), |solver| {
+            solver.add_shared_cnf(cnf);
+            for (i, &value) in phases.iter().enumerate() {
+                solver.hint_phase(Var(i as u32), value);
+            }
+        })
+    }
+
+    /// The one loading routine: a fresh solver that `add` fills with
+    /// the base's clauses, over letters below `num_vars`, counted as one
+    /// base load. Queries stay below `num_query_vars`, and their
+    /// encodings draw letters above both bounds. An unsatisfiable base
+    /// sets the solver's root-level contradiction flag; every later
+    /// query then correctly reports entailment (⊥ entails everything).
+    fn load(num_query_vars: u32, num_vars: u32, add: impl FnOnce(&mut Solver)) -> Self {
         let mut solver = Solver::new();
-        // An unsatisfiable base sets the solver's root-level
-        // contradiction flag; every later query then correctly
-        // reports entailment (⊥ entails everything).
-        solver.add_cnf(&cnf);
+        add(&mut solver);
+        OBS_BASE_LOADS.inc();
         QuerySession {
             solver,
-            supply,
-            first_internal_var,
+            supply: CountingSupply::new(num_vars.max(num_query_vars)),
+            first_internal_var: num_query_vars,
             cache: HashMap::new(),
             stats: SolverStats {
                 base_loads: 1,
@@ -447,6 +473,24 @@ mod tests {
         assert_eq!((stats.base_loads, stats.solver_constructions), (0, 0));
         // The parent is untouched by the fork's queries.
         assert_eq!(s.stats().queries, 2);
+    }
+
+    #[test]
+    fn clausal_base_answers_like_the_formula() {
+        // The clauses of `base` with its letter 0 renamed to 9, loaded
+        // as they are: the session answers as one over the renamed
+        // formula, with one base load and no Tseitin pass over the base.
+        let base = v(0).implies(v(1)).and(v(0).or(v(2)));
+        let mut supply = revkb_logic::CountingSupply::new(10);
+        let cnf = SharedCnf::from(tseitin(&base, &mut supply)).rename(&[Var(0)], &[Var(9)]);
+        let renamed = base.rename(&[Var(0)], &[Var(9)]);
+        let mut from_clauses = QuerySession::from_clauses(&cnf, &[true, true], 10);
+        let mut from_formula = QuerySession::with_query_alphabet(&renamed, 10);
+        for q in [v(9), v(1), v(9).implies(v(1)), v(1).or(v(2)), v(2).not()] {
+            assert_eq!(from_clauses.entails(&q), from_formula.entails(&q), "{q:?}");
+        }
+        assert_eq!(from_clauses.stats().base_loads, 1);
+        assert_eq!(from_clauses.stats().solver_constructions, 1);
     }
 
     #[test]

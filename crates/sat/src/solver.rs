@@ -4,12 +4,12 @@
 //! reduction, and incremental solving under assumptions.
 //!
 //! The revision machinery issues thousands of entailment, consistency
-//! and minimum-distance probes (`T' ⊨ Q`, `T' ∪ {P} ⊭ ⊥`,
-//! `T[X/Y] ∧ P ∧ EXA(d,…)` satisfiable?); this solver is the substrate
-//! for all of them.
+//! and minimum-distance probes (`T' ⊨ Q`, `T' ∪ {P} ⊭ ⊥`, is
+//! `T[X/Y] ∧ P` satisfiable within distance `d`?); this solver is the
+//! substrate for all of them.
 
 use crate::heap::ActivityHeap;
-use revkb_logic::{Clause, Cnf, Lit, Var};
+use revkb_logic::{Clause, Cnf, Lit, SharedCnf, Var};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of [`Solver`] constructions, for measuring how
@@ -199,24 +199,26 @@ impl Solver {
             self.ensure_var(l.var());
         }
         // Sort, dedup, drop level-0-false literals, detect tautology /
-        // level-0-true literals.
-        let mut c: Clause = lits.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        let mut out: Clause = Vec::with_capacity(c.len());
-        let mut i = 0;
-        while i < c.len() {
-            let l = c[i];
-            if i + 1 < c.len() && c[i + 1] == l.negated() {
+        // level-0-true literals, all in place on the one copy.
+        let mut out: Clause = lits.to_vec();
+        out.sort_unstable();
+        out.dedup();
+        let mut kept = 0;
+        for i in 0..out.len() {
+            let l = out[i];
+            if i + 1 < out.len() && out[i + 1] == l.negated() {
                 return true; // tautology
             }
             match self.value_lit(l) {
                 LBool::True => return true, // satisfied at level 0
                 LBool::False => {}          // drop
-                LBool::Undef => out.push(l),
+                LBool::Undef => {
+                    out[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        out.truncate(kept);
         match out.len() {
             0 => {
                 self.ok = false;
@@ -241,8 +243,10 @@ impl Solver {
     /// every learned clause stays valid — how an incremental session
     /// asks one temporary question of a loaded solver.
     pub fn solve_with_gated(&mut self, cnf: &Cnf, act: Lit, assumptions: &[Lit]) -> bool {
+        let mut gated = Vec::new();
         for clause in &cnf.clauses {
-            let mut gated = clause.clone();
+            gated.clear();
+            gated.extend_from_slice(clause);
             gated.push(act.negated());
             self.add_clause(&gated);
         }
@@ -264,6 +268,19 @@ impl Solver {
             }
         }
         true
+    }
+
+    /// Add every clause of a [`SharedCnf`], each read under its
+    /// block's renaming.
+    pub fn add_shared_cnf(&mut self, cnf: &SharedCnf) -> bool {
+        let num_vars = cnf.num_vars();
+        if num_vars > 0 {
+            self.ensure_var(Var(num_vars - 1));
+        }
+        cnf.for_each_clause(|c| {
+            self.add_clause(c);
+        });
+        self.ok
     }
 
     fn attach_clause(&mut self, lits: Clause, learnt: bool) -> u32 {

@@ -353,13 +353,19 @@ impl<'a> Parser<'a> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the
-                    // byte sequence is valid by construction).
+                    // Copy the run up to the next quote, escape or
+                    // control byte at once: those are ASCII, so the run
+                    // ends on a character boundary (the input is a
+                    // &str), and each byte is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -455,6 +461,16 @@ mod tests {
     fn deep_nesting_is_bounded_not_fatal() {
         let hostile = "[".repeat(100_000);
         assert!(Json::parse(&hostile).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Runs of plain characters, multi-byte ones included, between
+        // escapes: a megabyte parses at once, not in quadratic time.
+        let run = "aé∀".repeat(100_000);
+        let text = format!(r#""{run}\n{run}\"x""#);
+        let expected = format!("{run}\n{run}\"x");
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(expected));
     }
 
     #[test]

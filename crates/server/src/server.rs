@@ -40,7 +40,7 @@ use crate::replica::{
     ReplStatus, Shipped,
 };
 use crate::wal::{decode_records, RecoveryReport, SyncMode, Wal, WalOp, LOG_MAGIC, SNAPSHOT_FILE};
-use revkb_logic::{parse as parse_formula, Formula, Signature};
+use revkb_logic::{parse as parse_formula, parse_nested, Formula, Signature, MAX_DEPTH};
 use revkb_obs as obs;
 use revkb_revision::api::Engine;
 use revkb_revision::{
@@ -499,8 +499,9 @@ struct Inner {
     /// The write-ahead log, when a data directory is configured.
     /// Lock order: registry/KB lock → `wal` → `cache`.
     wal: Option<Mutex<Wal>>,
-    /// True while boot replay re-applies logged operations (appends
-    /// are suppressed: replayed operations are already in the log).
+    /// True while boot replay or a replica re-applies logged
+    /// operations (appends are suppressed: replayed operations are
+    /// already in the log; formulas parse with no nesting cap).
     replaying: AtomicBool,
     /// Boot recovery summary, surfaced in `stats`.
     recovery: Mutex<Option<RecoveryReport>>,
@@ -1362,6 +1363,19 @@ impl Server {
             })
     }
 
+    /// The nesting cap for the formulas of a `load` or `revise`. A
+    /// logged one being replayed (boot, replica apply) parses with no
+    /// cap: it committed before the cap existed or under it, and
+    /// refusing it now would silently drop its knowledge base on
+    /// restart or on a replica.
+    fn write_depth_cap(&self) -> usize {
+        if self.inner.replaying.load(Ordering::SeqCst) {
+            usize::MAX
+        } else {
+            MAX_DEPTH
+        }
+    }
+
     fn cmd_load(&self, name: &str, t: &str, trace: u64) -> Result<Json, ExecError> {
         let mut sig = Signature::new();
         let mut theory = Vec::new();
@@ -1370,7 +1384,8 @@ impl Server {
             if segment.is_empty() {
                 continue;
             }
-            let f = parse_formula(segment, &mut sig).map_err(|e| engine_err(e.into()))?;
+            let f = parse_nested(segment, &mut sig, self.write_depth_cap())
+                .map_err(|e| engine_err(e.into()))?;
             theory.push(f);
         }
         let formulas = theory.len();
@@ -1408,7 +1423,8 @@ impl Server {
     ) -> Result<Json, ExecError> {
         let handle = self.kb_handle(name)?;
         let mut kb = handle.lock().expect("kb poisoned");
-        let p = parse_formula(p_text, &mut kb.sig).map_err(|e| engine_err(e.into()))?;
+        let p = parse_nested(p_text, &mut kb.sig, self.write_depth_cap())
+            .map_err(|e| engine_err(e.into()))?;
         let p_nodes = formula_size(&p);
         #[allow(clippy::type_complexity)]
         let (engine, kind, outcome, compile_micros): (

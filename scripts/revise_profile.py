@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time every revise of perfbench's cold_compile corpus, per operator,
+backend and chain step, and check compiled sizes across two builds.
+
+    python3 scripts/revise_profile.py run target/release/revkb-server after.json
+    python3 scripts/revise_profile.py compare before.json after.json
+
+`run` starts `revkb-server --stdio` (pinned to the last CPU this
+process may use, where the OS supports affinity), sends the corpus's
+240 chains in a fixed order -- load, each revise, drop -- three
+times, and writes the median
+client-side latency of each (operator, backend, step) and the
+`compiled_size` of every (chain, step) revise. The 64-entry artifact
+cache never holds a chain when it comes round again, so every
+model-based revise compiles. `compare` prints the medians side by side
+and fails unless both runs saw the same compiled size for every revise.
+"""
+
+import argparse
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import oracle  # noqa: E402
+import workloads  # noqa: E402
+
+PASSES = 3
+
+
+def pin_to_last_cpu():
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
+def run(binary, out):
+    corpus = workloads.instances(random.Random("corpus"), oracle.Alphabet(workloads.LETTERS),
+                                 240, workloads.kinds(3))
+    server = subprocess.Popen([binary, "--stdio"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, bufsize=1,
+                              preexec_fn=pin_to_last_cpu)
+
+    def call(request):
+        start = time.perf_counter()
+        server.stdin.write(json.dumps(request) + "\n")
+        server.stdin.flush()
+        response = json.loads(server.stdout.readline())
+        if not response.get("ok"):
+            sys.exit(f"request failed: {request} -> {response}")
+        return response["result"], time.perf_counter() - start
+
+    latencies, sizes = {}, {}
+    for n in range(PASSES):
+        for k, inst in enumerate(corpus):
+            kb = f"p{n}c{k}"
+            call({"cmd": "load", "kb": kb, "t": inst.theory_text()})
+            for step, p in enumerate(inst.chain, 1):
+                request = {"cmd": "revise", "kb": kb, "op": inst.op, "p": oracle.render(p)}
+                if inst.op in oracle.MODEL_BASED:
+                    request["backend"] = inst.backend
+                result, seconds = call(request)
+                latencies.setdefault(f"{inst.op}/{inst.backend}/{step}", []).append(seconds * 1e3)
+                size = sizes.setdefault(f"{k}/{step}", result.get("compiled_size"))
+                if size != result.get("compiled_size"):
+                    sys.exit(f"chain {k} step {step}: compiled size changed between passes")
+            call({"cmd": "drop", "kb": kb})
+    server.stdin.close()
+    server.wait()
+    with open(out, "w") as f:
+        json.dump({"passes": PASSES,
+                   "median_ms": {k: statistics.median(v) for k, v in sorted(latencies.items())},
+                   "revises": {k: len(v) for k, v in sorted(latencies.items())},
+                   "compiled_size": sizes}, f, indent=1)
+    print(f"{len(sizes)} (chain, step) revises, {PASSES} passes -> {out}")
+
+
+def compare(before_path, after_path):
+    with open(before_path) as f:
+        before = json.load(f)
+    with open(after_path) as f:
+        after = json.load(f)
+    print(f"{'operator/backend/step':24} {'before ms':>10} {'after ms':>10} {'change':>8}")
+    for key, was in before["median_ms"].items():
+        now = after["median_ms"][key]
+        print(f"{key:24} {was:10.3f} {now:10.3f} {100 * (now / was - 1):+7.1f}%")
+    same = before["compiled_size"] == after["compiled_size"]
+    print(f"compiled size identical for all {len(before['compiled_size'])} revises: {same}")
+    return 0 if same else 1
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    r = sub.add_parser("run")
+    r.add_argument("binary")
+    r.add_argument("out")
+    c = sub.add_parser("compare")
+    c.add_argument("before")
+    c.add_argument("after")
+    args = parser.parse_args()
+    if args.mode == "run":
+        run(args.binary, args.out)
+        return 0
+    return compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -123,6 +123,10 @@ fn error_codes_are_stable_across_the_api() {
     let mut sig = Signature::new();
     let parse_err: Error = parse("a &&& b", &mut sig).unwrap_err().into();
     assert_eq!(parse_err.code(), "parse");
+    let deep_err: Error = parse(&format!("{}a", "!".repeat(10_000)), &mut sig)
+        .unwrap_err()
+        .into();
+    assert_eq!(deep_err.code(), "formula_too_deep");
 
     let hopeless = Profile {
         bounded_p: false,

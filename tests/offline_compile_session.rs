@@ -9,10 +9,15 @@
 //! a time, and for one taken up again from its compiled `T'` before
 //! every step.
 //!
+//! Dalal's offline step is pinned by its work too: the distance probes
+//! its `k`-sessions ask and the conflicts they meet are deterministic,
+//! so they are pinned exactly for the whole chain.
+//!
 //! This file holds exactly one test because it measures exact deltas
-//! of the process-wide solver-construction counter.
+//! of process-wide counters.
 
 use revkb::logic::{Alphabet, Formula, Var};
+use revkb::obs::{self, TraceMode};
 use revkb::revision::equivalence::query_equivalent_enum;
 use revkb::revision::semantic::{delta, k_global};
 use revkb::revision::{revise_iterated_on, ModelBasedOp, RevisedKb, RevisionChain};
@@ -24,6 +29,8 @@ fn x(i: u32) -> Formula {
 
 #[test]
 fn one_solver_per_non_degenerate_step() {
+    let mode = obs::mode();
+    obs::set_mode(TraceMode::Summary);
     // Eight letters, three steps, every step consistent on its own.
     let t = Formula::and_all([x(0), x(1), x(2), x(3), x(4).or(x(5)), x(6).implies(x(7))]);
     let ps = vec![
@@ -50,8 +57,26 @@ fn one_solver_per_non_degenerate_step() {
         assert!(!oracle.is_empty());
 
         let before = sat::constructions();
+        obs::reset();
         let whole = RevisedKb::compile_iterated(op, &t, &ps).expect("compiles");
         let solvers = sat::constructions() - before;
+        let work = obs::drain();
+        let count = |name| work.counter(name).unwrap_or(0);
+        let k_work = (
+            count("revision.k_session.probes"),
+            count("revision.k_session.conflicts"),
+        );
+        let pinned_k_work = if op == ModelBasedOp::Dalal {
+            (6, 26)
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            k_work,
+            pinned_k_work,
+            "{}: (probes, conflicts) of the k-sessions",
+            op.name()
+        );
         assert_eq!(
             solvers,
             ps.len() as u64,
@@ -97,4 +122,5 @@ fn one_solver_per_non_degenerate_step() {
             );
         }
     }
+    obs::set_mode(mode);
 }

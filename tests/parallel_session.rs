@@ -18,7 +18,7 @@ use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
     revise_on, revision_alphabet, GfuvKb, ModelBasedOp, ModelSet, RevisedKb, Theory, WidtioKb,
 };
-use revkb::sat::{pseudo_random_formula, PoolConfig, SessionPool};
+use revkb::sat::{pseudo_random_formula, PoolConfig, QuerySession, SessionPool};
 
 /// Variables both the theories and the queries range over.
 const NUM_VARS: u32 = 5;
@@ -57,7 +57,10 @@ fn check_all_paths(
     queries: &[Formula],
     oracle: impl Fn(&Formula) -> bool,
 ) -> usize {
-    let mut pool = SessionPool::with_query_alphabet(compiled, NUM_VARS, forced_parallel());
+    let mut pool = SessionPool::with_session(
+        QuerySession::with_query_alphabet(compiled, NUM_VARS),
+        forced_parallel(),
+    );
     assert_eq!(
         pool.threads(),
         4,
@@ -197,8 +200,14 @@ fn parallel_batches_are_deterministic() {
         .map(|_| pseudo_random_formula(&mut seed, 3, NUM_VARS))
         .collect();
 
-    let mut pool_a = SessionPool::with_query_alphabet(base, NUM_VARS, forced_parallel());
-    let mut pool_b = SessionPool::with_query_alphabet(base, NUM_VARS, forced_parallel());
+    let mut pool_a = SessionPool::with_session(
+        QuerySession::with_query_alphabet(base, NUM_VARS),
+        forced_parallel(),
+    );
+    let mut pool_b = SessionPool::with_session(
+        QuerySession::with_query_alphabet(base, NUM_VARS),
+        forced_parallel(),
+    );
     let first = pool_a.par_entails_batch(&queries);
     let second = pool_b.par_entails_batch(&queries);
     let repeat = pool_a.par_entails_batch(&queries);

@@ -322,6 +322,65 @@ fn corrupt_snapshot_is_ignored_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn logged_formulas_deeper_than_the_cap_replay() {
+    // A log written before the parser capped nesting can hold formulas
+    // deeper than `MAX_DEPTH`. Replay must bring them back rather than
+    // skip them, while a client sending the same text is refused.
+    let depth = revkb::logic::MAX_DEPTH + 44;
+    let deep_t = format!("{}a; b", "!".repeat(depth));
+    let deep_p = format!("{}!a{}", "(".repeat(depth), ")".repeat(depth));
+    let dir = tmpdir("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut log = LOG_MAGIC.to_vec();
+    for op in [
+        WalOp::Load {
+            kb: "deep".into(),
+            t: deep_t.clone(),
+        },
+        WalOp::Revise {
+            kb: "deep".into(),
+            op: "dalal".into(),
+            p: deep_p,
+            backend: "direct".into(),
+        },
+    ] {
+        log.extend_from_slice(&encode_record(&op));
+    }
+    std::fs::write(dir.join(LOG_FILE), &log).unwrap();
+
+    let server = Server::open(durable_config(&dir)).unwrap();
+    let report = server.recovery_report().unwrap();
+    assert_eq!(
+        (report.replayed, report.replay_errors),
+        (2, 0),
+        "{report:?}"
+    );
+    // {a, b} revised by ¬a under Dalal is ¬a ∧ b.
+    for (q, expected) in [("b", true), ("!a", true)] {
+        let resp = call(
+            &server,
+            &format!(r#"{{"cmd":"query","kb":"deep","q":"{q}"}}"#),
+        );
+        assert_eq!(
+            result(&resp).get("entails").and_then(Json::as_bool),
+            Some(expected),
+            "{q}"
+        );
+    }
+    let refused = call(
+        &server,
+        &format!(r#"{{"cmd":"load","kb":"again","t":"{deep_t}"}}"#),
+    );
+    assert_eq!(
+        refused.get("code").and_then(Json::as_str),
+        Some("formula_too_deep"),
+        "{refused:?}"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The golden ops pinned in `tests/golden/wal_v1.log`. Any change to
 /// the on-disk encoding breaks this test — which is the point: bump
 /// the magic's version digit and write a new golden file instead of
