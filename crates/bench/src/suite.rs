@@ -100,7 +100,9 @@ impl SuiteConfig {
         }
         // Wall-clock-noisy benches (thread pools, TCP round-trips,
         // replication tail-polling) get wider bands; pure-compute
-        // compile benches keep the default.
+        // compile benches keep the default. The prefixes name benches,
+        // not telemetry: a server's counters are not in the `obs`
+        // registry under `server.*` or `repl.*`.
         if name.starts_with("query.") || name.starts_with("server.") || name.starts_with("repl.") {
             50.0
         } else {

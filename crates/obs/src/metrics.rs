@@ -117,30 +117,6 @@ impl Gauge {
         }
     }
 
-    /// Add one (for gauges tracking a live population, e.g. open
-    /// connections; no-op while telemetry is off).
-    #[inline]
-    pub fn inc(&'static self) {
-        if crate::enabled() {
-            self.ensure_registered();
-            self.value.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Subtract one, saturating at zero (no-op while telemetry is
-    /// off).
-    #[inline]
-    pub fn dec(&'static self) {
-        if crate::enabled() {
-            self.ensure_registered();
-            let _ = self
-                .value
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_sub(1))
-                });
-        }
-    }
-
     #[cold]
     fn ensure_registered(&'static self) {
         if !self.registered.load(Ordering::Relaxed)

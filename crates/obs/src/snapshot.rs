@@ -87,15 +87,6 @@ impl Snapshot {
         self.span_aggregates.iter().find(|a| a.name == name)
     }
 
-    /// Is there anything in this snapshot at all?
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.span_aggregates.is_empty()
-            && self.spans.is_empty()
-    }
-
     /// Render the snapshot as a single-line JSON object with sorted
     /// keys: `mode`, `counters`, `gauges`, `histograms`,
     /// `span_aggregates`, and a nested `span_tree`.

@@ -41,7 +41,10 @@
 //! no earlier read scanned, the consumed lines are dropped from the
 //! buffer once per read, and a line longer than
 //! [`crate::http::MAX_BODY_BYTES`] — the gateway's body cap — is answered
-//! `line_too_long` and the connection closed.
+//! `line_too_long` and the connection closed. Lines held behind a
+//! command that runs alone are bounded too: once that many bytes wait
+//! behind it, the loop stops reading the connection until it answers,
+//! and TCP backpressure throttles the client.
 //!
 //! On shutdown the loop stops accepting, flushes every buffered
 //! response (bounded by a 5 s grace period) so the `shutdown` answer
@@ -487,6 +490,18 @@ mod linux {
         Ok(true)
     }
 
+    /// Whether `conn` has stopped reading: its dispatch is held (a
+    /// command that runs alone is in flight, or the next line waits to
+    /// run alone) and a full request's worth of bytes is buffered
+    /// behind it. Outside a hold, `scanned` reaches the end of the
+    /// buffer. The loop is level-triggered, so the rest stays in the
+    /// kernel and TCP backpressure throttles the peer; reading resumes
+    /// when the held command answers.
+    fn read_held(conn: &Conn) -> bool {
+        let held = conn.alone_in_flight || conn.scanned < conn.line_buf.len();
+        held && conn.line_buf.len() - conn.consumed >= http::MAX_BODY_BYTES
+    }
+
     /// Flush, update epoll interest, decide the connection's fate.
     /// `false` means drop it.
     fn settle(ctx: &Ctx, conn: &mut Conn) -> bool {
@@ -498,7 +513,7 @@ mod linux {
             return false;
         }
         let mut want = 0;
-        if !conn.closing {
+        if !conn.closing && !read_held(conn) {
             want |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if !flushed {
@@ -545,6 +560,9 @@ mod linux {
     fn handle_readable(ctx: &Ctx, conn: &mut Conn) -> After {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
+            if read_held(conn) {
+                return After::Keep;
+            }
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.closing = true;

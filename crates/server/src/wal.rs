@@ -516,8 +516,7 @@ impl Wal {
     }
 
     /// Append one committed operation, honouring the sync discipline.
-    /// Returns the record's size in bytes.
-    pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
+    pub fn append(&mut self, op: &WalOp) -> io::Result<()> {
         let record = encode_record(op);
         self.file.write_all(&record)?;
         self.records += 1;
@@ -541,7 +540,7 @@ impl Wal {
             }
             SyncMode::Off => {}
         }
-        Ok(record.len() as u64)
+        Ok(())
     }
 
     /// Append one already-framed record exactly as received — the

@@ -299,6 +299,72 @@ fn overlong_line_is_refused_and_the_server_keeps_serving() {
     handle.join().expect("serve thread");
 }
 
+/// Lines queued behind a command that runs alone are bounded: while a
+/// `revise` holds the connection, a writer thread streams more than
+/// 4 MiB of `ping` lines behind it. The loop stops reading once a
+/// request's worth of bytes waits and lets TCP push back, so every
+/// ping is still answered, in order and none as `line_too_long`, and
+/// a second connection is served meanwhile.
+#[test]
+fn lines_held_behind_a_lone_command_are_answered_in_order() {
+    const HELD_BYTES: usize = 4 * 1024 * 1024;
+    let (addr, handle) = spawn_event_loop();
+    let (mut stream, mut reader) = connect(addr);
+    send_line(
+        &mut stream,
+        r#"{"cmd":"load","kb":"k","t":"a & b & c & d; a -> e"}"#,
+    );
+    assert!(read_line(&mut reader).contains(r#""ok":true"#));
+
+    // Padded ids keep the line count near a thousand.
+    let pad = "x".repeat(4096);
+    let ping_id = |i: usize| format!("{i}-{pad}");
+    let pings = HELD_BYTES / pad.len() + 1;
+    // One write, so the pings arrive while the revise still runs.
+    let mut bytes =
+        br#"{"id":"revise","cmd":"revise","kb":"k","op":"dalal","p":"!a | !b | !c"}"#.to_vec();
+    for i in 0..pings {
+        bytes.extend_from_slice(
+            format!("\n{{\"id\":\"{}\",\"cmd\":\"ping\"}}", ping_id(i)).as_bytes(),
+        );
+    }
+    bytes.push(b'\n');
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone stream");
+        std::thread::spawn(move || stream.write_all(&bytes).expect("loopback write"))
+    };
+
+    let (mut second, mut second_reader) = connect(addr);
+    send_line(&mut second, r#"{"cmd":"ping"}"#);
+    let pong = read_line(&mut second_reader);
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+
+    let revise = Json::parse(&read_line(&mut reader)).expect("revise JSON");
+    assert_eq!(revise.get("id").and_then(Json::as_str), Some("revise"));
+    assert_eq!(
+        revise.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{revise:?}"
+    );
+    for i in 0..pings {
+        let resp = Json::parse(&read_line(&mut reader)).expect("ping JSON");
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "ping {i}: {:?}",
+            resp.get("code")
+        );
+        assert_eq!(
+            resp.get("id").and_then(Json::as_str),
+            Some(ping_id(i).as_str()),
+            "ping {i} out of order"
+        );
+    }
+    writer.join().expect("writer thread");
+    shutdown(&mut second, &mut second_reader);
+    handle.join().expect("serve thread");
+}
+
 // ---------------------------------------------------------------
 // HTTP gateway (Linux: the gateway lives on the epoll front end).
 // ---------------------------------------------------------------

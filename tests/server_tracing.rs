@@ -2,10 +2,13 @@
 //! `server.*` span carries the same monotonic request id that the wire
 //! response reports (so a Chrome trace can be joined against a client
 //! log), the `slow_log` ring buffer captures slow degraded compiles,
-//! and reading `stats` never perturbs the telemetry it reports.
+//! reading `stats` never perturbs the telemetry it reports, each
+//! `Server` counts only its own requests, and every `revkb_obs_*`
+//! family the benchmark's per-layer report reads is on `/metrics`.
 
 use revkb::obs;
 use revkb::server::{Json, Server, ServerConfig};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The trace mode and span buffers are process-global; tests that
@@ -21,6 +24,27 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 fn call(server: &Server, line: &str) -> Json {
     let response = server.handle_line(line).expect("request line is not blank");
     Json::parse(&response).unwrap_or_else(|e| panic!("response not JSON ({e}): {response}"))
+}
+
+/// A fresh, empty data directory for a durable server.
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("revkb-tracing-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn assert_ok(resp: &Json) {
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+}
+
+/// The value of the unlabelled sample `name` on a Prometheus page.
+fn sample(page: &str, name: &str) -> Option<u64> {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
 }
 
 fn req_of(resp: &Json) -> u64 {
@@ -233,4 +257,136 @@ fn stats_does_not_perturb_telemetry() {
 
     obs::reset();
     obs::set_mode(prev);
+}
+
+/// Counters are scoped per `Server`. Two durable servers in one
+/// process take 3 and 5 requests under `REVKB_TRACE=summary`; each
+/// one's `/metrics` page and `stats` report only its own count, and
+/// no server, replication or write-ahead-log counter is copied into
+/// the process-wide `obs` registry (the one server instrument there is
+/// the `wal.append.micros` layer timing).
+#[test]
+fn each_server_counts_only_its_own_requests() {
+    let _guard = obs_lock();
+    let prev = obs::mode();
+    obs::set_mode(obs::TraceMode::Summary);
+    obs::reset();
+
+    let dirs = [tmpdir("scope-a"), tmpdir("scope-b")];
+    let open = |dir: &PathBuf| {
+        Server::open(ServerConfig::default().with_data_dir(Some(dir.clone()))).expect("open")
+    };
+    let (first, second) = (open(&dirs[0]), open(&dirs[1]));
+    for line in [
+        r#"{"cmd":"load","kb":"k","t":"a & b"}"#,
+        r#"{"cmd":"query","kb":"k","q":"a"}"#,
+        r#"{"cmd":"ping"}"#,
+    ] {
+        assert_ok(&call(&first, line));
+    }
+    for line in [
+        r#"{"cmd":"load","kb":"k","t":"a & b"}"#,
+        r#"{"cmd":"revise","kb":"k","op":"dalal","p":"!a"}"#,
+        r#"{"cmd":"query","kb":"k","q":"b"}"#,
+        r#"{"cmd":"query","kb":"k","q":"b"}"#,
+        r#"{"cmd":"ping"}"#,
+    ] {
+        assert_ok(&call(&second, line));
+    }
+
+    for (server, expected) in [(&first, 3), (&second, 5)] {
+        let page = server.metrics_text();
+        assert_eq!(
+            sample(&page, "revkb_server_requests_total"),
+            Some(expected),
+            "{page}"
+        );
+        let stats = server.stats_json();
+        assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(expected));
+        for line in page.lines().filter(|l| !l.starts_with('#')) {
+            assert!(
+                !line.starts_with("revkb_obs_server_") && !line.starts_with("revkb_obs_repl_"),
+                "server counter mirrored into obs: {line}"
+            );
+            assert!(
+                !line.starts_with("revkb_obs_wal_")
+                    || line.starts_with("revkb_obs_wal_append_micros"),
+                "write-ahead-log counter mirrored into obs: {line}"
+            );
+        }
+    }
+
+    drop((first, second));
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    obs::reset();
+    obs::set_mode(prev);
+}
+
+/// `perfbench/layers.py` reads its solver, Tseitin, BDD and
+/// write-ahead-log figures off `/metrics` by their `revkb_obs_*`
+/// names, and a name that is missing reads as 0 without any error.
+/// After a durable session under `REVKB_TRACE=summary` that runs an
+/// unrevised query, a repeated query and a BDD-backend revise, every
+/// such name must be on the page; a histogram's `_sum` and `_count`
+/// must both be.
+#[test]
+fn every_obs_family_the_layer_report_reads_is_exported() {
+    let _guard = obs_lock();
+    let layers =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/perfbench/layers.py"))
+            .expect("perfbench/layers.py is readable");
+    let mut wanted: Vec<String> = Vec::new();
+    for (at, _) in layers.match_indices("revkb_obs_") {
+        let name: String = layers[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase() || *c == '_')
+            .collect();
+        for suffix in ["_sum", "_count"] {
+            if let Some(base) = name.strip_suffix(suffix) {
+                wanted.push(format!("{base}_sum"));
+                wanted.push(format!("{base}_count"));
+            }
+        }
+        wanted.push(name);
+    }
+    wanted.sort();
+    wanted.dedup();
+    assert!(
+        wanted.iter().any(|n| n.starts_with("revkb_obs_wal_"))
+            && wanted.iter().any(|n| n.starts_with("revkb_obs_sat_")),
+        "layers.py no longer reads the families this test guards: {wanted:?}"
+    );
+
+    let prev = obs::mode();
+    obs::set_mode(obs::TraceMode::Summary);
+    obs::reset();
+    let dir = tmpdir("layers");
+    let server =
+        Server::open(ServerConfig::default().with_data_dir(Some(dir.clone()))).expect("open");
+    for line in [
+        r#"{"cmd":"load","kb":"plain","t":"a | b; b -> c"}"#,
+        r#"{"cmd":"query","kb":"plain","q":"a | c"}"#,
+        r#"{"cmd":"query","kb":"plain","q":"a | c"}"#,
+        r#"{"cmd":"load","kb":"k","t":"a & b; b -> c"}"#,
+        r#"{"cmd":"revise","kb":"k","op":"winslett","p":"!b | !c","backend":"bdd"}"#,
+        r#"{"cmd":"query","kb":"k","q":"a"}"#,
+    ] {
+        assert_ok(&call(&server, line));
+    }
+    let page = server.metrics_text();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+    obs::reset();
+    obs::set_mode(prev);
+
+    let missing: Vec<&String> = wanted
+        .iter()
+        .filter(|name| sample(&page, name).is_none())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "perfbench/layers.py reads {missing:?}, absent from /metrics:\n{page}"
+    );
 }
