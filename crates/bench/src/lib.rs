@@ -6,19 +6,19 @@
 //! Figure 1; the Criterion benches time the substrates and
 //! constructions.
 //!
-//! Reports are serialised with the hand-rolled emitter in [`json`] —
-//! the build is fully offline, so there is deliberately no serde
-//! dependency.
+//! Reports are serialised with [`Json::pretty`], the workspace's one
+//! JSON codec in `revkb_obs::json` — the build is fully offline, so
+//! there is deliberately no serde dependency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use revkb_logic::Formula;
+use revkb_obs::Json;
 use revkb_revision::Engine;
 use revkb_sat::{PoolConfig, PoolStats, SessionPool};
 use std::time::Instant;
 
-pub mod json;
 pub mod load;
 pub mod suite;
 
@@ -134,11 +134,17 @@ impl Series {
             .join("  ")
     }
 
-    fn to_json(&self) -> json::Value {
-        json::Value::object([
-            ("label", json::Value::string(&self.label)),
-            ("xs", json::Value::numbers(&self.xs)),
-            ("ys", json::Value::numbers(&self.ys)),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", Json::str(&self.label)),
+            (
+                "xs",
+                Json::Arr(self.xs.iter().map(|&x| Json::Num(x)).collect()),
+            ),
+            (
+                "ys",
+                Json::Arr(self.ys.iter().map(|&y| Json::Num(y)).collect()),
+            ),
         ])
     }
 }
@@ -159,16 +165,16 @@ pub struct Cell {
 }
 
 impl Cell {
-    fn to_json(&self) -> json::Value {
-        json::Value::object([
-            ("paper_claim", json::Value::string(self.paper_claim)),
-            ("reference", json::Value::string(self.reference)),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("paper_claim", Json::str(self.paper_claim)),
+            ("reference", Json::str(self.reference)),
             (
                 "series",
-                json::Value::array(self.series.iter().map(|s| s.to_json())),
+                Json::Arr(self.series.iter().map(Series::to_json).collect()),
             ),
-            ("consistent", json::Value::Bool(self.consistent)),
-            ("evidence", json::Value::string(&self.evidence)),
+            ("consistent", Json::Bool(self.consistent)),
+            ("evidence", Json::str(&self.evidence)),
         ])
     }
 }
@@ -235,20 +241,23 @@ pub fn run_batch_workload(base: &Formula, queries: &[Formula], threads: usize) -
 }
 
 impl BatchWorkload {
-    fn to_json(&self) -> json::Value {
-        json::Value::object([
-            ("threads", json::Value::Number(self.threads as f64)),
-            ("queries", json::Value::Number(self.queries as f64)),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("threads", Json::Num(self.threads as f64)),
+            ("queries", Json::Num(self.queries as f64)),
             (
                 "sequential_wall_micros",
-                json::Value::Number(self.sequential_wall_micros as f64),
+                Json::Num(self.sequential_wall_micros as f64),
             ),
             (
                 "parallel_wall_micros",
-                json::Value::Number(self.parallel_wall_micros as f64),
+                Json::Num(self.parallel_wall_micros as f64),
             ),
-            ("answers_match", json::Value::Bool(self.answers_match)),
-            ("pool_stats", json::Value::Raw(self.pool.to_json())),
+            ("answers_match", Json::Bool(self.answers_match)),
+            (
+                "pool_stats",
+                Json::parse(&self.pool.to_json()).expect("PoolStats::to_json renders valid JSON"),
+            ),
         ])
     }
 }
@@ -303,23 +312,23 @@ pub fn run_engine_workload(engine: &mut dyn Engine, queries: &[Formula]) -> Engi
 
 impl EngineWorkload {
     /// Render as a JSON object.
-    pub fn to_json(&self) -> json::Value {
-        json::Value::object([
-            ("engine", json::Value::string(&self.engine)),
-            ("queries", json::Value::Number(self.queries as f64)),
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("engine", Json::str(&self.engine)),
+            ("queries", Json::Num(self.queries as f64)),
             (
                 "single_wall_micros",
-                json::Value::Number(self.single_wall_micros as f64),
+                Json::Num(self.single_wall_micros as f64),
             ),
             (
                 "batch_wall_micros",
-                json::Value::Number(self.batch_wall_micros as f64),
+                Json::Num(self.batch_wall_micros as f64),
             ),
             (
                 "parallel_wall_micros",
-                json::Value::Number(self.parallel_wall_micros as f64),
+                Json::Num(self.parallel_wall_micros as f64),
             ),
-            ("answers_match", json::Value::Bool(self.answers_match)),
+            ("answers_match", Json::Bool(self.answers_match)),
         ])
     }
 }
@@ -353,15 +362,15 @@ impl RunMeta {
         }
     }
 
-    fn to_json(&self) -> json::Value {
-        json::Value::object([
-            ("threads", json::Value::Number(self.threads as f64)),
-            ("trace_mode", json::Value::string(self.trace_mode)),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("threads", Json::Num(self.threads as f64)),
+            ("trace_mode", Json::str(self.trace_mode)),
             (
                 "git_describe",
                 match &self.git_describe {
-                    Some(d) => json::Value::string(d),
-                    None => json::Value::Null,
+                    Some(d) => Json::str(d),
+                    None => Json::Null,
                 },
             ),
         ])
@@ -421,35 +430,42 @@ pub struct TableReport {
 impl TableReport {
     /// Render the report as a JSON string.
     pub fn to_json(&self) -> String {
-        let rows = json::Value::array(self.rows.iter().map(|(label, cells)| {
-            json::Value::Array(vec![
-                json::Value::string(label),
-                json::Value::array(cells.iter().map(|(col, cell)| {
-                    json::Value::Array(vec![json::Value::string(col), cell.to_json()])
-                })),
-            ])
-        }));
-        let workloads = json::Value::array(self.workloads.iter().map(|(label, workload)| {
-            let json::Value::Object(mut fields) = workload.to_json() else {
-                unreachable!("BatchWorkload::to_json returns an object");
-            };
-            fields.insert(0, ("operator".into(), json::Value::string(label)));
-            json::Value::Object(fields)
-        }));
+        let rows = self
+            .rows
+            .iter()
+            .map(|(label, cells)| {
+                let cells = cells
+                    .iter()
+                    .map(|(col, cell)| Json::Arr(vec![Json::str(col), cell.to_json()]))
+                    .collect();
+                Json::Arr(vec![Json::str(label), Json::Arr(cells)])
+            })
+            .collect();
+        let workloads = self
+            .workloads
+            .iter()
+            .map(|(label, workload)| {
+                let Json::Obj(mut fields) = workload.to_json() else {
+                    unreachable!("BatchWorkload::to_json returns an object");
+                };
+                fields.insert(0, ("operator".into(), Json::str(label)));
+                Json::Obj(fields)
+            })
+            .collect();
         let mut pairs = vec![
-            ("table", json::Value::string(&self.table)),
-            (
-                "schema_version",
-                json::Value::Number(REPORT_SCHEMA_VERSION as f64),
-            ),
+            ("table", Json::str(&self.table)),
+            ("schema_version", Json::Num(REPORT_SCHEMA_VERSION as f64)),
             ("run_meta", self.meta.to_json()),
-            ("rows", rows),
-            ("query_workloads", workloads),
+            ("rows", Json::Arr(rows)),
+            ("query_workloads", Json::Arr(workloads)),
         ];
         if let Some(telemetry) = &self.telemetry {
-            pairs.push(("telemetry", json::Value::Raw(telemetry.clone())));
+            pairs.push((
+                "telemetry",
+                Json::parse(telemetry).expect("Snapshot::to_json renders valid JSON"),
+            ));
         }
-        json::Value::object(pairs).pretty()
+        Json::obj(pairs).pretty()
     }
 
     /// Write the report as JSON next to the repo's bench outputs.
@@ -627,9 +643,16 @@ mod tests {
             "\"pool_stats\": {",
             "\"cpu_time_total_micros\"",
             "\"wall_time_micros\"",
-            "\"per_worker\":[{",
+            "\"per_worker\": [",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+        // The pool's own JSON is embedded as a value, not a string.
+        let parsed = Json::parse(&j).expect("report parses");
+        let per_worker = parsed
+            .get("query_workloads")
+            .and_then(Json::as_array)
+            .and_then(|w| w.first()?.get("pool_stats")?.get("per_worker")?.as_array());
+        assert!(matches!(per_worker, Some([Json::Obj(_), ..])), "{j}");
     }
 }

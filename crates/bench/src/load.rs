@@ -28,7 +28,6 @@
 //! in the `transport` extra; connection counts are then halved so the
 //! shared fd budget still fits.
 
-use crate::json::Value;
 use crate::suite::{BenchResult, SuiteConfig};
 use revkb_server::{Json, Server, ServerConfig};
 use std::collections::HashMap;
@@ -435,18 +434,18 @@ fn pipeline_bench(under_test: &UnderTest, cfg: &SuiteConfig) -> BenchResult {
         trials: vec![per_request],
         tolerance_pct: cfg.tolerance_for("server.load.pipeline"),
         extra: vec![
-            ("depth", Value::Number(PIPELINE_DEPTH as f64)),
-            ("requests", Value::Number(PIPELINE_REQUESTS as f64)),
+            ("depth", Json::Num(PIPELINE_DEPTH as f64)),
+            ("requests", Json::Num(PIPELINE_REQUESTS as f64)),
             (
                 "sequential_per_request_us",
-                Value::Number(sequential_per_request),
+                Json::Num(sequential_per_request),
             ),
         ],
     };
     if per_request > 0.0 {
         r.extra.push((
             "speedup_vs_sequential",
-            Value::Number(sequential_per_request / per_request),
+            Json::Num(sequential_per_request / per_request),
         ));
     }
     r
@@ -485,10 +484,10 @@ fn http_bench(under_test: &UnderTest, cfg: &SuiteConfig) -> BenchResult {
         trials: vec![median],
         tolerance_pct: cfg.tolerance_for("server.load.http"),
         extra: vec![
-            ("requests", Value::Number(HTTP_REQUESTS as f64)),
-            ("p95", Value::Number(percentile(&latencies, 95.0))),
-            ("p99", Value::Number(percentile(&latencies, 99.0))),
-            ("route", Value::string("/v1/query")),
+            ("requests", Json::Num(HTTP_REQUESTS as f64)),
+            ("p95", Json::Num(percentile(&latencies, 95.0))),
+            ("p99", Json::Num(percentile(&latencies, 99.0))),
+            ("route", Json::str("/v1/query")),
         ],
     }
 }
@@ -560,23 +559,23 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         trials: vec![percentile(&latencies, 50.0)],
         tolerance_pct: cfg.tolerance_for("server.load.open_loop"),
         extra: vec![
-            ("connections", Value::Number(open_connections as f64)),
-            ("target_qps", Value::Number(load_cfg.qps as f64)),
-            ("achieved_qps", Value::Number(achieved_qps)),
-            ("duration_ms", Value::Number(load_cfg.duration_ms as f64)),
-            ("requests_sent", Value::Number(sent_count as f64)),
-            ("responses", Value::Number(latencies.len() as f64)),
-            ("errors", Value::Number(errors as f64)),
-            ("p95", Value::Number(percentile(&latencies, 95.0))),
-            ("p99", Value::Number(percentile(&latencies, 99.0))),
-            ("transport", Value::string(under_test.transport)),
-            ("nofile_limit", Value::Number(limit as f64)),
+            ("connections", Json::Num(open_connections as f64)),
+            ("target_qps", Json::Num(load_cfg.qps as f64)),
+            ("achieved_qps", Json::Num(achieved_qps)),
+            ("duration_ms", Json::Num(load_cfg.duration_ms as f64)),
+            ("requests_sent", Json::Num(sent_count as f64)),
+            ("responses", Json::Num(latencies.len() as f64)),
+            ("errors", Json::Num(errors as f64)),
+            ("p95", Json::Num(percentile(&latencies, 95.0))),
+            ("p99", Json::Num(percentile(&latencies, 99.0))),
+            ("transport", Json::str(under_test.transport)),
+            ("nofile_limit", Json::Num(limit as f64)),
         ],
     };
     if latencies.len() < sent_count as usize {
         open.extra.push((
             "lost_responses",
-            Value::Number((sent_count as usize - latencies.len()) as f64),
+            Json::Num((sent_count as usize - latencies.len()) as f64),
         ));
     }
 

@@ -25,7 +25,6 @@
 //! ([`WORK_EXTRAS`]) are compared exactly instead, and any change in
 //! one fails the comparison.
 
-use crate::json::Value;
 use crate::RunMeta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,25 +128,25 @@ pub struct BenchResult {
     /// Relative regression tolerance for this benchmark, percent.
     pub tolerance_pct: f64,
     /// Benchmark-specific side measurements (percentiles, sizes…).
-    pub extra: Vec<(&'static str, Value)>,
+    pub extra: Vec<(&'static str, Json)>,
 }
 
 impl BenchResult {
-    fn to_json(&self) -> Value {
+    fn to_json(&self) -> Json {
         let mut pairs = vec![
-            ("name", Value::string(&self.name)),
-            ("unit", Value::string(self.unit)),
-            ("median", Value::Number(self.median)),
+            ("name", Json::str(&self.name)),
+            ("unit", Json::str(self.unit)),
+            ("median", Json::Num(self.median)),
             (
                 "trials",
-                Value::Array(self.trials.iter().map(|&t| Value::Number(t)).collect()),
+                Json::Arr(self.trials.iter().map(|&t| Json::Num(t)).collect()),
             ),
-            ("tolerance_pct", Value::Number(self.tolerance_pct)),
+            ("tolerance_pct", Json::Num(self.tolerance_pct)),
         ];
         if !self.extra.is_empty() {
             pairs.push((
                 "extra",
-                Value::Object(
+                Json::Obj(
                     self.extra
                         .iter()
                         .map(|(k, v)| (k.to_string(), v.clone()))
@@ -155,7 +154,7 @@ impl BenchResult {
                 ),
             ));
         }
-        Value::object(pairs)
+        Json::obj(pairs)
     }
 }
 
@@ -234,7 +233,7 @@ fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
             });
             let mut r = result(cfg, format!("compile.{op}"), median, trials);
             if let Some(size) = compiled_size {
-                r.extra.push(("compiled_size", Value::Number(size as f64)));
+                r.extra.push(("compiled_size", Json::Num(size as f64)));
             }
             r
         })
@@ -283,14 +282,14 @@ fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
     let (median, trials) = timed_trials(cfg, || drop(compile()));
     let mut r = result(cfg, "compile.dalal_chain".into(), median, trials);
     r.extra = vec![
-        ("compiled_size", Value::Number(size as f64)),
+        ("compiled_size", Json::Num(size as f64)),
         (
             "k_session_probes",
-            Value::Number(count("revision.k_session.probes")),
+            Json::Num(count("revision.k_session.probes")),
         ),
         (
             "k_session_conflicts",
-            Value::Number(count("revision.k_session.conflicts")),
+            Json::Num(count("revision.k_session.conflicts")),
         ),
     ];
     r
@@ -342,7 +341,7 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     // Percentiles: run one instrumented pass of each kind under the
     // Summary mode, then restore whatever mode the process had. The
     // suite owns the process-wide registry here, so the reset is safe.
-    let percentiles = |parallel: bool, pool: &mut SessionPool| -> Vec<(&'static str, Value)> {
+    let percentiles = |parallel: bool, pool: &mut SessionPool| -> Vec<(&'static str, Json)> {
         let prev = revkb_obs::mode();
         revkb_obs::set_mode(revkb_obs::TraceMode::Summary);
         revkb_obs::reset();
@@ -354,7 +353,7 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         let snap = revkb_obs::snapshot();
         let extra = match snap.histogram("sat.session.query_micros") {
             Some(h) => vec![
-                ("query_count", Value::Number(h.count as f64)),
+                ("query_count", Json::Num(h.count as f64)),
                 ("p50_micros", pct(h.percentile(0.50))),
                 ("p95_micros", pct(h.percentile(0.95))),
                 ("p99_micros", pct(h.percentile(0.99))),
@@ -372,13 +371,13 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     seq.extra = seq_extra;
     let mut par = result(cfg, "query.parallel".into(), par_median, par_trials);
     par.extra
-        .push(("threads", Value::Number(new_pool().threads() as f64)));
+        .push(("threads", Json::Num(new_pool().threads() as f64)));
     par.extra.extend(par_extra);
     vec![seq, par]
 }
 
-fn pct(v: Option<u64>) -> Value {
-    v.map_or(Value::Null, |v| Value::Number(v as f64))
+fn pct(v: Option<u64>) -> Json {
+    v.map_or(Json::Null, |v| Json::Num(v as f64))
 }
 
 /// `bdd.apply` — build the BDD of a seeded random 3-CNF from scratch
@@ -395,9 +394,9 @@ fn bdd_bench(cfg: &SuiteConfig) -> BenchResult {
         allocated = manager.allocated();
     });
     let mut r = result(cfg, "bdd.apply".into(), median, trials);
-    r.extra.push(("bdd_nodes", Value::Number(nodes as f64)));
+    r.extra.push(("bdd_nodes", Json::Num(nodes as f64)));
     r.extra
-        .push(("allocated_nodes", Value::Number(allocated as f64)));
+        .push(("allocated_nodes", Json::Num(allocated as f64)));
     r
 }
 
@@ -410,9 +409,8 @@ fn tseitin_bench(cfg: &SuiteConfig) -> BenchResult {
         clauses = tseitin_auto(&f).len();
     });
     let mut r = result(cfg, "logic.tseitin".into(), median, trials);
-    r.extra.push(("clauses", Value::Number(clauses as f64)));
-    r.extra
-        .push(("formula_size", Value::Number(f.size() as f64)));
+    r.extra.push(("clauses", Json::Num(clauses as f64)));
+    r.extra.push(("formula_size", Json::Num(f.size() as f64)));
     r
 }
 
@@ -535,12 +533,12 @@ fn server_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let cold_median = median_of(&cold_trials);
     let warm_median = median_of(&warm_trials);
     let mut cold = result(cfg, "server.revise.cold".into(), cold_median, cold_trials);
-    cold.extra.push(("transport", Value::string("tcp")));
+    cold.extra.push(("transport", Json::str("tcp")));
     let mut warm = result(cfg, "server.revise.warm".into(), warm_median, warm_trials);
-    warm.extra.push(("transport", Value::string("tcp")));
+    warm.extra.push(("transport", Json::str("tcp")));
     if warm_median > 0.0 {
         warm.extra
-            .push(("cold_over_warm", Value::Number(cold_median / warm_median)));
+            .push(("cold_over_warm", Json::Num(cold_median / warm_median)));
     }
     vec![cold, warm]
 }
@@ -574,8 +572,8 @@ fn cache_touch_bench(cfg: &SuiteConfig) -> BenchResult {
         }
     });
     let mut r = result(cfg, "cache.touch".into(), median, trials);
-    r.extra.push(("entries", Value::Number(ENTRIES as f64)));
-    r.extra.push(("touches", Value::Number(TOUCHES as f64)));
+    r.extra.push(("entries", Json::Num(ENTRIES as f64)));
+    r.extra.push(("touches", Json::Num(TOUCHES as f64)));
     r
 }
 
@@ -678,9 +676,9 @@ fn wal_boot_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         let median = median_of(&trials);
         let mut r = result(cfg, name.into(), median, trials);
         r.extra
-            .push(("replayed_records", Value::Number(replayed as f64)));
+            .push(("replayed_records", Json::Num(replayed as f64)));
         r.extra
-            .push(("snapshot_every", Value::Number(snapshot_every as f64)));
+            .push(("snapshot_every", Json::Num(snapshot_every as f64)));
         results.push(r);
     }
     let _ = std::fs::remove_dir_all(&base);
@@ -765,10 +763,10 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut catchup = result(cfg, "repl.catchup".into(), median, trials);
     catchup
         .extra
-        .push(("log_bytes", Value::Number(committed as f64)));
+        .push(("log_bytes", Json::Num(committed as f64)));
     catchup
         .extra
-        .push(("records_applied", Value::Number(records as f64)));
+        .push(("records_applied", Json::Num(records as f64)));
 
     // Two standing replicas serving TCP for the fan-out measurement.
     let mut replicas = Vec::new();
@@ -816,18 +814,17 @@ fn repl_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut fanout = result(cfg, "repl.read_fanout".into(), fanout_median, fanout_trials);
     fanout
         .extra
-        .push(("replicas", Value::Number(replicas.len() as f64)));
-    fanout.extra.push((
-        "queries",
-        Value::Number((CLIENTS * QUERIES_PER_CLIENT) as f64),
-    ));
+        .push(("replicas", Json::Num(replicas.len() as f64)));
     fanout
         .extra
-        .push(("single_node_micros", Value::Number(single_median)));
+        .push(("queries", Json::Num((CLIENTS * QUERIES_PER_CLIENT) as f64)));
+    fanout
+        .extra
+        .push(("single_node_micros", Json::Num(single_median)));
     if fanout_median > 0.0 {
         fanout
             .extra
-            .push(("speedup", Value::Number(single_median / fanout_median)));
+            .push(("speedup", Json::Num(single_median / fanout_median)));
     }
 
     for (replica, _, repl_thread, serve_thread) in replicas {
@@ -878,10 +875,10 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         }
     });
     let mut scrape = result(cfg, "obs.scrape".into(), median, trials);
-    scrape.extra.push(("scrapes", Value::Number(50.0)));
+    scrape.extra.push(("scrapes", Json::Num(50.0)));
     scrape
         .extra
-        .push(("page_bytes", Value::Number(page_bytes as f64)));
+        .push(("page_bytes", Json::Num(page_bytes as f64)));
 
     let observations: Vec<Observation> = (0..32)
         .map(|i| Observation::counter(format!("bench.counter.{i}"), 0))
@@ -899,9 +896,9 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         }
     });
     let mut tick = result(cfg, "obs.sample_tick".into(), tick_median, tick_trials);
-    tick.extra.push(("ticks", Value::Number(1000.0)));
+    tick.extra.push(("ticks", Json::Num(1000.0)));
     tick.extra
-        .push(("series", Value::Number(observations.len() as f64)));
+        .push(("series", Json::Num(observations.len() as f64)));
 
     // `obs.log_emit` — the per-record cost of the structured sinks: a
     // representative server log record rendered to its NDJSON line
@@ -921,11 +918,10 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         }
     });
     let mut log_emit = result(cfg, "obs.log_emit".into(), log_median, log_trials);
-    log_emit.extra.push(("records", Value::Number(1000.0)));
-    log_emit.extra.push((
-        "line_bytes",
-        Value::Number(record.render_json().len() as f64),
-    ));
+    log_emit.extra.push(("records", Json::Num(1000.0)));
+    log_emit
+        .extra
+        .push(("line_bytes", Json::Num(record.render_json().len() as f64)));
 
     // `obs.flight_record` — the always-on cost of one attributed span
     // through the flight recorder with `REVKB_TRACE` off: the price
@@ -954,10 +950,10 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         flight_median,
         flight_trials,
     );
-    flight.extra.push(("spans", Value::Number(1000.0)));
+    flight.extra.push(("spans", Json::Num(1000.0)));
     flight.extra.push((
         "ring_capacity",
-        Value::Number(revkb_obs::FLIGHT_CAPACITY as f64),
+        Json::Num(revkb_obs::FLIGHT_CAPACITY as f64),
     ));
 
     vec![scrape, tick, log_emit, flight]
@@ -981,35 +977,33 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
 
 /// Render the schema-versioned `BENCH_*.json` report.
 pub fn report_json(cfg: &SuiteConfig, meta: &RunMeta, results: &[BenchResult]) -> String {
-    Value::object([
-        ("bench", Value::string("revkb-bench")),
-        ("schema_version", Value::Number(BENCH_SCHEMA_VERSION as f64)),
+    Json::obj([
+        ("bench", Json::str("revkb-bench")),
+        ("schema_version", Json::Num(BENCH_SCHEMA_VERSION as f64)),
         ("run_meta", run_meta_json(cfg, meta)),
         (
             "benchmarks",
-            Value::array(results.iter().map(BenchResult::to_json)),
+            Json::Arr(results.iter().map(BenchResult::to_json).collect()),
         ),
     ])
     .pretty()
 }
 
-fn run_meta_json(cfg: &SuiteConfig, meta: &RunMeta) -> Value {
-    Value::object([
-        ("threads", Value::Number(meta.threads as f64)),
-        ("trace_mode", Value::string(meta.trace_mode)),
+fn run_meta_json(cfg: &SuiteConfig, meta: &RunMeta) -> Json {
+    Json::obj([
+        ("threads", Json::Num(meta.threads as f64)),
+        ("trace_mode", Json::str(meta.trace_mode)),
         (
             "git_describe",
-            meta.git_describe
-                .as_deref()
-                .map_or(Value::Null, Value::string),
+            meta.git_describe.as_deref().map_or(Json::Null, Json::str),
         ),
         (
             "cpu_count",
-            Value::Number(std::thread::available_parallelism().map_or(0, |n| n.get()) as f64),
+            Json::Num(std::thread::available_parallelism().map_or(0, |n| n.get()) as f64),
         ),
-        ("seed", Value::Number(cfg.seed as f64)),
-        ("trials", Value::Number(cfg.trials as f64)),
-        ("warmup", Value::Number(cfg.warmup as f64)),
+        ("seed", Json::Num(cfg.seed as f64)),
+        ("trials", Json::Num(cfg.trials as f64)),
+        ("warmup", Json::Num(cfg.warmup as f64)),
     ])
 }
 
@@ -1096,15 +1090,15 @@ pub fn compare_against_baseline(
             .iter()
             .filter_map(|(key, value)| {
                 let key = WORK_EXTRAS.into_iter().find(|w| w == key)?;
-                let (Value::Number(current), Some(baseline)) = (
-                    value,
+                let (Some(current), Some(baseline)) = (
+                    value.as_f64(),
                     base.get("extra")
                         .and_then(|extra| extra.get(key))
                         .and_then(Json::as_f64),
                 ) else {
                     return None;
                 };
-                (*current != baseline).then_some((key, baseline, *current))
+                (current != baseline).then_some((key, baseline, current))
             })
             .collect();
         comparisons.push(Comparison {
@@ -1183,15 +1177,15 @@ pub fn server_ops_report(cfg: &SuiteConfig, meta: &RunMeta) -> (String, String) 
             query_micros,
             compiled_size.map_or_else(|| "-".to_string(), |s| s.to_string()),
         ));
-        rows.push(Value::object([
-            ("op", Value::string(op)),
-            ("cold_revise_micros", Value::Number(cold_micros as f64)),
-            ("warm_revise_micros", Value::Number(warm_micros as f64)),
-            ("warm_cache", Value::string(&warm_cache)),
-            ("query_batch_micros", Value::Number(query_micros as f64)),
+        rows.push(Json::obj([
+            ("op", Json::str(op)),
+            ("cold_revise_micros", Json::Num(cold_micros as f64)),
+            ("warm_revise_micros", Json::Num(warm_micros as f64)),
+            ("warm_cache", Json::str(&warm_cache)),
+            ("query_batch_micros", Json::Num(query_micros as f64)),
             (
                 "compiled_size",
-                compiled_size.map_or(Value::Null, |s| Value::Number(s as f64)),
+                compiled_size.map_or(Json::Null, |s| Json::Num(s as f64)),
             ),
         ]));
     }
@@ -1199,22 +1193,22 @@ pub fn server_ops_report(cfg: &SuiteConfig, meta: &RunMeta) -> (String, String) 
     let stats_result = stats.get("result").expect("stats result");
     let cache = stats_result.get("cache").expect("stats cache block");
     let cache_field = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let report = Value::object([
-        ("bench", Value::string("server_bench")),
-        ("schema_version", Value::Number(BENCH_SCHEMA_VERSION as f64)),
+    let report = Json::obj([
+        ("bench", Json::str("server_bench")),
+        ("schema_version", Json::Num(BENCH_SCHEMA_VERSION as f64)),
         ("run_meta", run_meta_json(cfg, meta)),
-        ("operators", Value::Array(rows)),
+        ("operators", Json::Arr(rows)),
         (
             "cache",
-            Value::object([
-                ("hits", Value::Number(cache_field("hits") as f64)),
-                ("misses", Value::Number(cache_field("misses") as f64)),
-                ("evictions", Value::Number(cache_field("evictions") as f64)),
+            Json::obj([
+                ("hits", Json::Num(cache_field("hits") as f64)),
+                ("misses", Json::Num(cache_field("misses") as f64)),
+                ("evictions", Json::Num(cache_field("evictions") as f64)),
             ]),
         ),
         (
             "requests",
-            Value::Number(
+            Json::Num(
                 stats_result
                     .get("requests")
                     .and_then(Json::as_u64)
@@ -1302,8 +1296,8 @@ mod tests {
             trials: vec![median],
             tolerance_pct: 15.0,
             extra: vec![
-                ("compiled_size", Value::Number(3000.0)),
-                ("k_session_conflicts", Value::Number(conflicts)),
+                ("compiled_size", Json::Num(3000.0)),
+                ("k_session_conflicts", Json::Num(conflicts)),
             ],
         };
         let cfg = SuiteConfig::default();
@@ -1327,9 +1321,7 @@ mod tests {
 
         // A count the baseline does not have is not compared.
         let mut extra_count = chain(1000.0, 40.0);
-        extra_count
-            .extra
-            .push(("k_session_probes", Value::Number(7.0)));
+        extra_count.extra.push(("k_session_probes", Json::Num(7.0)));
         assert!(!comparison_fails(&compare(extra_count), true));
     }
 

@@ -157,3 +157,17 @@ fn committed_reports_are_valid_schema_v1() {
         );
     }
 }
+
+/// `Json::pretty` reproduces the committed reports byte for byte: they
+/// were written by the report emitter, so this pins the renderer's
+/// layout (indent, separators, empty containers, number format).
+#[test]
+fn committed_reports_re_render_byte_for_byte() {
+    for file in ["BENCH_PR17.json", "server_bench_report.json"] {
+        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+        let report = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read committed report {path}: {e}"));
+        let parsed = Json::parse(&report).expect("report parses");
+        assert!(parsed.pretty() == report, "{file} does not re-render");
+    }
+}

@@ -5,6 +5,7 @@
 //! visible alongside the timeline. Everything lives under `pid` 1 with
 //! `tid` equal to the recording thread's ordinal.
 
+use crate::json::escape_into;
 use crate::snapshot::Snapshot;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -31,17 +32,20 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             out.push(',');
         }
         first = false;
+        out.push_str("{\"name\":");
+        escape_into(s.name, &mut out);
         // ts/dur are microseconds (floats allowed; we emit integers).
         out.push_str(&format!(
-            "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}",
-            json_str(s.name),
+            ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}",
             s.thread,
             s.start_ns / 1_000,
             (s.dur_ns / 1_000).max(1),
             s.depth
         ));
         for (k, v) in &s.attrs {
-            out.push_str(&format!(",{}:{}", json_str(k), v));
+            out.push(',');
+            escape_into(k, &mut out);
+            out.push_str(&format!(":{v}"));
         }
         out.push_str("}}");
     }
@@ -62,7 +66,8 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_str(name), v));
+            escape_into(name, &mut out);
+            out.push_str(&format!(":{v}"));
         }
         out.push_str("}}");
     }
@@ -78,21 +83,6 @@ pub fn write_chrome_trace(path: &Path, snap: &Snapshot) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(chrome_trace(snap).as_bytes())?;
     f.sync_all()
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -35,6 +35,11 @@
 //! ([`new_trace_id`], [`parse_traceparent`]) join spans, log records,
 //! and wire envelopes into one per-request story.
 //!
+//! The crate also holds the workspace's one JSON codec, [`Json`]
+//! ([`json`]): the server's wire parser and renderer, the bench
+//! reports' pretty printer, and the string escaper the snapshot,
+//! Chrome-trace and log writers share.
+//!
 //! ## Cost when disabled
 //!
 //! Every instrument call starts with one relaxed atomic load of the
@@ -66,8 +71,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod chrome;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod snapshot;
@@ -75,8 +80,8 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use check::validate_json;
 pub use chrome::{chrome_trace, trace_file_path, write_chrome_trace, TRACE_FILE_ENV};
+pub use json::{validate_json, Json, JsonError};
 pub use log::{
     clear_log_file, debug, error, info, log, log_enabled, log_level, log_ring_reset,
     log_ring_snapshot, set_log_file, set_log_level, warn, Level, LogRecord, LOG_ENV,

@@ -153,28 +153,10 @@ impl LogRecord {
             line.push('"');
         }
         line.push_str(",\"msg\":");
-        escape_json_str(&self.msg, &mut line);
+        crate::json::escape_into(&self.msg, &mut line);
         line.push('}');
         line
     }
-}
-
-fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 static RING: Mutex<VecDeque<LogRecord>> = Mutex::new(VecDeque::new());

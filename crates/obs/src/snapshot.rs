@@ -1,5 +1,6 @@
 //! Draining the registry and span buffers into a [`Snapshot`].
 
+use crate::json::escape_into;
 use crate::metrics::{COUNTERS, GAUGES, HISTOGRAMS};
 use crate::span::{SpanEvent, AGGS, EVENTS};
 use crate::TraceMode;
@@ -94,13 +95,13 @@ impl Snapshot {
         let mut out = String::with_capacity(1024);
         out.push('{');
         out.push_str("\"mode\":");
-        push_json_str(&mut out, self.mode.name());
+        escape_into(self.mode.name(), &mut out);
         out.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            escape_into(name, &mut out);
             out.push(':');
             out.push_str(&v.to_string());
         }
@@ -109,7 +110,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            escape_into(name, &mut out);
             out.push(':');
             out.push_str(&v.to_string());
         }
@@ -118,7 +119,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, h.name);
+            escape_into(h.name, &mut out);
             let (p50, p95, p99) = (
                 h.percentile(0.50).unwrap_or(0),
                 h.percentile(0.95).unwrap_or(0),
@@ -141,7 +142,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, a.name);
+            escape_into(a.name, &mut out);
             out.push_str(&format!(
                 ":{{\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
                 a.count, a.total_ns, a.max_ns
@@ -178,7 +179,7 @@ impl Snapshot {
     fn push_span_node(&self, out: &mut String, idx: usize) {
         let s = &self.spans[idx];
         out.push_str("{\"name\":");
-        push_json_str(out, s.name);
+        escape_into(s.name, out);
         out.push_str(&format!(
             ",\"thread\":{},\"start_ns\":{},\"dur_ns\":{}",
             s.thread, s.start_ns, s.dur_ns
@@ -189,7 +190,7 @@ impl Snapshot {
                 if i > 0 {
                     out.push(',');
                 }
-                push_json_str(out, k);
+                escape_into(k, out);
                 out.push(':');
                 out.push_str(&v.to_string());
             }
@@ -208,22 +209,6 @@ impl Snapshot {
         }
         out.push_str("]}");
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Non-destructive copy of everything recorded so far. Spans still

@@ -115,10 +115,10 @@ mod linux {
     use std::time::{Duration, Instant};
 
     use crate::http;
-    use crate::json::Json;
     use crate::protocol::{codes, parse_request, Request, RequestError};
     use crate::server::{Routing, Server};
     use revkb_obs as obs;
+    use revkb_obs::Json;
 
     /// Thin wrappers over the epoll and rlimit syscalls — the only
     /// `unsafe` in the workspace. No libc crate: the symbols are

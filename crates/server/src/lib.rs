@@ -10,8 +10,9 @@
 //!
 //! The pieces:
 //!
-//! - [`json`]: a dependency-free strict JSON parser/emitter (the
-//!   workspace builds offline; no serde);
+//! - [`Json`]: the wire's strict JSON parser and compact renderer,
+//!   re-exported from `revkb_obs::json`, the workspace's one JSON codec
+//!   (the workspace builds offline; no serde);
 //! - [`protocol`]: the NDJSON request/response envelope, command set
 //!   and stable error codes;
 //! - [`registry`]: named [`registry::KbState`]s plus the
@@ -53,7 +54,6 @@
 
 pub mod event_loop;
 pub mod http;
-pub mod json;
 pub mod launch;
 pub mod protocol;
 pub mod registry;
@@ -62,9 +62,9 @@ pub mod server;
 pub mod wal;
 
 pub use http::METRICS_ADDR_ENV;
-pub use json::Json;
 pub use protocol::{Command, OpName, Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{cache_key, parse_canonical, Artifact, ArtifactCache, KbKind, KbState};
 pub use replica::ReplStatus;
+pub use revkb_obs::Json;
 pub use server::{Server, ServerConfig};
 pub use wal::{RecoveryReport, SyncMode, WalOp};

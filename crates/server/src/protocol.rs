@@ -21,8 +21,8 @@
 //! See `crates/server/PROTOCOL.md` for the full command reference with
 //! examples.
 
-use crate::json::Json;
 use revkb_obs as obs;
+use revkb_obs::Json;
 use revkb_revision::{Backend, ModelBasedOp};
 
 /// The protocol version this server speaks. Every response envelope
@@ -288,7 +288,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         return Err(fail("request must be a JSON object".to_string()));
     }
     match &id {
-        None | Some(Json::Num(_)) | Some(Json::Str(_)) => {}
+        None | Some(Json::Int(_) | Json::Num(_) | Json::Str(_)) => {}
         Some(_) => return Err(fail("id must be a number or a string".to_string())),
     }
     let deadline_ms = match value.get("deadline_ms") {
@@ -482,9 +482,9 @@ impl Response {
 /// echoed for telemetry correlation.
 pub fn ok_response(id: &Option<Json>, req: u64, trace: u64, result: Json) -> String {
     Json::obj([
-        ("v", Json::Num(PROTOCOL_VERSION as f64)),
+        ("v", Json::Int(PROTOCOL_VERSION.into())),
         ("id", id.clone().unwrap_or(Json::Null)),
-        ("req", Json::Num(req as f64)),
+        ("req", Json::Int(req.into())),
         ("trace", Json::Str(obs::format_trace_id(trace))),
         ("ok", Json::Bool(true)),
         ("result", result),
@@ -497,9 +497,9 @@ pub fn ok_response(id: &Option<Json>, req: u64, trace: u64, result: Json) -> Str
 /// echoed for telemetry correlation.
 pub fn err_response(id: &Option<Json>, req: u64, trace: u64, code: &str, message: &str) -> String {
     Json::obj([
-        ("v", Json::Num(PROTOCOL_VERSION as f64)),
+        ("v", Json::Int(PROTOCOL_VERSION.into())),
         ("id", id.clone().unwrap_or(Json::Null)),
-        ("req", Json::Num(req as f64)),
+        ("req", Json::Int(req.into())),
         ("trace", Json::Str(obs::format_trace_id(trace))),
         ("ok", Json::Bool(false)),
         ("code", Json::str(code)),

@@ -27,7 +27,6 @@
 //! child module `metrics`.
 
 use crate::http;
-use crate::json::Json;
 use crate::protocol::{
     codes, parse_request, Command, OpName, Request, RequestError, Response, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
@@ -40,6 +39,7 @@ use crate::replica::{
 use crate::wal::{decode_records, RecoveryReport, SyncMode, Wal, WalOp, LOG_MAGIC, SNAPSHOT_FILE};
 use revkb_logic::{parse as parse_formula, parse_nested, Formula, Signature, MAX_DEPTH};
 use revkb_obs as obs;
+use revkb_obs::Json;
 use revkb_revision::api::Engine;
 use revkb_revision::{
     widtio, Backend, DelayedKb, Error, GfuvEngine, ModelBasedOp, RevisedKb, RevisionChain, Theory,
@@ -548,7 +548,7 @@ fn kind_tag(kind: KbKind) -> &'static str {
 }
 
 fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+    Json::Int(n.into())
 }
 
 /// How a revise obtained its engine (the `cache` field of the

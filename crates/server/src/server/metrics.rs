@@ -19,11 +19,11 @@
 
 use super::{kind_tag, num, ActiveRequest, Inner, Server, READY_STALE_MS};
 use crate::http;
-use crate::json::Json;
 use crate::protocol::PROTOCOL_VERSION;
 use crate::registry::KbProfile;
 use crate::replica::epoch_millis;
 use revkb_obs as obs;
+use revkb_obs::Json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -157,3 +157,48 @@ fn cli_serve_refuses_the_removed_io_flag() {
         "{stderr}"
     );
 }
+
+/// `revkb-cli trace` finds the spans of requests whose trace ids the
+/// server minted: those use all 64 bits, and `/debug/trace.json`
+/// carries them as decimal integers that must parse exactly.
+#[test]
+fn cli_trace_finds_the_spans_of_server_minted_ids() {
+    use revkb::server::Json;
+    let mut child = serve(&["--listen", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0"])
+        .spawn()
+        .expect("spawn revkb-cli serve");
+    let (maddr, drain) = metrics_addr(child.stderr.take().expect("piped stderr"));
+    let addr = data_addr(&mut child);
+    let (mut stream, mut reader) = connect(&addr);
+    call(
+        &mut stream,
+        &mut reader,
+        r#"{"cmd":"load","kb":"k","t":"a & b"}"#,
+    );
+    let minted: Vec<String> = (0..4)
+        .map(|_| {
+            let resp = call(
+                &mut stream,
+                &mut reader,
+                r#"{"cmd":"query","kb":"k","q":"a"}"#,
+            );
+            let resp = Json::parse(&resp).expect("response is JSON");
+            resp.get("trace")
+                .and_then(Json::as_str)
+                .expect("minted trace id")
+                .to_string()
+        })
+        .collect();
+    for id in &minted {
+        let output = Command::new(CLI)
+            .args(["trace", &maddr, id])
+            .output()
+            .expect("run revkb-cli trace");
+        assert!(output.status.success());
+        let out = String::from_utf8_lossy(&output.stdout);
+        assert!(out.contains("server.request"), "trace {id}: {out}");
+    }
+    drop((stream, reader));
+    shutdown_and_wait(child, &addr);
+    drain.join().expect("stderr drain");
+}

@@ -90,6 +90,32 @@ fn ids_echo_in_every_shape() {
     }
 }
 
+/// Integer ids beyond 2^53 are echoed byte for byte, not rounded
+/// through `f64`.
+#[test]
+fn large_integer_ids_echo_exactly() {
+    let server = Server::new(ServerConfig::default());
+    for id in ["9007199254740993", "18446744073709551615"] {
+        let response = server
+            .handle_line(&format!(r#"{{"id":{id},"cmd":"ping"}}"#))
+            .expect("non-blank request");
+        assert!(
+            response.starts_with(&format!(r#"{{"v":2,"id":{id},"#)),
+            "{response}"
+        );
+    }
+}
+
+/// Number tokens RFC 8259 forbids make the line a bad request.
+#[test]
+fn non_rfc_numbers_are_bad_requests() {
+    let server = Server::new(ServerConfig::default());
+    for number in ["01", "-01", "1.", "1.e5"] {
+        let line = format!(r#"{{"id":{number},"cmd":"ping"}}"#);
+        assert_eq!(err_code(&call(&server, &line)), "bad_request", "for {line}");
+    }
+}
+
 #[test]
 fn malformed_requests_answer_instead_of_panicking() {
     let server = Server::new(ServerConfig::default());
