@@ -1,8 +1,8 @@
 //! `revkb-bench` — the continuous-performance regression harness.
 //!
 //! ```text
-//! revkb-bench                         # run the suite, write BENCH_PR17.json
-//! revkb-bench --baseline BENCH_PR17.json  # compare; exit 1 on regression
+//! revkb-bench                         # run the suite, write BENCH_PR20.json
+//! revkb-bench --baseline BENCH_PR20.json  # compare; exit 1 on regression
 //! revkb-bench --load-only             # just the load generator, no report
 //! ```
 //!
@@ -50,7 +50,7 @@ struct Args {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
-        out: "BENCH_PR17.json".to_string(),
+        out: "BENCH_PR20.json".to_string(),
         baseline: None,
         warn_only: false,
         server_report: true,
@@ -148,7 +148,7 @@ fn main() -> ExitCode {
     println!();
 
     // Load-only runs are smoke checks: print the table, write nothing
-    // (a partial report would shadow the committed BENCH_PR17.json).
+    // (a partial report would shadow the committed BENCH_PR20.json).
     if !args.load_only {
         let report = report_json(&args.config, &meta, &results);
         if let Err(e) = std::fs::write(&args.out, &report) {

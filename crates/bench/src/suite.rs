@@ -16,7 +16,7 @@
 //! generation is seeded (`REVKB_BENCH_SEED`), each benchmark runs
 //! `REVKB_BENCH_WARMUP` discarded warmup rounds followed by
 //! `REVKB_BENCH_TRIALS` measured trials, and the reported figure is
-//! the **median** trial. The emitted report (`BENCH_PR17.json`) is
+//! the **median** trial. The emitted report (`BENCH_PR20.json`) is
 //! schema-versioned and can be replayed as a `--baseline` to detect
 //! regressions: a benchmark regresses only when it is both relatively
 //! slower than its per-benchmark tolerance *and* absolutely slower by

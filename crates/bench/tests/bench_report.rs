@@ -121,13 +121,13 @@ fn committed_report_names(file: &str) -> Vec<String> {
         .collect()
 }
 
-/// The committed `BENCH_PR17.json` is the baseline CI compares
+/// The committed `BENCH_PR20.json` is the baseline CI compares
 /// against: it must stay valid and parseable with the schema this
 /// build supports, and it must cover the full named suite the harness
 /// runs today.
 #[test]
 fn committed_reports_are_valid_schema_v1() {
-    let committed = committed_report_names("BENCH_PR17.json");
+    let committed = committed_report_names("BENCH_PR20.json");
     for name in [
         "compile.dalal",
         "compile.dalal_chain",
@@ -163,7 +163,7 @@ fn committed_reports_are_valid_schema_v1() {
 /// layout (indent, separators, empty containers, number format).
 #[test]
 fn committed_reports_re_render_byte_for_byte() {
-    for file in ["BENCH_PR17.json", "server_bench_report.json"] {
+    for file in ["BENCH_PR20.json", "server_bench_report.json"] {
         let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
         let report = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read committed report {path}: {e}"));

@@ -31,7 +31,7 @@
 
 use crate::compact::degenerate_result;
 use crate::compact::rep::CompactRep;
-use crate::distance::{closest_in, delta_sets_in, omega_of, renamed_phases, Sides, Witness};
+use crate::distance::{at_most_differences, delta_sets_in, min_distance_in, omega_of, Sides};
 use crate::engine::{RevisionChain, DELTA_LIMIT};
 use crate::semantic::ModelBasedOp;
 use revkb_circuits::{distance_less_direct, exa};
@@ -72,9 +72,13 @@ fn differ_exactly(xs: &[Var], ys: &[Var], s: &BTreeSet<Var>) -> Formula {
     }))
 }
 
-/// A step's result: the next running representation and its Tseitin
-/// clauses, which are the previous step's clauses renamed plus the
-/// clauses of the new parts alone.
+/// A step's result: the next running representation and a clausal
+/// form of it, which is the previous step's clauses renamed plus
+/// clauses for the new parts alone: their Tseitin clauses, except that
+/// Dalal's `EXA` is replaced by an at-most-`kᵢ` counter (see
+/// [`dalal_step`]). The clauses have the representation's models on
+/// every letter of it but Dalal's `Wᵢ`, the base's included, which are
+/// all a distance session or a query session asks about.
 pub(crate) type Step = (Formula, SharedCnf);
 
 /// The result of a step on a degenerate pair (see
@@ -113,16 +117,18 @@ fn step_delta(
 /// over the base letters `X = xs`, with `kᵢ` computed offline against
 /// `prev = Φᵢ₋₁`, whose clauses are `prev_cnf`. The distance session
 /// loads `prev_cnf[X/Yᵢ]` and the clauses of `Pⁱ`, the first two parts
-/// of `Φᵢ`'s clauses. `witness` is a model of `prev_cnf` (or empty),
-/// which seeds the session; the step replaces it with a model of `Φᵢ`'s
-/// clauses, the closest pair the session found, so the next step starts
-/// warm.
+/// of `Φᵢ`'s clauses.
+///
+/// The third part is not `EXA`'s Tseitin clauses but "`X` and `Yᵢ`
+/// differ in at most `kᵢ` places" ([`at_most_differences`], on letters
+/// drawn after `EXA`'s): `kᵢ` is the minimum distance, so no model of
+/// the first two parts is closer, and the clauses have `Φᵢ`'s models on
+/// every letter but `Wᵢ`.
 pub(crate) fn dalal_step(
     prev: &Formula,
     prev_cnf: &SharedCnf,
     p: &Formula,
     xs: &[Var],
-    witness: &mut Witness,
     supply: &mut CountingSupply,
 ) -> Step {
     let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();
@@ -135,16 +141,14 @@ pub(crate) fn dalal_step(
         ys: &ys,
         supply: supply.clone(),
     };
-    let Some(closest) = closest_in(sides, &renamed_phases(witness, xs, &ys)) else {
-        witness.clear();
+    let Some(k) = min_distance_in(sides) else {
         return degenerate_step(p, supply);
     };
-    let exa_k = exa(closest.k, xs, &ys, supply);
-    let exa_cnf = SharedCnf::from(tseitin(&exa_k, supply));
-    *witness = closest.model;
+    let exa_k = exa(k, xs, &ys, supply);
+    let within_k = SharedCnf::from(at_most_differences(xs, &ys, k, supply));
     (
         prev.rename(xs, &ys).and(p.clone()).and(exa_k),
-        renamed.and(p_cnf).and(exa_cnf),
+        renamed.and(p_cnf).and(within_k),
     )
 }
 

@@ -94,9 +94,9 @@ impl EngineStats {
 ///
 /// Entailment queries go through one lazily created [`SessionPool`]:
 /// the first query or batch loads `formula` into worker 0 once, from
-/// the Tseitin clauses the construction kept when it kept them (the
-/// session then owns the only copy, and the representation lets them
-/// go), and by a Tseitin pass otherwise. Single queries and sequential batches run
+/// the clauses the construction kept when it kept them (the session
+/// then owns the only copy, and the representation lets them go), and
+/// by a Tseitin pass otherwise. Single queries and sequential batches run
 /// on that worker, so they share its learned clauses and memo; the
 /// pool forks further workers from it only when a batch first takes
 /// the parallel path. Mutating `formula` after the first query is a
@@ -112,11 +112,11 @@ pub struct CompactRep {
     /// (criterion (2)); otherwise only query equivalence (criterion
     /// (1)) is guaranteed.
     pub logical: bool,
-    /// `formula` in clausal form, when the construction kept its
-    /// Tseitin clauses and no query session or later step has taken
-    /// them yet: the clauses, and phases from a model of them (see
-    /// [`QuerySession::from_clauses`]).
-    clauses: RefCell<Option<(SharedCnf, Vec<bool>)>>,
+    /// `formula` in clausal form, when the construction kept clauses
+    /// and no query session or later step has taken them yet. Their
+    /// models are `formula`'s on every base letter (see
+    /// [`CompactRep::with_clauses`]).
+    clauses: RefCell<Option<SharedCnf>>,
     /// Lazily created query engine over `formula`, for single queries
     /// and batches alike.
     pool: RefCell<Option<SessionPool>>,
@@ -175,18 +175,19 @@ impl CompactRep {
         Self::new(formula, base, true)
     }
 
-    /// The same representation, whose query session loads `cnf`, the
-    /// Tseitin clauses of `formula`, instead of encoding it again, and
-    /// seeds its phases with `phases`, a model of `cnf` by letter
-    /// index (possibly partial).
-    pub(crate) fn with_clauses(self, cnf: SharedCnf, phases: Vec<bool>) -> Self {
-        *self.clauses.borrow_mut() = Some((cnf, phases));
+    /// The same representation, whose query session loads `cnf`
+    /// instead of encoding `formula`. `cnf` need not be `formula`'s
+    /// Tseitin clauses: its models must be `formula`'s on every base
+    /// letter, as [`QuerySession::from_clauses`] asks. A Dalal chain's,
+    /// for one, replace `EXA`'s circuit by an at-most-`k` counter.
+    pub(crate) fn with_clauses(self, cnf: SharedCnf) -> Self {
+        *self.clauses.borrow_mut() = Some(cnf);
         self
     }
 
-    /// Take the clauses and phases given by [`CompactRep::with_clauses`],
-    /// unless the query session or an earlier call took them already.
-    pub(crate) fn take_clauses(&self) -> Option<(SharedCnf, Vec<bool>)> {
+    /// Take the clauses given by [`CompactRep::with_clauses`], unless
+    /// the query session or an earlier call took them already.
+    pub(crate) fn take_clauses(&self) -> Option<SharedCnf> {
         self.clauses.borrow_mut().take()
     }
 
@@ -225,7 +226,7 @@ impl CompactRep {
             let num_query_vars = self.base.iter().map(|v| v.0 + 1).max().unwrap_or(0);
             let config = self.pool_config.borrow().clone().unwrap_or_default();
             let session = match self.take_clauses() {
-                Some((cnf, phases)) => QuerySession::from_clauses(&cnf, &phases, num_query_vars),
+                Some(cnf) => QuerySession::from_clauses(&cnf, num_query_vars),
                 None => QuerySession::with_query_alphabet(&self.formula, num_query_vars),
             };
             SessionPool::with_session(session, config)

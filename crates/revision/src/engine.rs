@@ -26,13 +26,12 @@
 
 use crate::compact::iterated::{
     base_vars, borgida_step, dalal_step, forbus_step, satoh_step, weber_step,
-    winslett_step_expanded,
+    winslett_step_expanded, Step,
 };
 use crate::compact::{
     borgida_bounded, dalal_compact, forbus_bounded, satoh_bounded, weber_compact, winslett_bounded,
     CompactRep,
 };
-use crate::distance::Witness;
 use crate::semantic::ModelBasedOp;
 use revkb_logic::{tseitin, CountingSupply, Formula, SharedCnf, Var};
 use revkb_sat::supply_above;
@@ -308,21 +307,22 @@ impl RevisedKb {
 /// letters must be compiled from `T` again.
 ///
 /// Dalal, Satoh and Weber steps leave the running representation in
-/// clausal form too: its Tseitin clauses, encoded once per part and
-/// renamed in place of the formula ([`revkb_logic::SharedCnf`]). The
-/// next step's distance session loads them instead of encoding `T'`
-/// again, or the chain's query session does, whichever comes first:
-/// it takes them, so the chain keeps no copy beside the solver's, and
-/// a step after the first query encodes `T'` once more.
+/// clausal form too, encoded once per part and renamed in place of the
+/// formula ([`revkb_logic::SharedCnf`]). Satoh's and Weber's are `T'`'s
+/// Tseitin clauses. Dalal's hold an at-most-`kᵢ` counter where `T'`
+/// holds `EXA(kᵢ, X, Yᵢ, Wᵢ)`, so they have `T'`'s models on every
+/// letter but the `Wᵢ`. The next step's distance session loads them
+/// instead of encoding `T'`, or the chain's query session does,
+/// whichever comes first: it takes them, so the chain keeps no copy
+/// beside the solver's, and a step after the first query encodes `T'`
+/// with Tseitin, as a chain taken up from its formula does.
 ///
 /// The chain is itself a query engine over its running representation
 /// ([`crate::api::Engine`]), so a holder keeps one copy of `T'`.
 #[derive(Debug, Clone)]
 pub struct RevisionChain {
     /// The running representation over the base alphabet, with the
-    /// clauses a Dalal, Satoh or Weber step left; after a Dalal step,
-    /// their phases are a model from its distance session, which
-    /// warm-starts the next one.
+    /// clauses a Dalal, Satoh or Weber step left.
     kb: RevisedKb,
     /// Fresh letters for the next step: above every letter of the
     /// representation, its clauses and the base, and drawn from on
@@ -411,23 +411,19 @@ impl RevisionChain {
             CountingSupply::new(top.map_or(0, |v| v.0 + 1))
         });
         let (limit, overflow) = (self.delta_limit, CompileError::DeltaEnumerationOverflow);
+        let clausal = |(next, cnf): Step| (next, Some(cnf));
         let (next, clauses) = match self.kb.op {
             ModelBasedOp::Dalal => {
-                let (current, mut witness) = clauses_of(rep, supply);
-                let (next, cnf) = dalal_step(formula, &current, p, base, &mut witness, supply);
-                (next, Some((cnf, witness)))
+                let current = clauses_of(rep, supply);
+                clausal(dalal_step(formula, &current, p, base, supply))
             }
             ModelBasedOp::Weber => {
-                let (current, _) = clauses_of(rep, supply);
-                let (next, cnf) =
-                    weber_step(formula, &current, p, base, limit, supply).ok_or(overflow)?;
-                (next, Some((cnf, Witness::new())))
+                let step = weber_step(formula, &clauses_of(rep, supply), p, base, limit, supply);
+                clausal(step.ok_or(overflow)?)
             }
             ModelBasedOp::Satoh => {
-                let (current, _) = clauses_of(rep, supply);
-                let (next, cnf) =
-                    satoh_step(formula, &current, p, base, limit, supply).ok_or(overflow)?;
-                (next, Some((cnf, Witness::new())))
+                let step = satoh_step(formula, &clauses_of(rep, supply), p, base, limit, supply);
+                clausal(step.ok_or(overflow)?)
             }
             ModelBasedOp::Winslett => (winslett_step_expanded(formula, p, supply), None),
             ModelBasedOp::Borgida => (borgida_step(formula, p, supply), None),
@@ -435,8 +431,8 @@ impl RevisionChain {
         };
         let base = std::mem::take(&mut self.kb.rep.base);
         let mut rep = CompactRep::query(next, base);
-        if let Some((cnf, witness)) = clauses {
-            rep = rep.with_clauses(cnf, witness);
+        if let Some(cnf) = clauses {
+            rep = rep.with_clauses(cnf);
         }
         self.kb.rep = rep;
         Ok(())
@@ -459,17 +455,13 @@ impl RevisionChain {
     }
 }
 
-/// The clauses of the running representation `rep` and a model of
-/// them: those its last step left, taken from `rep`, or one Tseitin
-/// pass now (and no model) when there are none, because the chain has
-/// taken no step yet or its query session has taken them.
-fn clauses_of(rep: &CompactRep, supply: &mut CountingSupply) -> (SharedCnf, Witness) {
-    rep.take_clauses().unwrap_or_else(|| {
-        (
-            SharedCnf::from(tseitin(&rep.formula, supply)),
-            Witness::new(),
-        )
-    })
+/// The clauses of the running representation `rep`: those its last
+/// step left, taken from `rep`, or one Tseitin pass now when there are
+/// none, because the chain has taken no step yet, was taken up from its
+/// formula, or its query session has taken them.
+fn clauses_of(rep: &CompactRep, supply: &mut CountingSupply) -> SharedCnf {
+    rep.take_clauses()
+        .unwrap_or_else(|| SharedCnf::from(tseitin(&rep.formula, supply)))
 }
 
 /// The bounded constructions (all but Dalal's and Weber's) refuse a

@@ -23,7 +23,7 @@
 use crate::api::supply_above;
 use crate::solver::Solver;
 use revkb_logic::{
-    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, SharedCnf, Var, VarSupply,
+    tseitin, tseitin_definitions, Cnf, CountingSupply, Formula, Lit, SharedCnf, VarSupply,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -186,18 +186,14 @@ impl QuerySession {
 
     /// A session over a base that is already in clausal form: `cnf`,
     /// whose models restricted to the query letters are the base's
-    /// models. No Tseitin pass runs. `phases[i]` seeds the saved phase
-    /// of `Var(i)` (see [`Solver::hint_phase`]), so a model of `cnf`,
-    /// possibly partial, lets the first query's search walk to it.
-    /// Queries stay within `Var(0) .. Var(num_query_vars)`; every other
-    /// letter of `cnf` is the session's own.
-    pub fn from_clauses(cnf: &SharedCnf, phases: &[bool], num_query_vars: u32) -> Self {
+    /// models. `cnf` need not be a Tseitin encoding of any formula; no
+    /// Tseitin pass runs. Queries stay within
+    /// `Var(0) .. Var(num_query_vars)`; every other letter of `cnf` is
+    /// the session's own.
+    pub fn from_clauses(cnf: &SharedCnf, num_query_vars: u32) -> Self {
         let _span = revkb_obs::span("sat.base_load");
         Self::load(num_query_vars, cnf.num_vars(), |solver| {
             solver.add_shared_cnf(cnf);
-            for (i, &value) in phases.iter().enumerate() {
-                solver.hint_phase(Var(i as u32), value);
-            }
         })
     }
 
@@ -484,7 +480,7 @@ mod tests {
         let mut supply = revkb_logic::CountingSupply::new(10);
         let cnf = SharedCnf::from(tseitin(&base, &mut supply)).rename(&[Var(0)], &[Var(9)]);
         let renamed = base.rename(&[Var(0)], &[Var(9)]);
-        let mut from_clauses = QuerySession::from_clauses(&cnf, &[true, true], 10);
+        let mut from_clauses = QuerySession::from_clauses(&cnf, 10);
         let mut from_formula = QuerySession::with_query_alphabet(&renamed, 10);
         for q in [v(9), v(1), v(9).implies(v(1)), v(1).or(v(2)), v(2).not()] {
             assert_eq!(from_clauses.entails(&q), from_formula.entails(&q), "{q:?}");

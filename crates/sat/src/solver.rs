@@ -148,15 +148,6 @@ impl Solver {
         self.heap.grow_to(need);
     }
 
-    /// Seed the saved phase of `v`: the next decision on `v` tries
-    /// `value` first. A hint, not a constraint — phase saving replaces
-    /// it as soon as `v` is assigned. Hinting a model of the loaded
-    /// clauses lets the next search walk to it by propagation.
-    pub fn hint_phase(&mut self, v: Var, value: bool) {
-        self.ensure_var(v);
-        self.polarity[v.index()] = value;
-    }
-
     /// Current value of a variable.
     pub fn value_var(&self, v: Var) -> LBool {
         self.assigns.get(v.index()).copied().unwrap_or(LBool::Undef)

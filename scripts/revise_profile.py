@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Time every revise of perfbench's cold_compile corpus, per operator,
-backend and chain step, and check compiled sizes across two builds.
+"""Time every revise of perfbench's cold_compile corpus, and each KB's
+first query, per operator, backend and chain step, and check compiled
+sizes across two builds.
 
     python3 scripts/revise_profile.py run target/release/revkb-server after.json
     python3 scripts/revise_profile.py compare before.json after.json
 
 `run` starts `revkb-server --stdio` (pinned to the last CPU this
 process may use, where the OS supports affinity), sends the corpus's
-240 chains in a fixed order -- load, each revise, drop -- three
-times, and writes the median
-client-side latency of each (operator, backend, step) and the
-`compiled_size` of every (chain, step) revise. The 64-entry artifact
-cache never holds a chain when it comes round again, so every
-model-based revise compiles. `compare` prints the medians side by side
-and fails unless both runs saw the same compiled size for every revise.
+240 chains in a fixed order -- load, each revise, one query, drop --
+three times, and writes the median client-side latency of each
+(operator, backend, step) revise, the median latency of the query
+after a chain's last step (the KB version's first query, which loads
+its SAT session) per (operator, backend, steps), and the
+`compiled_size` of every (chain, step) revise. Every query's answer is
+checked against perfbench's oracle. The 64-entry artifact cache never
+holds a chain when it comes round again, so every model-based revise
+compiles. `compare` prints both sets of medians side by side and fails
+unless both runs saw the same compiled size for every revise.
 """
 
 import argparse
@@ -53,7 +57,7 @@ def run(binary, out):
             sys.exit(f"request failed: {request} -> {response}")
         return response["result"], time.perf_counter() - start
 
-    latencies, sizes = {}, {}
+    latencies, first_queries, sizes = {}, {}, {}
     for n in range(PASSES):
         for k, inst in enumerate(corpus):
             kb = f"p{n}c{k}"
@@ -67,6 +71,12 @@ def run(binary, out):
                 size = sizes.setdefault(f"{k}/{step}", result.get("compiled_size"))
                 if size != result.get("compiled_size"):
                     sys.exit(f"chain {k} step {step}: compiled size changed between passes")
+            result, seconds = call({"cmd": "query", "kb": kb, "q": oracle.render(inst.queries[0])})
+            if result.get("entails") != inst.answers[0]:
+                sys.exit(f"chain {k}: first query answered {result} against the oracle's "
+                         f"{inst.answers[0]}")
+            key = f"{inst.op}/{inst.backend}/{len(inst.chain)}"
+            first_queries.setdefault(key, []).append(seconds * 1e3)
             call({"cmd": "drop", "kb": kb})
     server.stdin.close()
     server.wait()
@@ -74,6 +84,8 @@ def run(binary, out):
         json.dump({"passes": PASSES,
                    "median_ms": {k: statistics.median(v) for k, v in sorted(latencies.items())},
                    "revises": {k: len(v) for k, v in sorted(latencies.items())},
+                   "first_query_ms": {k: statistics.median(v)
+                                      for k, v in sorted(first_queries.items())},
                    "compiled_size": sizes}, f, indent=1)
     print(f"{len(sizes)} (chain, step) revises, {PASSES} passes -> {out}")
 
@@ -83,10 +95,12 @@ def compare(before_path, after_path):
         before = json.load(f)
     with open(after_path) as f:
         after = json.load(f)
-    print(f"{'operator/backend/step':24} {'before ms':>10} {'after ms':>10} {'change':>8}")
-    for key, was in before["median_ms"].items():
-        now = after["median_ms"][key]
-        print(f"{key:24} {was:10.3f} {now:10.3f} {100 * (now / was - 1):+7.1f}%")
+    for title, field in (("revise", "median_ms"), ("first query", "first_query_ms")):
+        print(f"{title + ': operator/backend/step':38} {'before ms':>10} {'after ms':>10} "
+              f"{'change':>8}")
+        for key, was in before[field].items():
+            now = after[field][key]
+            print(f"{key:38} {was:10.3f} {now:10.3f} {100 * (now / was - 1):+7.1f}%")
     same = before["compiled_size"] == after["compiled_size"]
     print(f"compiled size identical for all {len(before['compiled_size'])} revises: {same}")
     return 0 if same else 1

@@ -67,7 +67,7 @@ fn one_solver_per_non_degenerate_step() {
             count("revision.k_session.conflicts"),
         );
         let pinned_k_work = if op == ModelBasedOp::Dalal {
-            (6, 26)
+            (6, 1)
         } else {
             (0, 0)
         };
