@@ -480,6 +480,46 @@ impl BddManager {
         }
     }
 
+    /// Build the BDD whose models are `masks`, bit `i` of a mask giving
+    /// the variable at level `i` of the ordering (so the manager's
+    /// ordering must hold every letter the masks use, and at most 64).
+    ///
+    /// Bottom-up, with no `apply`: the masks are split on the top
+    /// variable, each half built one level down, and the two joined by
+    /// one unique-table lookup. That is at most one lookup per distinct
+    /// prefix of a mask, `O(|masks| · n)`, and every node it allocates
+    /// is reachable from the result.
+    pub fn from_models(&mut self, masks: &[u64]) -> NodeId {
+        let n = self.order.len();
+        assert!(n <= 64, "mask bits address at most 64 levels");
+        debug_assert!(
+            n == 64 || masks.iter().all(|m| m >> n == 0),
+            "a mask sets a bit past the ordering"
+        );
+        self.models_below(0, &mut masks.to_vec())
+    }
+
+    fn models_below(&mut self, level: u32, masks: &mut [u64]) -> NodeId {
+        if masks.is_empty() {
+            return FALSE;
+        }
+        if level as usize == self.order.len() {
+            return TRUE;
+        }
+        // Masks with the variable false first, then those with it true.
+        let mut split = 0;
+        for i in 0..masks.len() {
+            if masks[i] >> level & 1 == 0 {
+                masks.swap(i, split);
+                split += 1;
+            }
+        }
+        let (low, high) = masks.split_at_mut(split);
+        let low = self.models_below(level + 1, low);
+        let high = self.models_below(level + 1, high);
+        self.mk(level, low, high)
+    }
+
     /// Model check `M ⊨ f` — the paper's `ASK(D, M)`, a single
     /// root-to-terminal walk (Definition 7.1's polynomial-time bound).
     pub fn model_check(&self, f: NodeId, m: &Interpretation) -> bool {

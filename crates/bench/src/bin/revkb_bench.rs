@@ -7,7 +7,9 @@
 //! ```
 //!
 //! The suite is fixed and named (see [`revkb_bench::suite`]): eight
-//! per-operator compiles, sequential-vs-parallel batch queries with
+//! per-operator compiles, a planted Dalal chain, the six model-based
+//! operators through the BDD backend, sequential-vs-parallel batch
+//! queries with
 //! histogram percentiles, BDD apply, the Tseitin transform, the
 //! artifact-cache touch cost, cold-vs-warm server revises over
 //! loopback TCP, cold-boot recovery from a WAL data directory, and
@@ -20,8 +22,9 @@
 //! binary) unless `--no-server-report` is given.
 //!
 //! A baseline comparison fails on any change in a deterministic work
-//! count (`compiled_size`, `k_session_probes`, `k_session_conflicts`),
-//! even with `--warn-only`, which relaxes only the wall-time verdicts.
+//! count (`compiled_size`, `k_session_probes`, `k_session_conflicts`,
+//! `allocated_nodes`), even with `--warn-only`, which relaxes only the
+//! wall-time verdicts.
 //!
 //! `--load-only` skips everything except the open-loop load generator
 //! (`REVKB_BENCH_CONNS` connections against a spawned `revkb-server`)

@@ -52,7 +52,7 @@ fn main() {
         let revised = revise_on(ModelBasedOp::Dalal, &alpha, &family.t, &family.p_single);
         dnf_series.push(n as f64, minimum_dnf_of(&revised).literal_count() as f64);
         let mut mgr = BddManager::with_order(vars);
-        let node = mgr.from_formula(&revised.to_dnf());
+        let node = mgr.from_models(revised.masks());
         bdd_series.push(n as f64, mgr.size(node) as f64);
     }
     println!("pairs family (T*D P, n contradictory clause pairs):");
@@ -85,7 +85,7 @@ fn main() {
     let alpha = Alphabet::new(vars.clone());
     let revised = revise_on(ModelBasedOp::Dalal, &alpha, &family.t, &family.p_single);
     let mut mgr = BddManager::with_order(vars);
-    let node = mgr.from_formula(&revised.to_dnf());
+    let node = mgr.from_models(revised.masks());
     let mut checked = 0;
     let mut agreed = 0;
     for pi in all_instances(3, &universe) {
@@ -116,7 +116,7 @@ fn main() {
             let alpha = Alphabet::of_formulas([&t, &p]);
             let revised = revise_on(ModelBasedOp::Dalal, &alpha, &t, &p);
             let mut mgr = BddManager::with_order(alpha.vars().to_vec());
-            let node = mgr.from_formula(&revised.to_dnf());
+            let node = mgr.from_models(revised.masks());
             total += mgr.size(node);
         }
         benign.push(n as f64, (total / samples) as f64);

@@ -1,6 +1,7 @@
 //! The `revkb-bench` regression suite: a fixed, named set of
 //! benchmarks spanning the whole pipeline — per-operator compile
-//! times, sequential-vs-parallel batch query latency (with percentiles
+//! times (direct, a planted Dalal chain, and through the BDD backend),
+//! sequential-vs-parallel batch query latency (with percentiles
 //! from the `revkb-obs` histograms), BDD apply throughput, the Tseitin
 //! transform, artifact-cache touch cost at large capacity,
 //! cold-vs-warm server revises over a loopback TCP connection,
@@ -240,43 +241,56 @@ fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         .collect()
 }
 
-/// `compile.dalal_chain` — one compile per trial of a fixed, seeded,
-/// planted Dalal chain: a random 3-CNF `T` over 12 letters that a
-/// planted model satisfies, with at most 32 models, revised three times
-/// by cubes of three literals. One more compile, under the `Summary`
-/// trace mode, counts its deterministic work: `compiled_size`, and the
-/// probes its `k`-sessions ask and the conflicts they meet, all three
-/// in [`WORK_EXTRAS`].
-fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
-    use revkb_revision::{ModelBasedOp, RevisedKb};
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA1A_C4A1);
-    let letters: Vec<revkb_logic::Var> = (0..12).map(revkb_logic::Var).collect();
-    let alpha = revkb_logic::Alphabet::new(letters);
+/// A seeded random 3-CNF over the 12 letters `0..12` that a planted
+/// model satisfies, with at most 32 models: the theories of perfbench's
+/// corpus.
+fn planted_theory(rng: &mut StdRng) -> Formula {
+    let alpha = revkb_logic::Alphabet::new((0..12).map(revkb_logic::Var).collect());
     let planted: u64 = rng.gen_range(0..1 << 12);
     let mut clauses = Vec::new();
     while alpha.models(&Formula::and_all(clauses.clone())).len() > 32 {
-        let clause = random_kcnf(&mut rng, 12, 1, 3);
+        let clause = random_kcnf(rng, 12, 1, 3);
         if alpha.eval_mask(&clause, planted) {
             clauses.push(clause);
         }
     }
-    let t = Formula::and_all(clauses);
-    let ps: Vec<Formula> = (0..3)
-        .map(|_| {
-            Formula::and_all((0..3).map(|_| {
-                revkb_logic::Formula::lit(revkb_logic::Var(rng.gen_range(0..12)), rng.gen_bool(0.5))
-            }))
-        })
-        .collect();
-    let compile = || RevisedKb::compile_iterated(ModelBasedOp::Dalal, &t, &ps).expect("compiles");
+    Formula::and_all(clauses)
+}
 
+/// A seeded cube of three literals over the letters `0..12`.
+fn random_cube(rng: &mut StdRng) -> Formula {
+    Formula::and_all(
+        (0..3).map(|_| Formula::lit(revkb_logic::Var(rng.gen_range(0..12)), rng.gen_bool(0.5))),
+    )
+}
+
+/// Run `work` once under the `Summary` trace mode and return its result
+/// with the counters it moved, restoring the process's mode after.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, revkb_obs::Snapshot) {
     let prev = revkb_obs::mode();
     revkb_obs::set_mode(revkb_obs::TraceMode::Summary);
     revkb_obs::reset();
-    let size = compile().size();
-    let work = revkb_obs::snapshot();
+    let out = work();
+    let snapshot = revkb_obs::snapshot();
     revkb_obs::reset();
     revkb_obs::set_mode(prev);
+    (out, snapshot)
+}
+
+/// `compile.dalal_chain` — one compile per trial of a fixed, seeded,
+/// planted Dalal chain: a [`planted_theory`] revised three times by
+/// [`random_cube`]s. One more compile, under the `Summary` trace mode,
+/// counts its deterministic work: `compiled_size`, and the probes its
+/// `k`-sessions ask and the conflicts they meet, all three in
+/// [`WORK_EXTRAS`].
+fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
+    use revkb_revision::{ModelBasedOp, RevisedKb};
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA1A_C4A1);
+    let t = planted_theory(&mut rng);
+    let ps: Vec<Formula> = (0..3).map(|_| random_cube(&mut rng)).collect();
+    let compile = || RevisedKb::compile_iterated(ModelBasedOp::Dalal, &t, &ps).expect("compiles");
+
+    let (size, work) = counted(|| compile().size());
     let count = |name| work.counter(name).unwrap_or(0) as f64;
 
     let (median, trials) = timed_trials(cfg, || drop(compile()));
@@ -291,6 +305,36 @@ fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
             "k_session_conflicts",
             Json::Num(count("revision.k_session.conflicts")),
         ),
+    ];
+    r
+}
+
+/// `compile.via_bdd` — one trial compiles a [`planted_theory`] revised
+/// by a [`random_cube`] through the BDD backend
+/// ([`revkb_revision::RevisedKb::compile_via_bdd`]) for each of the six
+/// model-based operators. One more round, under the `Summary` trace
+/// mode, counts its deterministic work, both in [`WORK_EXTRAS`]: the
+/// six `compiled_size`s summed, and the BDD nodes the six managers
+/// allocate (`allocated_nodes`).
+fn via_bdd_bench(cfg: &SuiteConfig) -> BenchResult {
+    use revkb_revision::{ModelBasedOp, RevisedKb};
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xB0D_C4A1);
+    let t = planted_theory(&mut rng);
+    let p = random_cube(&mut rng);
+    let compile_all = || {
+        ModelBasedOp::ALL.map(|op| {
+            RevisedKb::compile_via_bdd(op, &t, &p).expect("12 letters fit the BDD backend")
+        })
+    };
+
+    let (size, work) = counted(|| compile_all().iter().map(RevisedKb::size).sum::<usize>());
+    let allocated = work.counter("bdd.unique.nodes_allocated").unwrap_or(0);
+
+    let (median, trials) = timed_trials(cfg, || drop(compile_all()));
+    let mut r = result(cfg, "compile.via_bdd".into(), median, trials);
+    r.extra = vec![
+        ("compiled_size", Json::Num(size as f64)),
+        ("allocated_nodes", Json::Num(allocated as f64)),
     ];
     r
 }
@@ -963,6 +1007,7 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
 pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut results = compile_benches(cfg);
     results.push(dalal_chain_bench(cfg));
+    results.push(via_bdd_bench(cfg));
     results.extend(query_benches(cfg));
     results.push(bdd_bench(cfg));
     results.push(tseitin_bench(cfg));
@@ -1031,7 +1076,12 @@ pub struct Comparison {
 /// Extras that count deterministic work, not time: a change in any of
 /// them from the baseline fails the comparison whatever the wall time
 /// does, `--warn-only` included ([`comparison_fails`]).
-pub const WORK_EXTRAS: [&str; 3] = ["compiled_size", "k_session_probes", "k_session_conflicts"];
+pub const WORK_EXTRAS: [&str; 4] = [
+    "compiled_size",
+    "k_session_probes",
+    "k_session_conflicts",
+    "allocated_nodes",
+];
 
 /// Does a baseline comparison fail? On any change in a
 /// [`WORK_EXTRAS`] count, always; on a wall-time regression, unless
@@ -1298,6 +1348,7 @@ mod tests {
             extra: vec![
                 ("compiled_size", Json::Num(3000.0)),
                 ("k_session_conflicts", Json::Num(conflicts)),
+                ("allocated_nodes", Json::Num(700.0)),
             ],
         };
         let cfg = SuiteConfig::default();
@@ -1318,6 +1369,11 @@ mod tests {
             vec![("k_session_conflicts", 40.0, 39.0)]
         );
         assert!(comparison_fails(&changed, true));
+
+        // BDD node counts gate the same way.
+        let mut more_nodes = chain(1000.0, 40.0);
+        more_nodes.extra[2].1 = Json::Num(701.0);
+        assert!(comparison_fails(&compare(more_nodes), true));
 
         // A count the baseline does not have is not compared.
         let mut extra_count = chain(1000.0, 40.0);

@@ -131,6 +131,7 @@ fn committed_reports_are_valid_schema_v1() {
     for name in [
         "compile.dalal",
         "compile.dalal_chain",
+        "compile.via_bdd",
         "compile.winslett",
         "query.sequential",
         "query.parallel",

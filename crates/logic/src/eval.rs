@@ -144,11 +144,7 @@ impl Alphabet {
     }
 
     /// Enumerate all models of `f` over this alphabet, as masks, in
-    /// increasing mask order.
-    ///
-    /// Word-parallel: one walk of `f` evaluates it on the 64 masks
-    /// `base .. base + 64` at once (see [`Alphabet::eval_word`]), so an
-    /// `n`-letter alphabet costs `⌈2ⁿ / 64⌉` walks instead of `2ⁿ`.
+    /// increasing mask order, read off [`Alphabet::model_words`].
     ///
     /// # Panics
     /// If the alphabet has 64 or more letters. This is the ground-truth
@@ -169,72 +165,26 @@ impl Alphabet {
     /// is `f` under mask `64·w + j`. An alphabet under six letters has
     /// one, partial, word whose bits from `2ⁿ` on are clear.
     ///
+    /// Each node of `f` is evaluated once, on the whole table: a letter
+    /// is a fixed bit pattern (letters outside the alphabet are false),
+    /// and a connective combines its operands' tables word by word. So
+    /// the cost is `|f| · ⌈2ⁿ / 64⌉` word operations, with one buffer
+    /// per level of `f`'s nesting.
+    ///
     /// # Panics
     /// As [`Alphabet::models`].
     pub fn model_words(&self, f: &Formula) -> Vec<u64> {
         let count = self.interpretation_count();
-        (0..count)
-            .step_by(64)
-            .map(|base| {
-                let live = if count - base >= 64 {
-                    u64::MAX
-                } else {
-                    (1 << (count - base)) - 1
-                };
-                self.eval_word(f, base) & live
-            })
-            .collect()
-    }
-
-    /// Evaluate `f` on the 64 masks `base .. base + 64` (`base` a
-    /// multiple of 64): bit `j` of the result is `f` under mask
-    /// `base + j`. Letters at positions below 6 take the fixed bit
-    /// patterns of `j`, higher letters are constant across the word
-    /// (bit `i` of `base`), and letters outside the alphabet are false.
-    fn eval_word(&self, f: &Formula, base: u64) -> u64 {
-        /// Bit `j` of `LOW_LETTERS[i]` is bit `i` of `j`.
-        const LOW_LETTERS: [u64; 6] = [
-            0xAAAA_AAAA_AAAA_AAAA,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0xF0F0_F0F0_F0F0_F0F0,
-            0xFF00_FF00_FF00_FF00,
-            0xFFFF_0000_FFFF_0000,
-            0xFFFF_FFFF_0000_0000,
-        ];
-        match f {
-            Formula::True => u64::MAX,
-            Formula::False => 0,
-            Formula::Var(v) => match self.position(*v) {
-                Some(i) if i < 6 => LOW_LETTERS[i],
-                Some(i) if base >> i & 1 == 1 => u64::MAX,
-                _ => 0,
-            },
-            Formula::Not(g) => !self.eval_word(g, base),
-            // Stop once every mask of the word is decided.
-            Formula::And(fs) => {
-                let mut acc = u64::MAX;
-                for g in fs {
-                    if acc == 0 {
-                        break;
-                    }
-                    acc &= self.eval_word(g, base);
-                }
-                acc
-            }
-            Formula::Or(fs) => {
-                let mut acc = 0;
-                for g in fs {
-                    if acc == u64::MAX {
-                        break;
-                    }
-                    acc |= self.eval_word(g, base);
-                }
-                acc
-            }
-            Formula::Implies(a, b) => !self.eval_word(a, base) | self.eval_word(b, base),
-            Formula::Iff(a, b) => !(self.eval_word(a, base) ^ self.eval_word(b, base)),
-            Formula::Xor(a, b) => self.eval_word(a, base) ^ self.eval_word(b, base),
+        let mut tables = WordTables {
+            alphabet: self,
+            len: count.div_ceil(64) as usize,
+            spare: Vec::new(),
+        };
+        let mut words = tables.eval(f);
+        if count < 64 {
+            words[0] &= (1 << count) - 1;
         }
+        words
     }
 
     /// Hamming distance between two interpretations (the cardinality of
@@ -275,6 +225,103 @@ impl Alphabet {
             }
         }
         out
+    }
+}
+
+/// Truth tables of formula nodes over one alphabet, for
+/// [`Alphabet::model_words`]: each a `Vec` of `len` words, recycled
+/// through `spare` once its parent has combined it.
+struct WordTables<'a> {
+    alphabet: &'a Alphabet,
+    len: usize,
+    spare: Vec<Vec<u64>>,
+}
+
+impl WordTables<'_> {
+    /// A table of `len` words, every word `fill`.
+    fn filled(&mut self, fill: u64) -> Vec<u64> {
+        let mut t = self.spare.pop().unwrap_or_default();
+        t.clear();
+        t.resize(self.len, fill);
+        t
+    }
+
+    /// The table of letter `v`. Bit `j` of `LOW_LETTERS[i]` is bit `i`
+    /// of `j`: a letter at position `i < 6` varies within each word, a
+    /// higher one is constant across a word (bit `i - 6` of its index).
+    fn letter(&mut self, v: Var) -> Vec<u64> {
+        const LOW_LETTERS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        match self.alphabet.position(v) {
+            Some(i) if i < 6 => self.filled(LOW_LETTERS[i]),
+            Some(i) => {
+                let mut t = self.filled(0);
+                for (w, word) in t.iter_mut().enumerate() {
+                    if w >> (i - 6) & 1 == 1 {
+                        *word = u64::MAX;
+                    }
+                }
+                t
+            }
+            None => self.filled(0),
+        }
+    }
+
+    /// Fold `g`'s table into `acc` with `op`, then recycle it.
+    fn fold(&mut self, acc: &mut [u64], g: &Formula, op: impl Fn(u64, u64) -> u64) {
+        let t = self.eval(g);
+        for (a, b) in acc.iter_mut().zip(&t) {
+            *a = op(*a, *b);
+        }
+        self.spare.push(t);
+    }
+
+    fn eval(&mut self, f: &Formula) -> Vec<u64> {
+        match f {
+            Formula::True => self.filled(u64::MAX),
+            Formula::False => self.filled(0),
+            Formula::Var(v) => self.letter(*v),
+            Formula::Not(g) => {
+                let mut t = self.eval(g);
+                t.iter_mut().for_each(|w| *w = !*w);
+                t
+            }
+            Formula::And(fs) => {
+                let mut acc = self.filled(u64::MAX);
+                for g in fs {
+                    self.fold(&mut acc, g, |a, b| a & b);
+                }
+                acc
+            }
+            Formula::Or(fs) => {
+                let mut acc = self.filled(0);
+                for g in fs {
+                    self.fold(&mut acc, g, |a, b| a | b);
+                }
+                acc
+            }
+            Formula::Implies(a, b) => {
+                let mut acc = self.eval(a);
+                self.fold(&mut acc, b, |a, b| !a | b);
+                acc
+            }
+            Formula::Iff(a, b) => {
+                let mut acc = self.eval(a);
+                self.fold(&mut acc, b, |a, b| !(a ^ b));
+                acc
+            }
+            Formula::Xor(a, b) => {
+                let mut acc = self.eval(a);
+                self.fold(&mut acc, b, |a, b| a ^ b);
+                acc
+            }
+        }
     }
 }
 
@@ -432,6 +479,30 @@ mod tests {
                     .filter(|&m| alpha.eval_mask(&f, m))
                     .collect();
                 assert_eq!(alpha.models(&f), expected, "n = {n}, f = {f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn model_words_match_eval_mask_bit_for_bit() {
+        let mut seed = 0x7AB1_E5EEDu64;
+        for n in [0u32, 1, 5, 6, 7, 13] {
+            // Letters 3, 5, 7, … in reverse order form the alphabet;
+            // formulas over 0..2n+4 also mention even letters and ones
+            // past the alphabet, all outside it.
+            let alpha = Alphabet::new((0..n).rev().map(|i| Var(2 * i + 3)).collect());
+            let count = alpha.interpretation_count();
+            for _ in 0..24 {
+                let f = random_formula(&mut seed, 6, 2 * n + 4);
+                let words = alpha.model_words(&f);
+                assert_eq!(words.len() as u64, count.div_ceil(64), "n = {n}");
+                for (w, &word) in words.iter().enumerate() {
+                    for j in 0..64 {
+                        let mask = 64 * w as u64 + j;
+                        let expected = mask < count && alpha.eval_mask(&f, mask);
+                        assert_eq!(word >> j & 1 == 1, expected, "n = {n}, mask {mask}, {f:?}");
+                    }
+                }
             }
         }
     }

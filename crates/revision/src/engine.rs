@@ -168,8 +168,11 @@ impl RevisedKb {
         Ok(RevisionChain::compile(op, t, ps)?.into_compiled())
     }
 
-    /// Compile via the BDD pipeline: semantic model set → ROBDD →
-    /// definitional formula (one fresh letter per BDD node).
+    /// Compile via the BDD pipeline: the models of `T * P`, selected on
+    /// truth tables ([`crate::semantic::revise_on`]) → the ROBDD built
+    /// bottom-up from those models under the alphabet's order
+    /// ([`revkb_bdd::BddManager::from_models`], no formula in between)
+    /// → definitional formula (one fresh letter per BDD node).
     ///
     /// Exact for any operator, but requires an enumerable alphabet
     /// (`|V(T) ∪ V(P)| ≤ 20`). The result is query-equivalent over the
@@ -197,7 +200,7 @@ impl RevisedKb {
         let mut mgr = revkb_bdd::BddManager::with_order(alpha.vars().to_vec());
         let node = {
             let _bdd_span = revkb_obs::span("revision.phase.bdd_build");
-            mgr.from_formula(&oracle.to_dnf())
+            mgr.from_models(oracle.masks())
         };
         let mut supply = supply_above([t, p]);
         let formula = revkb_bdd::to_formula_definitional(&mgr, node, &mut supply);

@@ -187,6 +187,40 @@ mod tests {
         assert_eq!(ms, ms2);
     }
 
+    /// `BddManager::from_models` builds the same canonical node as
+    /// rebuilding the minterm DNF with `apply`, in the same manager,
+    /// and allocates nothing beyond the result's own nodes (both
+    /// terminals always exist, so a constant result leaves two).
+    #[test]
+    fn bdd_from_models_matches_dnf_rebuild() {
+        let mut seed = 0xB0D_5EEDu64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        for n in [0usize, 1, 5, 6, 7, 12] {
+            // Scrambled letters: the manager's order is the alphabet's.
+            let alpha = Alphabet::new((0..n as u32).rev().map(|i| Var(3 * i + 1)).collect());
+            let all = 1u64 << n;
+            let mut sets = vec![Vec::new(), (0..all).collect()];
+            for density in [1, 4, 32, 60] {
+                for _ in 0..3 {
+                    sets.push((0..all).filter(|_| next() % 64 < density).collect());
+                }
+            }
+            for masks in sets {
+                let ms = ModelSet::new(alpha.clone(), masks);
+                let mut mgr = revkb_bdd::BddManager::with_order(alpha.vars().to_vec());
+                let root = mgr.from_models(ms.masks());
+                assert_eq!(mgr.allocated(), mgr.size(root).max(2), "n = {n}");
+                assert_eq!(mgr.from_formula(&ms.to_dnf()), root, "n = {n}");
+                assert_eq!(mgr.count_models(root), ms.len() as u128);
+            }
+        }
+    }
+
     #[test]
     fn subset_and_intersect() {
         let alpha = Alphabet::new(vec![Var(0), Var(1)]);

@@ -287,8 +287,12 @@ fn select(op: ModelBasedOp, t: &Table, p: &Table) -> Table {
         // lies between them: none differs from `n` only where `m` does.
         ModelBasedOp::Winslett => {
             let mut out = Table::empty_like(p);
+            let (mut diffs, mut up) = (Table::empty_like(p), Table::empty_like(p));
             for m in t.iter() {
-                out.or_assign(&p.xor_by(m).minimal().xor_by(m));
+                diffs.clear();
+                diffs.or_xor_by(p, m);
+                diffs.keep_minimal(&mut up);
+                out.or_xor_by(&diffs, m);
             }
             out
         }
@@ -321,23 +325,23 @@ fn select(op: ModelBasedOp, t: &Table, p: &Table) -> Table {
             ball.and(p)
         }
         ModelBasedOp::Satoh | ModelBasedOp::Weber => {
-            let mut diffs = Table::empty_like(p);
+            let (mut delta, mut scratch) = (Table::empty_like(p), Table::empty_like(p));
             for m in t.iter() {
-                diffs.or_assign(&p.xor_by(m));
+                delta.or_xor_by(p, m);
             }
-            let delta = diffs.minimal();
+            delta.keep_minimal(&mut scratch);
             let reached = if op == ModelBasedOp::Satoh {
                 let mut moved = Table::empty_like(p);
                 for d in delta.iter() {
-                    moved.or_assign(&t.xor_by(d));
+                    moved.or_xor_by(t, d);
                 }
                 moved
             } else {
                 let omega = delta.iter().fold(0, |a, d| a | d);
                 let mut closed = t.clone();
                 for i in (0..64).filter(|i| omega >> i & 1 == 1) {
-                    let moved = closed.flipped(i);
-                    closed.or_assign(&moved);
+                    scratch.copy_from(&closed);
+                    closed.or_xor_by(&scratch, 1 << i);
                 }
                 closed
             };

@@ -107,89 +107,71 @@ impl Table {
         Table::from_words(self.n, words.collect())
     }
 
-    pub(crate) fn or_assign(&mut self, other: &Table) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
+    /// Make `self` the empty set.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
     }
 
-    /// `{x ⊕ m | x ∈ self}`: every member moved across the letters of
-    /// `m`. The high letters of `m` pick the source word, the low ones
-    /// permute bits inside it.
-    pub(crate) fn xor_by(&self, m: u64) -> Table {
+    /// Make `self` a copy of `other`, in place.
+    pub(crate) fn copy_from(&mut self, other: &Table) {
+        self.words.copy_from_slice(&other.words);
+    }
+
+    /// Add `{x ⊕ m | x ∈ src}`: every member of `src` moved across the
+    /// letters of `m`. The high letters of `m` pick the source word, the
+    /// low ones permute bits inside it.
+    pub(crate) fn or_xor_by(&mut self, src: &Table, m: u64) {
         let high = (m >> 6) as usize;
-        let low: Vec<usize> = (0..6).filter(|&i| m >> i & 1 == 1).collect();
-        let words = (0..self.words.len()).map(|j| {
-            low.iter()
-                .fold(self.words[j ^ high], |w, &i| flip_low(w, i))
-        });
-        Table::from_words(self.n, words.collect())
-    }
-
-    /// `{x ⊕ {i} | x ∈ self}`: every member moved across letter `i`.
-    pub(crate) fn flipped(&self, i: usize) -> Table {
-        if i < 6 {
-            let words = self.words.iter().map(|&w| flip_low(w, i));
-            return Table::from_words(self.n, words.collect());
+        let low = m & 63;
+        for (j, out) in self.words.iter_mut().enumerate() {
+            let mut w = src.words[j ^ high];
+            let mut rest = low;
+            while rest != 0 {
+                w = flip_low(w, rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+            *out |= w;
         }
-        let stride = 1 << (i - 6);
-        let words = (0..self.words.len()).map(|j| self.words[j ^ stride]);
-        Table::from_words(self.n, words.collect())
     }
 
     /// `self` plus every mask at Hamming distance one from a member.
     pub(crate) fn grow(&self) -> Table {
         let mut out = self.clone();
         for i in 0..self.n {
-            out.or_assign(&self.flipped(i));
+            out.or_xor_by(self, 1 << i);
         }
         out
     }
 
-    /// `{x ∪ {i} | x ∈ self, i ∉ x}`: every member without letter `i`
-    /// moved up across it.
-    fn raised(&self, i: usize) -> Table {
-        let mut out = Table::empty(self.n);
-        if i < 6 {
-            for (o, &w) in out.words.iter_mut().zip(&self.words) {
-                *o = (w & !LOW[i]) << (1 << i);
+    /// Keep only the `⊆`-minimal members, each mask read as a set of
+    /// letters. `up` (over the same alphabet) is scratch space: it ends
+    /// up holding the upward closure, every superset of a member, and a
+    /// member goes when removing one of its letters lands in it.
+    pub(crate) fn keep_minimal(&mut self, up: &mut Table) {
+        let strides = || (self.n.min(6)..self.n).map(|i| 1 << (i - 6));
+        up.copy_from(self);
+        // Raise across each letter in turn, in place: a word's bits
+        // without letter `i` are read, those with it are written.
+        for (i, &low) in LOW.iter().enumerate().take(self.n) {
+            for w in &mut up.words {
+                *w |= (*w & !low) << (1 << i);
             }
-        } else {
-            let stride = 1 << (i - 6);
-            for j in (0..self.words.len()).filter(|j| j & stride == 0) {
-                out.words[j | stride] = self.words[j];
+        }
+        for stride in strides() {
+            for j in (0..up.words.len()).filter(|j| j & stride == 0) {
+                up.words[j | stride] |= up.words[j];
             }
         }
-        out
-    }
-
-    /// The upward closure under `⊆`, each mask read as a set of
-    /// letters: every superset of a member.
-    fn upward(&self) -> Table {
-        let mut up = self.clone();
-        for i in 0..self.n {
-            let raised = up.raised(i);
-            up.or_assign(&raised);
+        for (i, &low) in LOW.iter().enumerate().take(self.n) {
+            for (w, &u) in self.words.iter_mut().zip(&up.words) {
+                *w &= !((u & !low) << (1 << i));
+            }
         }
-        up
-    }
-
-    /// The `⊆`-minimal members: a member is dropped when some other
-    /// member is a strict subset, i.e. when it lies strictly above the
-    /// upward closure.
-    pub(crate) fn minimal(&self) -> Table {
-        let up = self.upward();
-        let mut strictly_above = Table::empty(self.n);
-        for i in 0..self.n {
-            strictly_above.or_assign(&up.raised(i));
+        for stride in strides() {
+            for j in (0..up.words.len()).filter(|j| j & stride == 0) {
+                self.words[j | stride] &= !up.words[j];
+            }
         }
-        self.minus(&strictly_above)
-    }
-
-    /// The members not in `other`.
-    fn minus(&self, other: &Table) -> Table {
-        let words = self.words.iter().zip(&other.words).map(|(a, b)| a & !b);
-        Table::from_words(self.n, words.collect())
     }
 }
 
@@ -208,8 +190,22 @@ mod tests {
             for m in [0u64, 1, 5, 0x41, 0xA3] {
                 let m = m & ((1u64 << n) - 1);
                 let mut moved: Vec<u64> = masks.iter().map(|&x| x ^ m).collect();
+                let mut out = Table::from_masks(n, &[0]);
+                out.or_xor_by(&table, m);
+                moved.push(0);
                 moved.sort_unstable();
-                assert_eq!(table.xor_by(m).masks(), moved, "n={n} m={m:#x}");
+                moved.dedup();
+                assert_eq!(out.masks(), moved, "n={n} m={m:#x}");
+            }
+            // Scratch left dirty by an earlier call must not matter.
+            let mut up = Table::from_masks(n, &[(1 << n) - 1]);
+            // The bottom and top masks: nothing in between raises the top.
+            let ends = [0, (1 << n) - 1];
+            for set in [&masks[..], &masks[masks.len() / 2..], &ends, &[]] {
+                let mut minimal = Table::from_masks(n, set);
+                minimal.keep_minimal(&mut up);
+                let expected = crate::semantic::min_subsets(set.to_vec());
+                assert_eq!(minimal.masks(), expected, "n={n}");
             }
             let mut grown: Vec<u64> = masks
                 .iter()

@@ -13,11 +13,15 @@ three times, and writes the median client-side latency of each
 (operator, backend, step) revise, the median latency of the query
 after a chain's last step (the KB version's first query, which loads
 its SAT session) per (operator, backend, steps), and the
-`compiled_size` of every (chain, step) revise. Every query's answer is
-checked against perfbench's oracle. The 64-entry artifact cache never
-holds a chain when it comes round again, so every model-based revise
-compiles. `compare` prints both sets of medians side by side and fails
-unless both runs saw the same compiled size for every revise.
+`compiled_size` of every (chain, step) revise. It also writes the
+p50 and p90 over every revise of every pass, and how many of the
+revises at or above that p90 (the slowest decile) each (operator,
+backend, step) contributes. Every query's answer is checked against
+perfbench's oracle. The 64-entry artifact cache never holds a chain
+when it comes round again, so every model-based revise compiles.
+`compare` prints both sets of medians side by side, both runs' p50/p90
+and slowest-decile keys, and fails unless both runs saw the same
+compiled size for every revise.
 """
 
 import argparse
@@ -80,8 +84,17 @@ def run(binary, out):
             call({"cmd": "drop", "kb": kb})
     server.stdin.close()
     server.wait()
+    every = sorted((ms, key) for key, v in latencies.items() for ms in v)
+    deciles = statistics.quantiles([ms for ms, _ in every], n=10)
+    slowest = {}
+    for ms, key in every:
+        if ms >= deciles[8]:
+            slowest[key] = slowest.get(key, 0) + 1
     with open(out, "w") as f:
         json.dump({"passes": PASSES,
+                   "revise_p50_ms": deciles[4],
+                   "revise_p90_ms": deciles[8],
+                   "slowest_decile": dict(sorted(slowest.items(), key=lambda kv: -kv[1])),
                    "median_ms": {k: statistics.median(v) for k, v in sorted(latencies.items())},
                    "revises": {k: len(v) for k, v in sorted(latencies.items())},
                    "first_query_ms": {k: statistics.median(v)
@@ -101,6 +114,15 @@ def compare(before_path, after_path):
         for key, was in before[field].items():
             now = after[field][key]
             print(f"{key:38} {was:10.3f} {now:10.3f} {100 * (now / was - 1):+7.1f}%")
+    for q in ("p50", "p90"):
+        was, now = before[f"revise_{q}_ms"], after[f"revise_{q}_ms"]
+        print(f"{'revise ' + q + ', all revises':38} {was:10.3f} {now:10.3f} "
+              f"{100 * (now / was - 1):+7.1f}%")
+    print(f"{'slowest decile: operator/backend/step':38} {'before':>10} {'after':>10}")
+    for key in sorted(set(before["slowest_decile"]) | set(after["slowest_decile"]),
+                      key=lambda k: -before["slowest_decile"].get(k, 0)):
+        print(f"{key:38} {before['slowest_decile'].get(key, 0):10} "
+              f"{after['slowest_decile'].get(key, 0):10}")
     same = before["compiled_size"] == after["compiled_size"]
     print(f"compiled size identical for all {len(before['compiled_size'])} revises: {same}")
     return 0 if same else 1
