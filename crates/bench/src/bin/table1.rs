@@ -172,7 +172,7 @@ fn bdd_exercise() {
     let t = Formula::and_all((0..6u32).map(|i| Formula::var(Var(i))));
     let p = Formula::var(Var(0)).not().or(Formula::var(Var(1)).not());
     for op in ModelBasedOp::ALL {
-        match RevisedKb::compile_via_bdd(op, &t, &p) {
+        match RevisedKb::compile_via_bdd(op, &t, std::slice::from_ref(&p)) {
             Ok(kb) => {
                 let _ = kb.entails(&Formula::var(Var(2)));
             }

@@ -323,7 +323,8 @@ fn via_bdd_bench(cfg: &SuiteConfig) -> BenchResult {
     let p = random_cube(&mut rng);
     let compile_all = || {
         ModelBasedOp::ALL.map(|op| {
-            RevisedKb::compile_via_bdd(op, &t, &p).expect("12 letters fit the BDD backend")
+            RevisedKb::compile_via_bdd(op, &t, std::slice::from_ref(&p))
+                .expect("12 letters fit the BDD backend")
         })
     };
 

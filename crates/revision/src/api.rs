@@ -69,6 +69,12 @@ pub trait Engine {
         None
     }
 
+    /// The sub-theory a WIDTIO revision kept, which the next WIDTIO
+    /// revision revises.
+    fn kept_theory(&self) -> Option<&Theory> {
+        None
+    }
+
     /// Infallible single query.
     ///
     /// # Panics
@@ -334,6 +340,10 @@ impl Engine for WidtioEngine {
 
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
         Engine::try_entails_batch(&mut self.rep, queries)
+    }
+
+    fn kept_theory(&self) -> Option<&Theory> {
+        Some(self.kb.theory())
     }
 }
 

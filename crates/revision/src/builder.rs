@@ -204,19 +204,22 @@ impl ReviseBuilder {
         self.apply_trace();
         let kb = match self.backend {
             Backend::Direct => RevisedKb::compile(self.op, t, p)?,
-            Backend::Bdd => RevisedKb::compile_via_bdd(self.op, t, p)?,
+            Backend::Bdd => RevisedKb::compile_via_bdd(self.op, t, std::slice::from_ref(p))?,
         };
         self.configure(&kb);
         Ok(kb)
     }
 
-    /// Compile the iterated revision `T * P¹ * … * Pᵐ`. The BDD
-    /// backend has no iterated pipeline; it applies to single
-    /// revisions only, so this always uses the direct constructions.
+    /// Compile the iterated revision `T * P¹ * … * Pᵐ` with every
+    /// option applied. Thin wrapper over
+    /// [`RevisedKb::compile_iterated`] / [`RevisedKb::compile_via_bdd`].
     pub fn compile_iterated(&self, t: &Formula, ps: &[Formula]) -> Result<RevisedKb, Error> {
         self.check_profile()?;
         self.apply_trace();
-        let kb = RevisedKb::compile_iterated(self.op, t, ps)?;
+        let kb = match self.backend {
+            Backend::Direct => RevisedKb::compile_iterated(self.op, t, ps)?,
+            Backend::Bdd => RevisedKb::compile_via_bdd(self.op, t, ps)?,
+        };
         self.configure(&kb);
         Ok(kb)
     }
@@ -243,7 +246,6 @@ impl ReviseBuilder {
                 }
                 Ok(Box::new(rep))
             }
-            [p] if self.backend == Backend::Bdd => Ok(Box::new(self.compile(t, p)?)),
             ps => Ok(Box::new(self.compile_iterated(t, ps)?)),
         }
     }
@@ -325,6 +327,30 @@ mod tests {
                     "{} backend divergence",
                     op.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bdd_backend_compiles_chains() {
+        let t = v(0).and(v(1)).and(v(2));
+        let ps = [v(0).not().or(v(1).not()), v(2).not().or(v(3))];
+        for op in ModelBasedOp::ALL {
+            let bdd = ReviseBuilder::new(op).backend(Backend::Bdd);
+            let via_bdd = RevisedKb::compile_via_bdd(op, &t, &ps).unwrap();
+            let built = bdd.compile_iterated(&t, &ps).unwrap();
+            let mut engine = bdd.engine(&t, &ps).unwrap();
+            assert_eq!(built.size(), via_bdd.size(), "{}", op.name());
+            assert_eq!(
+                engine.compiled_size(),
+                Some(via_bdd.size()),
+                "{}",
+                op.name()
+            );
+            let direct = ReviseBuilder::new(op).compile_iterated(&t, &ps).unwrap();
+            for q in [v(0), v(1), v(2), v(3), v(0).or(v(3))] {
+                assert_eq!(direct.entails(&q), built.entails(&q), "{}", op.name());
+                assert_eq!(direct.entails(&q), engine.entails(&q), "{}", op.name());
             }
         }
     }

@@ -33,7 +33,7 @@ use crate::compact::{
     CompactRep,
 };
 use crate::semantic::ModelBasedOp;
-use revkb_logic::{tseitin, CountingSupply, Formula, SharedCnf, Var};
+use revkb_logic::{tseitin, Alphabet, CountingSupply, Formula, SharedCnf, Var};
 use revkb_sat::supply_above;
 use std::fmt;
 
@@ -168,22 +168,25 @@ impl RevisedKb {
         Ok(RevisionChain::compile(op, t, ps)?.into_compiled())
     }
 
-    /// Compile via the BDD pipeline: the models of `T * P`, selected on
-    /// truth tables ([`crate::semantic::revise_on`]) → the ROBDD built
+    /// Compile via the BDD pipeline: the models of
+    /// `T * P¹ * … * Pᵐ`, selected on truth tables step by step
+    /// ([`crate::semantic::revise_iterated_on`]) → the ROBDD built
     /// bottom-up from those models under the alphabet's order
     /// ([`revkb_bdd::BddManager::from_models`], no formula in between)
-    /// → definitional formula (one fresh letter per BDD node).
+    /// → definitional formula (one fresh letter per BDD node). A single
+    /// revision is `std::slice::from_ref(p)`.
     ///
-    /// Exact for any operator, but requires an enumerable alphabet
-    /// (`|V(T) ∪ V(P)| ≤ 20`). The result is query-equivalent over the
-    /// base alphabet and has size linear in the BDD — the Section 7
-    /// data-structure view made into a compiler backend.
+    /// Exact for any operator and chain length, but requires an
+    /// enumerable alphabet (`|V(T) ∪ V(P¹) ∪ … ∪ V(Pᵐ)| ≤ 20`). The
+    /// result is query-equivalent over the base alphabet and has size
+    /// linear in the BDD — the Section 7 data-structure view made into
+    /// a compiler backend.
     pub fn compile_via_bdd(
         op: ModelBasedOp,
         t: &Formula,
-        p: &Formula,
+        ps: &[Formula],
     ) -> Result<Self, CompileError> {
-        let alpha = crate::model_set::revision_alphabet(t, p);
+        let alpha = crate::model_set::revision_alphabet_seq(t, ps);
         if alpha.len() > 20 {
             // Not `UpdateAlphabetTooLarge`: that variant's message
             // talks about |V(P)|, but the enumeration bound here is on
@@ -196,13 +199,8 @@ impl RevisedKb {
         }
         let _span = revkb_obs::span("revision.compile_via_bdd");
         let _op_span = revkb_obs::span(op.name());
-        let oracle = crate::semantic::revise_on(op, &alpha, t, p);
-        let mut mgr = revkb_bdd::BddManager::with_order(alpha.vars().to_vec());
-        let node = {
-            let _bdd_span = revkb_obs::span("revision.phase.bdd_build");
-            mgr.from_models(oracle.masks())
-        };
-        let mut supply = supply_above([t, p]);
+        let (mgr, node) = selected_bdd(op, &alpha, t, ps);
+        let mut supply = supply_above(std::iter::once(t).chain(ps));
         let formula = revkb_bdd::to_formula_definitional(&mgr, node, &mut supply);
         Ok(Self {
             op,
@@ -458,6 +456,23 @@ impl RevisionChain {
     }
 }
 
+/// The ROBDD of `M(T * P¹ * … * Pᵐ)` over `alpha`, in a manager
+/// ordered by `alpha`.
+fn selected_bdd(
+    op: ModelBasedOp,
+    alpha: &Alphabet,
+    t: &Formula,
+    ps: &[Formula],
+) -> (revkb_bdd::BddManager, revkb_bdd::NodeId) {
+    let selected = crate::semantic::revise_iterated_on(op, alpha, t, ps);
+    let mut mgr = revkb_bdd::BddManager::with_order(alpha.vars().to_vec());
+    let node = {
+        let _bdd_span = revkb_obs::span("revision.phase.bdd_build");
+        mgr.from_models(selected.masks())
+    };
+    (mgr, node)
+}
+
 /// The clauses of the running representation `rep`: those its last
 /// step left, taken from `rep`, or one Tseitin pass now when there are
 /// none, because the chain has taken no step yet, was taken up from its
@@ -656,7 +671,7 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         for op in ModelBasedOp::ALL {
-            let via_bdd = RevisedKb::compile_via_bdd(op, &t, &p).unwrap();
+            let via_bdd = RevisedKb::compile_via_bdd(op, &t, std::slice::from_ref(&p)).unwrap();
             let direct = RevisedKb::compile(op, &t, &p).unwrap();
             assert!(
                 query_equivalent_enum(
@@ -670,11 +685,48 @@ mod tests {
         }
     }
 
+    /// Chains of 1–4 steps through the BDD pipeline, with an
+    /// unsatisfiable step followed by a satisfiable one and a letter
+    /// `T` lacks: query-equivalent to the truth-table oracle, and only
+    /// the result's nodes (and both terminals) are ever allocated.
+    #[test]
+    fn bdd_pipeline_compiles_whole_chains() {
+        let t = v(0).or(v(1)).and(v(2).implies(v(3)));
+        let steps = [
+            v(0).not().or(v(1).not()),
+            v(2).and(v(2).not()),
+            v(2).not().or(v(4)),
+            v(0).iff(v(4).not()),
+        ];
+        for op in ModelBasedOp::ALL {
+            for len in 1..=steps.len() {
+                let ps = &steps[..len];
+                let kb = RevisedKb::compile_via_bdd(op, &t, ps).unwrap();
+                let alpha = revision_alphabet_seq(&t, ps);
+                let oracle = revise_iterated_on(op, &alpha, &t, ps);
+                let rep = kb.representation();
+                assert_eq!(rep.base, alpha.vars(), "{} × {len}", op.name());
+                assert!(
+                    query_equivalent_enum(&rep.formula, &oracle.to_dnf(), &rep.base),
+                    "BDD chain of {len} diverges for {}",
+                    op.name()
+                );
+                let (mgr, root) = selected_bdd(op, &alpha, &t, ps);
+                assert_eq!(
+                    mgr.allocated(),
+                    mgr.size(root).max(2),
+                    "{} × {len}",
+                    op.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn bdd_pipeline_refuses_wide_alphabets() {
         let t = Formula::and_all((0..25u32).map(v));
         let p = v(0).not();
-        let err = RevisedKb::compile_via_bdd(ModelBasedOp::Dalal, &t, &p).unwrap_err();
+        let err = RevisedKb::compile_via_bdd(ModelBasedOp::Dalal, &t, &[p]).unwrap_err();
         // The refusal is about the total alphabet, not |V(P)| (which
         // is 1 here) — it must use the dedicated variant.
         assert_eq!(

@@ -42,8 +42,8 @@ use revkb_obs as obs;
 use revkb_obs::Json;
 use revkb_revision::api::Engine;
 use revkb_revision::{
-    widtio, Backend, DelayedKb, Error, GfuvEngine, ModelBasedOp, RevisedKb, RevisionChain, Theory,
-    WidtioEngine, CACHE_CAP_ENV, DEFAULT_CACHE_CAPACITY,
+    Backend, CompileError, DelayedKb, Error, GfuvEngine, ModelBasedOp, RevisedKb, RevisionChain,
+    Theory, WidtioEngine, CACHE_CAP_ENV, DEFAULT_CACHE_CAPACITY,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -578,7 +578,8 @@ impl CacheOutcome {
 enum Compiled {
     /// A direct construction, which the next revise can extend.
     Chain(RevisionChain),
-    /// A single-step BDD compile, which has no iterated form.
+    /// A BDD compile of the whole chain from `T`; the next BDD-backend
+    /// revise compiles the longer chain from `T` again.
     Bdd(RevisedKb),
 }
 
@@ -1436,12 +1437,13 @@ impl Server {
                 )
             }
             (KbKind::Unrevised | KbKind::Widtio, OpName::Widtio) => {
-                // Iterated WIDTIO: the kept sub-theory of step i is
-                // the theory revised at step i+1.
-                let mut theory = Theory::new(kb.theory.iter().cloned());
-                for prev in &kb.revisions {
-                    theory = widtio(&theory, prev);
-                }
+                // Iterated WIDTIO: the sub-theory the KB's last step
+                // kept is the theory revised now.
+                let theory = kb
+                    .engine
+                    .kept_theory()
+                    .cloned()
+                    .unwrap_or_else(|| Theory::new(kb.theory.iter().cloned()));
                 let compile_start = Instant::now();
                 let engine = WidtioEngine::compile(&theory, &p);
                 let micros = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1518,9 +1520,11 @@ impl Server {
     /// degraded fallback, where no compile finished).
     ///
     /// The engine is a [`RevisionChain`] after a direct compile or a
-    /// cache hit on a direct artifact (anything but a single-step BDD
-    /// compile). A miss extends the KB's current chain by `Pᵐ` when it
-    /// has one over `Pᵐ`'s letters, and compiles from `T` otherwise.
+    /// cache hit on a direct artifact, and the compiled BDD's
+    /// representation after a BDD-backend compile or cache hit. A miss
+    /// extends the KB's current chain by `Pᵐ` when it has one over
+    /// `Pᵐ`'s letters, and compiles from `T` otherwise (see
+    /// [`Server::compile_budgeted`]).
     #[allow(clippy::type_complexity)]
     fn model_based_engine(
         &self,
@@ -1535,16 +1539,17 @@ impl Server {
         {
             let mut cache = self.inner.cache.lock().expect("cache poisoned");
             if let Some(artifact) = cache.get(&key) {
-                // Every artifact but a single-step BDD compile is the
-                // running representation of a direct chain.
-                let engine: Box<dyn Engine + Send> = if ps.len() > 1 || backend != Backend::Bdd {
-                    Box::new(RevisionChain::new(op, artifact.formula, artifact.base))
-                } else {
-                    Box::new(revkb_revision::CompactRep::new(
+                // A direct artifact is the running representation of a
+                // chain; a BDD-backend one is answered as it stands.
+                let engine: Box<dyn Engine + Send> = match backend {
+                    Backend::Direct => {
+                        Box::new(RevisionChain::new(op, artifact.formula, artifact.base))
+                    }
+                    Backend::Bdd => Box::new(revkb_revision::CompactRep::new(
                         artifact.formula,
                         artifact.base,
                         artifact.logical,
-                    ))
+                    )),
                 };
                 return Ok((engine, CacheOutcome::Hit, None));
             }
@@ -1612,11 +1617,15 @@ impl Server {
                         chain.extend(p)?;
                         Compiled::Chain(chain)
                     }
-                    // The BDD pipeline has no iterated form; longer
-                    // chains always use the direct constructions.
-                    (None, [p], Backend::Bdd) => {
-                        Compiled::Bdd(RevisedKb::compile_via_bdd(op, &t, p)?)
-                    }
+                    (None, ps, Backend::Bdd) => match RevisedKb::compile_via_bdd(op, &t, ps) {
+                        // A later step that widens the alphabet past the
+                        // BDD pipeline's enumeration cap keeps the direct
+                        // constructions; a first step past it is refused.
+                        Err(CompileError::AlphabetTooLarge { .. }) if ps.len() > 1 => {
+                            Compiled::Chain(RevisionChain::compile(op, &t, ps)?)
+                        }
+                        kb => Compiled::Bdd(kb?),
+                    },
                     (_, ps, _) => Compiled::Chain(RevisionChain::compile(op, &t, ps)?),
                 })
             }

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time every revise of perfbench's cold_compile corpus, and each KB's
 first query, per operator, backend and chain step, and check compiled
-sizes across two builds.
+sizes across two builds or against a committed file.
 
     python3 scripts/revise_profile.py run target/release/revkb-server after.json
     python3 scripts/revise_profile.py compare before.json after.json
+    python3 scripts/revise_profile.py check target/release/revkb-server scripts/corpus_sizes.json
 
 `run` starts `revkb-server --stdio` (pinned to the last CPU this
 process may use, where the OS supports affinity), sends the corpus's
@@ -13,15 +14,21 @@ three times, and writes the median client-side latency of each
 (operator, backend, step) revise, the median latency of the query
 after a chain's last step (the KB version's first query, which loads
 its SAT session) per (operator, backend, steps), and the
-`compiled_size` of every (chain, step) revise. It also writes the
-p50 and p90 over every revise of every pass, and how many of the
-revises at or above that p90 (the slowest decile) each (operator,
-backend, step) contributes. Every query's answer is checked against
-perfbench's oracle. The 64-entry artifact cache never holds a chain
-when it comes round again, so every model-based revise compiles.
+`compiled_size` of every (chain, step) revise, keyed
+`chain:operator/backend/step`. It also writes the p50 and p90 over
+every revise of every pass, and how many of the revises at or above
+that p90 (the slowest decile) each (operator, backend, step)
+contributes. Every query's answer is checked against perfbench's
+oracle. The 64-entry artifact cache never holds a chain when it comes
+round again, so every model-based revise compiles.
 `compare` prints both sets of medians side by side, both runs' p50/p90
-and slowest-decile keys, and fails unless both runs saw the same
-compiled size for every revise.
+and slowest-decile keys, and the (operator, backend, step) keys whose
+compiled sizes differ; it fails unless both runs saw the same compiled
+size for every revise.
+`check` runs the corpus once, also asks each KB its whole query set as
+one batch, checks every answer against the oracle, and fails on any
+compiled size that differs from the committed file (a JSON object in
+`run`'s `compiled_size` form).
 """
 
 import argparse
@@ -32,6 +39,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+sys.dont_write_bytecode = True
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import oracle  # noqa: E402
@@ -45,7 +54,9 @@ def pin_to_last_cpu():
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
-def run(binary, out):
+def passes(binary, count, every_answer=False):
+    """Send the corpus `count` times; return the revise latencies and
+    first-query latencies per key, and the compiled size per revise."""
     corpus = workloads.instances(random.Random("corpus"), oracle.Alphabet(workloads.LETTERS),
                                  240, workloads.kinds(3))
     server = subprocess.Popen([binary, "--stdio"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -62,7 +73,7 @@ def run(binary, out):
         return response["result"], time.perf_counter() - start
 
     latencies, first_queries, sizes = {}, {}, {}
-    for n in range(PASSES):
+    for n in range(count):
         for k, inst in enumerate(corpus):
             kb = f"p{n}c{k}"
             call({"cmd": "load", "kb": kb, "t": inst.theory_text()})
@@ -71,8 +82,9 @@ def run(binary, out):
                 if inst.op in oracle.MODEL_BASED:
                     request["backend"] = inst.backend
                 result, seconds = call(request)
-                latencies.setdefault(f"{inst.op}/{inst.backend}/{step}", []).append(seconds * 1e3)
-                size = sizes.setdefault(f"{k}/{step}", result.get("compiled_size"))
+                key = f"{inst.op}/{inst.backend}/{step}"
+                latencies.setdefault(key, []).append(seconds * 1e3)
+                size = sizes.setdefault(f"{k}:{key}", result.get("compiled_size"))
                 if size != result.get("compiled_size"):
                     sys.exit(f"chain {k} step {step}: compiled size changed between passes")
             result, seconds = call({"cmd": "query", "kb": kb, "q": oracle.render(inst.queries[0])})
@@ -81,9 +93,20 @@ def run(binary, out):
                          f"{inst.answers[0]}")
             key = f"{inst.op}/{inst.backend}/{len(inst.chain)}"
             first_queries.setdefault(key, []).append(seconds * 1e3)
+            if every_answer:
+                qs = [oracle.render(q) for q in inst.queries]
+                result, _ = call({"cmd": "query_batch", "kb": kb, "qs": qs})
+                if result.get("answers") != inst.answers:
+                    sys.exit(f"chain {k}: answered {result.get('answers')} against the oracle's "
+                             f"{inst.answers}")
             call({"cmd": "drop", "kb": kb})
     server.stdin.close()
     server.wait()
+    return latencies, first_queries, sizes
+
+
+def run(binary, out):
+    latencies, first_queries, sizes = passes(binary, PASSES)
     every = sorted((ms, key) for key, v in latencies.items() for ms in v)
     deciles = statistics.quantiles([ms for ms, _ in every], n=10)
     slowest = {}
@@ -101,6 +124,34 @@ def run(binary, out):
                                       for k, v in sorted(first_queries.items())},
                    "compiled_size": sizes}, f, indent=1)
     print(f"{len(sizes)} (chain, step) revises, {PASSES} passes -> {out}")
+
+
+def size_changes(before, after):
+    """The revises whose compiled sizes differ, counted per
+    (operator, backend, step) key."""
+    changed = {}
+    for revise in sorted(before.keys() | after.keys()):
+        if before.get(revise) != after.get(revise):
+            key = revise.split(":", 1)[-1]
+            changed[key] = changed.get(key, 0) + 1
+    return changed
+
+
+def print_size_changes(changed, total, before_name, after_name):
+    for key, count in sorted(changed.items()):
+        print(f"compiled size changed: {key:38} {count:4} revises")
+    print(f"compiled size identical between {before_name} and {after_name} for "
+          f"{total - sum(changed.values())} of {total} revises")
+
+
+def check(binary, sizes_path):
+    _, _, sizes = passes(binary, 1, every_answer=True)
+    with open(sizes_path) as f:
+        pinned = json.load(f)
+    changed = size_changes(pinned, sizes)
+    print(f"{len(sizes)} (chain, step) revises; every answer matches the oracle")
+    print_size_changes(changed, len(pinned.keys() | sizes.keys()), sizes_path, binary)
+    return 1 if changed else 0
 
 
 def compare(before_path, after_path):
@@ -123,9 +174,10 @@ def compare(before_path, after_path):
                       key=lambda k: -before["slowest_decile"].get(k, 0)):
         print(f"{key:38} {before['slowest_decile'].get(key, 0):10} "
               f"{after['slowest_decile'].get(key, 0):10}")
-    same = before["compiled_size"] == after["compiled_size"]
-    print(f"compiled size identical for all {len(before['compiled_size'])} revises: {same}")
-    return 0 if same else 1
+    changed = size_changes(before["compiled_size"], after["compiled_size"])
+    print_size_changes(changed, len(before["compiled_size"].keys() | after["compiled_size"].keys()),
+                       before_path, after_path)
+    return 1 if changed else 0
 
 
 def main():
@@ -137,10 +189,15 @@ def main():
     c = sub.add_parser("compare")
     c.add_argument("before")
     c.add_argument("after")
+    k = sub.add_parser("check")
+    k.add_argument("binary")
+    k.add_argument("sizes")
     args = parser.parse_args()
     if args.mode == "run":
         run(args.binary, args.out)
         return 0
+    if args.mode == "check":
+        return check(args.binary, args.sizes)
     return compare(args.before, args.after)
 
 
