@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use revkb_instances::{random_formula, random_satisfiable};
 use revkb_logic::Alphabet;
-use revkb_revision::{revise_on, ModelBasedOp, RevisedKb};
+use revkb_revision::{compact, revise_on, ModelBasedOp};
 
 fn bench_compiled_vs_semantic(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_answering");
@@ -24,7 +24,7 @@ fn bench_compiled_vs_semantic(c: &mut Criterion) {
         .collect();
 
     // Offline compilation (Dalal, Theorem 3.4), then SAT per query.
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
     group.bench_function(BenchmarkId::new("compiled_dalal", n), |b| {
         b.iter(|| queries.iter().filter(|q| kb.entails(q)).count())
     });

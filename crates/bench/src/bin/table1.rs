@@ -35,8 +35,8 @@ use revkb_revision::compact::{
 };
 use revkb_revision::minimize::minimum_dnf_of;
 use revkb_revision::{
-    gfuv_entails, gfuv_explicit, query_equivalent_enum, revise_on, widtio, ModelBasedOp, ModelSet,
-    RevisedKb, Theory,
+    gfuv_entails, gfuv_explicit, query_equivalent_enum, revise_on, widtio, Backend, ModelBasedOp,
+    ModelSet, ReviseBuilder, Theory,
 };
 
 fn main() {
@@ -172,9 +172,9 @@ fn bdd_exercise() {
     let t = Formula::and_all((0..6u32).map(|i| Formula::var(Var(i))));
     let p = Formula::var(Var(0)).not().or(Formula::var(Var(1)).not());
     for op in ModelBasedOp::ALL {
-        match RevisedKb::compile_via_bdd(op, &t, std::slice::from_ref(&p)) {
+        match ReviseBuilder::new(op).backend(Backend::Bdd).compile(&t, &p) {
             Ok(kb) => {
-                let _ = kb.entails(&Formula::var(Var(2)));
+                let _ = kb.representation().entails(&Formula::var(Var(2)));
             }
             Err(e) => eprintln!("bdd exercise skipped for {}: {e}", op.name()),
         }

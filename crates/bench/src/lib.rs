@@ -577,12 +577,15 @@ mod tests {
     #[test]
     fn engine_workload_through_trait_object() {
         use revkb_logic::Var;
-        use revkb_revision::{ModelBasedOp, RevisedKb};
+        use revkb_revision::{ModelBasedOp, ReviseBuilder};
         let v = |i: u32| Formula::var(Var(i));
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
-        let mut engine: Box<dyn Engine> =
-            Box::new(RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap());
+        let mut engine: Box<dyn Engine> = Box::new(
+            ReviseBuilder::new(ModelBasedOp::Dalal)
+                .compile(&t, &p)
+                .unwrap(),
+        );
         let queries = vec![v(2), v(0).or(v(1)), v(0).and(v(1)), v(2).not()];
         let workload = run_engine_workload(engine.as_mut(), &queries);
         assert!(workload.answers_match);

@@ -207,7 +207,7 @@ pub const OPERATORS: [&str; 8] = [
 /// `compile.<op>` — one full compile of a fixed seeded scenario per
 /// trial, for each of the eight operators.
 fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
-    use revkb_revision::{GfuvEngine, ModelBasedOp, RevisedKb, Theory, WidtioEngine};
+    use revkb_revision::{compact, GfuvEngine, ModelBasedOp, Theory, WidtioEngine};
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let t = random_satisfiable(&mut rng, 4, 6, 0);
     let p = random_satisfiable(&mut rng, 3, 4, 0);
@@ -217,7 +217,7 @@ fn compile_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
             let mut compiled_size: Option<usize> = None;
             let (median, trials) = timed_trials(cfg, || match ModelBasedOp::from_name(op) {
                 Some(m) => {
-                    let kb = RevisedKb::compile(m, &t, &p).expect("suite scenario compiles");
+                    let kb = compact(m, &t, &p).expect("suite scenario compiles");
                     compiled_size = Some(kb.size());
                 }
                 None if *op == "gfuv" => {
@@ -284,13 +284,13 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, revkb_obs::Snapshot) {
 /// `k`-sessions ask and the conflicts they meet, all three in
 /// [`WORK_EXTRAS`].
 fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
-    use revkb_revision::{ModelBasedOp, RevisedKb};
+    use revkb_revision::{ModelBasedOp, RevisionChain};
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA1A_C4A1);
     let t = planted_theory(&mut rng);
     let ps: Vec<Formula> = (0..3).map(|_| random_cube(&mut rng)).collect();
-    let compile = || RevisedKb::compile_iterated(ModelBasedOp::Dalal, &t, &ps).expect("compiles");
+    let compile = || RevisionChain::compile(ModelBasedOp::Dalal, &t, &ps).expect("compiles");
 
-    let (size, work) = counted(|| compile().size());
+    let (size, work) = counted(|| compile().representation().size());
     let count = |name| work.counter(name).unwrap_or(0) as f64;
 
     let (median, trials) = timed_trials(cfg, || drop(compile()));
@@ -311,24 +311,27 @@ fn dalal_chain_bench(cfg: &SuiteConfig) -> BenchResult {
 
 /// `compile.via_bdd` — one trial compiles a [`planted_theory`] revised
 /// by a [`random_cube`] through the BDD backend
-/// ([`revkb_revision::RevisedKb::compile_via_bdd`]) for each of the six
+/// ([`revkb_revision::Backend::Bdd`]) for each of the six
 /// model-based operators. One more round, under the `Summary` trace
 /// mode, counts its deterministic work, both in [`WORK_EXTRAS`]: the
 /// six `compiled_size`s summed, and the BDD nodes the six managers
 /// allocate (`allocated_nodes`).
 fn via_bdd_bench(cfg: &SuiteConfig) -> BenchResult {
-    use revkb_revision::{ModelBasedOp, RevisedKb};
+    use revkb_revision::{Backend, ModelBasedOp, ReviseBuilder, RevisionChain};
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xB0D_C4A1);
     let t = planted_theory(&mut rng);
     let p = random_cube(&mut rng);
     let compile_all = || {
         ModelBasedOp::ALL.map(|op| {
-            RevisedKb::compile_via_bdd(op, &t, std::slice::from_ref(&p))
+            ReviseBuilder::new(op)
+                .backend(Backend::Bdd)
+                .compile(&t, &p)
                 .expect("12 letters fit the BDD backend")
         })
     };
 
-    let (size, work) = counted(|| compile_all().iter().map(RevisedKb::size).sum::<usize>());
+    let size_of = |kb: &RevisionChain| kb.representation().size();
+    let (size, work) = counted(|| compile_all().iter().map(size_of).sum::<usize>());
     let allocated = work.counter("bdd.unique.nodes_allocated").unwrap_or(0);
 
     let (median, trials) = timed_trials(cfg, || drop(compile_all()));

@@ -2,7 +2,7 @@
 //!
 //! Before this module, every compiled-base type had its own surface:
 //! [`CompactRep`] answered with `&self` through interior mutability,
-//! [`DelayedKb`] needed `&mut self` and returned `CompileError`,
+//! a delayed base needed `&mut self` and returned `CompileError`,
 //! [`GfuvKb`]/[`WidtioKb`] answered without any alphabet guard. A
 //! caller that wants to hold *some compiled knowledge base* — the
 //! `revkb-server` registry, a bench harness, a differential test —
@@ -19,7 +19,7 @@
 //! paper's strategies is behind a knowledge base.
 
 use crate::compact::{CompactRep, EngineStats};
-use crate::engine::{DelayedKb, RevisedKb, RevisionChain};
+use crate::engine::RevisionChain;
 use crate::engine_formula_based::{GfuvKb, WidtioKb, WorldBudgetExceeded};
 use crate::error::Error;
 use crate::formula_based::Theory;
@@ -63,8 +63,8 @@ pub trait Engine {
         self.try_entails_batch(queries)
     }
 
-    /// The revision chain this engine answers for, when it is one that
-    /// can take another step ([`RevisionChain::extend`]).
+    /// The model-based knowledge base this engine is, which the next
+    /// model-based revision revises ([`RevisionChain::revise`]).
     fn revision_chain(&self) -> Option<&RevisionChain> {
         None
     }
@@ -131,95 +131,56 @@ impl Engine for CompactRep {
     }
 }
 
-impl Engine for RevisedKb {
-    fn describe(&self) -> String {
-        format!("revised({})", self.operator().name())
-    }
-
-    fn alphabet(&self) -> Vec<Var> {
-        self.representation().base.clone()
-    }
-
-    fn compiled_size(&self) -> Option<usize> {
-        Some(self.size())
-    }
-
-    fn stats(&self) -> EngineStats {
-        RevisedKb::stats(self)
-    }
-
-    fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
-        RevisedKb::try_entails(self, q).map_err(Error::from)
-    }
-
-    fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        RevisedKb::try_entails_batch(self, queries).map_err(Error::from)
-    }
-}
-
 impl Engine for RevisionChain {
+    /// `revised(<Op>)`, or `delayed(<Op>)` while a revision is pending;
+    /// a chain with no revision describes its representation of `T`.
     fn describe(&self) -> String {
-        self.compiled().describe()
+        let op = self.operator().name();
+        match (self.revisions().is_empty(), self.pending().is_empty()) {
+            (true, _) => Engine::describe(self.representation()),
+            (false, true) => format!("revised({op})"),
+            (false, false) => format!("delayed({op})"),
+        }
     }
 
     fn alphabet(&self) -> Vec<Var> {
-        self.compiled().alphabet()
-    }
-
-    fn compiled_size(&self) -> Option<usize> {
-        Some(self.compiled().size())
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.compiled().stats()
-    }
-
-    fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
-        self.compiled().try_entails(q).map_err(Error::from)
-    }
-
-    fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        self.compiled()
-            .try_entails_batch(queries)
-            .map_err(Error::from)
-    }
-
-    fn revision_chain(&self) -> Option<&RevisionChain> {
-        Some(self)
-    }
-}
-
-impl Engine for DelayedKb {
-    fn describe(&self) -> String {
-        format!("delayed({})", self.operator().name())
-    }
-
-    fn alphabet(&self) -> Vec<Var> {
-        // Before compilation the guarantee-carrying alphabet is
-        // already determined: V(T) ∪ V(P¹…Pᵐ).
-        let mut vars = self.base().vars();
+        // Before the pending revisions are applied the alphabet they
+        // carry the guarantee on is already determined.
+        let mut vars: std::collections::BTreeSet<Var> =
+            self.representation().base.iter().copied().collect();
         for p in self.pending() {
             p.collect_vars(&mut vars);
         }
         vars.into_iter().collect()
     }
 
+    /// `None` until a revision has been compiled, and while one is
+    /// pending.
     fn compiled_size(&self) -> Option<usize> {
-        DelayedKb::compiled_size(self)
+        let compiled = !self.revisions().is_empty() && self.pending().is_empty();
+        compiled.then(|| self.representation().size())
     }
 
+    /// Empty while a revision is pending.
     fn stats(&self) -> EngineStats {
-        DelayedKb::stats(self)
+        match self.pending() {
+            [] => self.representation().stats(),
+            _ => EngineStats::default(),
+        }
     }
 
     fn try_entails(&mut self, q: &Formula) -> Result<bool, Error> {
-        let compiled = self.force_compile()?;
-        compiled.try_entails(q).map_err(Error::from)
+        self.apply()?;
+        Ok(self.representation().try_entails(q)?)
     }
 
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        let compiled = self.force_compile()?;
-        compiled.try_entails_batch(queries).map_err(Error::from)
+        self.apply()?;
+        Ok(self.representation().try_entails_batch(queries)?)
+    }
+
+    fn revision_chain(&self) -> Option<&RevisionChain> {
+        Some(self)
     }
 }
 
@@ -350,6 +311,7 @@ impl Engine for WidtioEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Backend;
     use crate::semantic::ModelBasedOp;
     use revkb_logic::Var;
 
@@ -362,8 +324,9 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         for op in ModelBasedOp::ALL {
-            let concrete = RevisedKb::compile(op, &t, &p).unwrap();
-            let mut boxed: Box<dyn Engine> = Box::new(RevisedKb::compile(op, &t, &p).unwrap());
+            let concrete = crate::engine::compact(op, &t, &p).unwrap();
+            let chain = crate::builder::ReviseBuilder::new(op).compile(&t, &p);
+            let mut boxed: Box<dyn Engine> = Box::new(chain.unwrap());
             for q in [v(2), v(0).or(v(1)), v(0).and(v(1)), v(2).not()] {
                 assert_eq!(
                     boxed.try_entails(&q).unwrap(),
@@ -377,8 +340,8 @@ mod tests {
 
     #[test]
     fn delayed_kb_unified_error_instead_of_panic() {
-        let mut kb = DelayedKb::new(ModelBasedOp::Dalal, v(0).and(v(1)));
-        kb.revise(v(0).not());
+        let mut kb = RevisionChain::delayed(ModelBasedOp::Dalal, v(0).and(v(1)));
+        kb.revise(v(0).not(), Backend::Direct);
         let engine: &mut dyn Engine = &mut kb;
         // Out-of-alphabet through the trait is an Err, not a panic.
         let err = engine.try_entails(&v(9)).unwrap_err();
@@ -388,8 +351,8 @@ mod tests {
 
     #[test]
     fn delayed_kb_alphabet_known_before_compile() {
-        let mut kb = DelayedKb::new(ModelBasedOp::Weber, v(0));
-        kb.revise(v(1).not());
+        let mut kb = RevisionChain::delayed(ModelBasedOp::Weber, v(0));
+        kb.revise(v(1).not(), Backend::Direct);
         let engine: &dyn Engine = &kb;
         assert_eq!(engine.alphabet(), vec![Var(0), Var(1)]);
         assert_eq!(engine.compiled_size(), None);
@@ -421,10 +384,10 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         let mut engines: Vec<Box<dyn Engine>> = vec![
-            Box::new(RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap()),
+            Box::new(crate::engine::compact(ModelBasedOp::Dalal, &t, &p).unwrap()),
             Box::new({
-                let mut d = DelayedKb::new(ModelBasedOp::Dalal, t.clone());
-                d.revise(p.clone());
+                let mut d = RevisionChain::delayed(ModelBasedOp::Dalal, t.clone());
+                d.revise(p.clone(), Backend::Direct);
                 d
             }),
         ];

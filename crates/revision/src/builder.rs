@@ -1,22 +1,18 @@
 //! The typed front door to compilation: [`ReviseBuilder`].
 //!
-//! The workspace grew its entry points one at a time —
-//! [`RevisedKb::compile`], [`RevisedKb::compile_via_bdd`],
-//! [`DelayedKb::new`], plus the `REVKB_THREADS` / `REVKB_TRACE` /
-//! `REVKB_CACHE_CAP` environment knobs read at scattered call sites.
-//! The builder gathers all of it behind typed options with one rule:
-//! **an explicit setter wins; an unset option falls back to the
-//! `REVKB_*` environment variable; an unset variable falls back to the
-//! documented default.** The old free functions remain as thin,
-//! supported shims — nothing is deprecated silently.
+//! The builder gathers the compile entry points behind typed options
+//! with one rule: **an explicit setter wins; an unset option falls back
+//! to the `REVKB_*` environment variable; an unset variable falls back
+//! to the documented default.** Every entry point returns a
+//! [`RevisionChain`], the one model-based knowledge base.
 //!
 //! ```
-//! use revkb_revision::{ModelBasedOp, ReviseBuilder};
+//! use revkb_revision::{Engine, ModelBasedOp, ReviseBuilder};
 //! use revkb_logic::{Formula, Var};
 //!
 //! let t = Formula::var(Var(0)).or(Formula::var(Var(1)));
 //! let p = Formula::var(Var(0)).not();
-//! let kb = ReviseBuilder::new(ModelBasedOp::Dalal)
+//! let mut kb = ReviseBuilder::new(ModelBasedOp::Dalal)
 //!     .threads(2)
 //!     .compile(&t, &p)
 //!     .unwrap();
@@ -24,54 +20,11 @@
 //! ```
 
 use crate::advice::{advise, OperatorKind, Profile};
-use crate::api::Engine;
-use crate::compact::CompactRep;
-use crate::engine::{DelayedKb, RevisedKb};
+use crate::engine::{compact, Backend, RevisionChain};
 use crate::error::Error;
 use crate::semantic::ModelBasedOp;
 use revkb_logic::Formula;
-use revkb_obs::TraceMode;
 use revkb_sat::PoolConfig;
-
-/// Environment variable giving the default compiled-artifact cache
-/// capacity (see [`ReviseBuilder::cache_capacity`] and the
-/// `revkb-server` registry).
-pub const CACHE_CAP_ENV: &str = "REVKB_CACHE_CAP";
-
-/// Default compiled-artifact cache capacity when neither the builder
-/// option nor [`CACHE_CAP_ENV`] says otherwise.
-pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-/// Which compilation pipeline to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The construction Table 1 recommends per operator
-    /// ([`RevisedKb::compile`] / [`RevisedKb::compile_iterated`]).
-    #[default]
-    Direct,
-    /// The BDD pipeline ([`RevisedKb::compile_via_bdd`]): exact for
-    /// any operator but needs an enumerable total alphabet.
-    Bdd,
-}
-
-impl Backend {
-    /// Wire/CLI tag of the backend.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Backend::Direct => "direct",
-            Backend::Bdd => "bdd",
-        }
-    }
-
-    /// Parse a wire/CLI tag.
-    pub fn from_tag(tag: &str) -> Option<Backend> {
-        match tag.to_ascii_lowercase().as_str() {
-            "direct" => Some(Backend::Direct),
-            "bdd" => Some(Backend::Bdd),
-            _ => None,
-        }
-    }
-}
 
 /// Typed, env-aware configuration for compiling revised knowledge
 /// bases. See the module docs for the precedence rule.
@@ -81,8 +34,6 @@ pub struct ReviseBuilder {
     backend: Backend,
     profile: Option<Profile>,
     threads: Option<usize>,
-    trace: Option<TraceMode>,
-    cache_capacity: Option<usize>,
 }
 
 impl ReviseBuilder {
@@ -94,8 +45,6 @@ impl ReviseBuilder {
             backend: Backend::default(),
             profile: None,
             threads: None,
-            trace: None,
-            cache_capacity: None,
         }
     }
 
@@ -122,22 +71,6 @@ impl ReviseBuilder {
         self
     }
 
-    /// Telemetry mode, applied process-wide at compile time (default:
-    /// leave whatever `REVKB_TRACE` selected untouched).
-    pub fn trace(mut self, mode: TraceMode) -> Self {
-        self.trace = Some(mode);
-        self
-    }
-
-    /// Compiled-artifact cache capacity for registries built from this
-    /// builder (default: `REVKB_CACHE_CAP`, then
-    /// [`DEFAULT_CACHE_CAPACITY`]). Compilation itself does not cache;
-    /// the `revkb-server` registry reads this knob.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
-    }
-
     /// The operator this builder compiles for.
     pub fn operator(&self) -> ModelBasedOp {
         self.op
@@ -147,20 +80,6 @@ impl ReviseBuilder {
     /// rule (explicit option → `REVKB_THREADS` → parallelism).
     pub fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(revkb_sat::default_threads)
-    }
-
-    /// The effective artifact-cache capacity (explicit option →
-    /// `REVKB_CACHE_CAP` → [`DEFAULT_CACHE_CAPACITY`]).
-    pub fn effective_cache_capacity(&self) -> usize {
-        if let Some(cap) = self.cache_capacity {
-            return cap;
-        }
-        if let Ok(raw) = std::env::var(CACHE_CAP_ENV) {
-            if let Ok(cap) = raw.trim().parse::<usize>() {
-                return cap;
-            }
-        }
-        DEFAULT_CACHE_CAPACITY
     }
 
     /// The Table 1 / Table 2 verdict for this builder's operator and
@@ -184,76 +103,61 @@ impl ReviseBuilder {
         Ok(())
     }
 
-    fn apply_trace(&self) {
-        if let Some(mode) = self.trace {
-            revkb_obs::set_mode(mode);
-        }
-    }
-
-    fn configure(&self, kb: &RevisedKb) {
+    fn configure(&self, chain: RevisionChain) -> RevisionChain {
         if let Some(threads) = self.threads {
-            kb.set_pool_config(PoolConfig::with_threads(threads));
+            let config = PoolConfig::with_threads(threads);
+            chain.representation().set_pool_config(config);
         }
+        chain
     }
 
     /// Compile `T * P` (step 1 of the paper's pipeline) with every
-    /// option applied. Thin wrapper over [`RevisedKb::compile`] /
-    /// [`RevisedKb::compile_via_bdd`].
-    pub fn compile(&self, t: &Formula, p: &Formula) -> Result<RevisedKb, Error> {
+    /// option applied: with the direct backend, Table 1's
+    /// single-revision construction ([`compact`]).
+    pub fn compile(&self, t: &Formula, p: &Formula) -> Result<RevisionChain, Error> {
+        if self.backend == Backend::Bdd {
+            return self.compile_iterated(t, std::slice::from_ref(p));
+        }
         self.check_profile()?;
-        self.apply_trace();
-        let kb = match self.backend {
-            Backend::Direct => RevisedKb::compile(self.op, t, p)?,
-            Backend::Bdd => RevisedKb::compile_via_bdd(self.op, t, std::slice::from_ref(p))?,
-        };
-        self.configure(&kb);
-        Ok(kb)
+        let rep = compact(self.op, t, p)?;
+        let ps = vec![p.clone()];
+        let chain = RevisionChain::with_representation(self.op, self.backend, t.clone(), ps, rep);
+        Ok(self.configure(chain))
     }
 
     /// Compile the iterated revision `T * P¹ * … * Pᵐ` with every
-    /// option applied. Thin wrapper over
-    /// [`RevisedKb::compile_iterated`] / [`RevisedKb::compile_via_bdd`].
-    pub fn compile_iterated(&self, t: &Formula, ps: &[Formula]) -> Result<RevisedKb, Error> {
+    /// option applied, by the route [`RevisionChain::apply`] picks for
+    /// this builder's backend. An empty `ps` yields the unrevised base.
+    pub fn compile_iterated(&self, t: &Formula, ps: &[Formula]) -> Result<RevisionChain, Error> {
         self.check_profile()?;
-        self.apply_trace();
-        let kb = match self.backend {
-            Backend::Direct => RevisedKb::compile_iterated(self.op, t, ps)?,
-            Backend::Bdd => RevisedKb::compile_via_bdd(self.op, t, ps)?,
-        };
-        self.configure(&kb);
-        Ok(kb)
+        let mut chain = self.delayed(t.clone());
+        for p in ps {
+            chain.revise(p.clone(), self.backend);
+        }
+        chain.apply()?;
+        Ok(self.configure(chain))
     }
 
     /// A delayed-incorporation base (compile at first query) with this
     /// builder's operator.
-    pub fn delayed(&self, t: Formula) -> DelayedKb {
-        self.apply_trace();
-        DelayedKb::new(self.op, t)
+    pub fn delayed(&self, t: Formula) -> RevisionChain {
+        RevisionChain::delayed(self.op, t)
     }
 
-    /// Build a boxed [`Engine`] for `T` revised by `ps` — the uniform
-    /// artefact the `revkb-server` registry stores. An empty `ps`
+    /// The knowledge base `T` revised by `ps`, as
+    /// [`ReviseBuilder::compile_iterated`] compiles it. An empty `ps`
     /// yields the unrevised base itself (a logically-equivalent
-    /// [`CompactRep`] of `T`), so a freshly loaded knowledge base is
+    /// representation of `T`), so a freshly loaded knowledge base is
     /// queryable before its first revision.
-    pub fn engine(&self, t: &Formula, ps: &[Formula]) -> Result<Box<dyn Engine + Send>, Error> {
-        match ps {
-            [] => {
-                let base: Vec<_> = t.vars().into_iter().collect();
-                let rep = CompactRep::logical(t.clone(), base);
-                if let Some(threads) = self.threads {
-                    rep.set_pool_config(PoolConfig::with_threads(threads));
-                }
-                Ok(Box::new(rep))
-            }
-            ps => Ok(Box::new(self.compile_iterated(t, ps)?)),
-        }
+    pub fn engine(&self, t: &Formula, ps: &[Formula]) -> Result<RevisionChain, Error> {
+        self.compile_iterated(t, ps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Engine;
     use revkb_logic::Var;
 
     fn v(i: u32) -> Formula {
@@ -265,8 +169,8 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         for op in ModelBasedOp::ALL {
-            let built = ReviseBuilder::new(op).compile(&t, &p).unwrap();
-            let shim = RevisedKb::compile(op, &t, &p).unwrap();
+            let mut built = ReviseBuilder::new(op).compile(&t, &p).unwrap();
+            let shim = compact(op, &t, &p).unwrap();
             for q in [v(2), v(0).or(v(1))] {
                 assert_eq!(built.entails(&q), shim.entails(&q), "{}", op.name());
             }
@@ -277,12 +181,12 @@ mod tests {
     fn threads_reach_the_pool() {
         let t = v(0).and(v(1));
         let p = v(0).not();
-        let kb = ReviseBuilder::new(ModelBasedOp::Dalal)
+        let mut kb = ReviseBuilder::new(ModelBasedOp::Dalal)
             .threads(2)
             .compile(&t, &p)
             .unwrap();
         kb.entails_batch(&[v(0), v(1), v(0).or(v(1))]);
-        assert_eq!(kb.pool_stats().unwrap().threads, 2);
+        assert_eq!(kb.stats().pool.unwrap().threads, 2);
     }
 
     #[test]
@@ -315,8 +219,8 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         for op in ModelBasedOp::ALL {
-            let direct = ReviseBuilder::new(op).compile(&t, &p).unwrap();
-            let bdd = ReviseBuilder::new(op)
+            let mut direct = ReviseBuilder::new(op).compile(&t, &p).unwrap();
+            let mut bdd = ReviseBuilder::new(op)
                 .backend(Backend::Bdd)
                 .compile(&t, &p)
                 .unwrap();
@@ -337,17 +241,27 @@ mod tests {
         let ps = [v(0).not().or(v(1).not()), v(2).not().or(v(3))];
         for op in ModelBasedOp::ALL {
             let bdd = ReviseBuilder::new(op).backend(Backend::Bdd);
-            let via_bdd = RevisedKb::compile_via_bdd(op, &t, &ps).unwrap();
-            let built = bdd.compile_iterated(&t, &ps).unwrap();
+            let mut via_bdd = RevisionChain::delayed(op, t.clone());
+            for p in &ps {
+                via_bdd.revise(p.clone(), Backend::Bdd);
+            }
+            via_bdd.apply().unwrap();
+            let via_bdd = via_bdd.representation();
+            let mut built = bdd.compile_iterated(&t, &ps).unwrap();
             let mut engine = bdd.engine(&t, &ps).unwrap();
-            assert_eq!(built.size(), via_bdd.size(), "{}", op.name());
+            assert_eq!(
+                built.representation().size(),
+                via_bdd.size(),
+                "{}",
+                op.name()
+            );
             assert_eq!(
                 engine.compiled_size(),
                 Some(via_bdd.size()),
                 "{}",
                 op.name()
             );
-            let direct = ReviseBuilder::new(op).compile_iterated(&t, &ps).unwrap();
+            let mut direct = ReviseBuilder::new(op).compile_iterated(&t, &ps).unwrap();
             for q in [v(0), v(1), v(2), v(3), v(0).or(v(3))] {
                 assert_eq!(direct.entails(&q), built.entails(&q), "{}", op.name());
                 assert_eq!(direct.entails(&q), engine.entails(&q), "{}", op.name());
@@ -367,19 +281,6 @@ mod tests {
             engine.try_entails(&v(9)).unwrap_err().code(),
             "out_of_alphabet"
         );
-    }
-
-    #[test]
-    fn effective_cache_capacity_defaults() {
-        let b = ReviseBuilder::new(ModelBasedOp::Dalal);
-        // Explicit wins over everything.
-        assert_eq!(b.clone().cache_capacity(3).effective_cache_capacity(), 3);
-        // Without the env var the documented default applies. (The
-        // env-var path is covered by the server tests, which own the
-        // process environment.)
-        if std::env::var(CACHE_CAP_ENV).is_err() {
-            assert_eq!(b.effective_cache_capacity(), DEFAULT_CACHE_CAPACITY);
-        }
     }
 
     #[test]

@@ -37,7 +37,8 @@ impl std::error::Error for QueryError {}
 /// [`SessionPool`]. `session` is its worker 0, which answers single
 /// queries and sequential batches; `pool` adds the batch accounting and
 /// the forked workers once a batch has run. Exposed uniformly as
-/// `stats()` on [`CompactRep`], `RevisedKb`, and `DelayedKb`.
+/// `stats()` on [`CompactRep`] and, through [`crate::api::Engine`], on
+/// every engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Counters of the session (worker 0), if any query has run yet.

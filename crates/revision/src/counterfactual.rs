@@ -98,8 +98,8 @@ pub fn holds_compiled(
 ) -> Result<bool, crate::engine::CompileError> {
     let (ps, q) = c.unroll();
     let owned: Vec<Formula> = ps.into_iter().cloned().collect();
-    let kb = crate::engine::RevisedKb::compile_iterated(op, t, &owned)?;
-    Ok(kb.entails(q))
+    let kb = crate::engine::RevisionChain::compile(op, t, &owned)?;
+    Ok(kb.representation().entails(q))
 }
 
 /// Evaluate all levels of the "might" dual as well: `P ⋄ Q` ("if `P`

@@ -675,13 +675,13 @@ mod tests {
             let taken_up = RevisionChain::new(ModelBasedOp::Dalal, phi.clone(), xs.clone());
             for q in &queries {
                 let want = phi_models.masks().iter().all(|&m| alpha.eval_mask(q, m));
-                let (kb, resumed) = (queried.compiled(), taken_up.compiled());
+                let (kb, resumed) = (queried.representation(), taken_up.representation());
                 assert_eq!(kb.entails(q), want, "case {case}, {q:?} on the clauses");
                 assert_eq!(resumed.entails(q), want, "case {case}, {q:?} on Φ");
             }
-            assert!(queried.compiled().representation().take_clauses().is_none());
+            assert!(queried.representation().take_clauses().is_none());
 
-            let rep = chain.compiled().representation();
+            let rep = chain.representation();
             let cnf = rep.take_clauses().expect("a Dalal chain keeps its clauses");
             let mut supply = CountingSupply::new(cnf.num_vars().max(6));
             let ys: Vec<Var> = xs.iter().map(|_| supply.fresh_var()).collect();

@@ -10,7 +10,7 @@
 //! - a ground-truth **semantic engine** ([`semantic`]) computing
 //!   `M(T * P)` by enumeration;
 //! - the paper's **compact representation constructions**
-//!   ([`compact`]): Theorems 3.4/3.5 (single unbounded, query
+//!   ([`compact`](mod@compact)): Theorems 3.4/3.5 (single unbounded, query
 //!   equivalence), Section 4's formulas (5)–(9) (single bounded,
 //!   logical equivalence), Theorem 5.1's `Φₘ` and formula (10)
 //!   (iterated unbounded) and Section 6's QBF forms (iterated
@@ -22,13 +22,17 @@
 //! - exact two-level minimisation ([`minimize`]) as the measurable
 //!   "smallest formula" proxy;
 //! - Figure 1's containment lattice ([`containment`]);
-//! - the two-step query-answering engine ([`engine`]), whose online
-//!   half answers queries through an incremental
+//! - the two-step query-answering engine ([`engine`]): Table 1's
+//!   single-revision constructor [`engine::compact`], and
+//!   [`engine::RevisionChain`], the one model-based knowledge base,
+//!   which keeps `T` and every `Pⁱ`, applies pending revisions at the
+//!   first query, and alone picks each revision's compile route. Its
+//!   online half answers queries through an incremental
 //!   [`revkb_sat::QuerySession`]: the compiled `T'` is loaded into one
 //!   CDCL solver, each query runs under an activation literal keeping
 //!   learned clauses across queries, answers are memoised, and a
 //!   [`revkb_sat::SolverStats`] block is exposed via
-//!   [`engine::RevisedKb::query_stats`]. Queries outside the base
+//!   [`compact::CompactRep::query_stats`]. Queries outside the base
 //!   alphabet are rejected in every build profile
 //!   ([`compact::CompactRep::try_entails`] /
 //!   [`compact::QueryError::OutOfAlphabet`]) rather than silently
@@ -60,12 +64,12 @@ mod truth_table;
 
 pub use advice::{advise, Advice, OperatorKind, Profile};
 pub use api::{Engine, GfuvEngine, WidtioEngine};
-pub use builder::{Backend, ReviseBuilder, CACHE_CAP_ENV, DEFAULT_CACHE_CAPACITY};
+pub use builder::ReviseBuilder;
 pub use compact::{CompactRep, EngineStats, QueryError};
 pub use containment::{check_containments, containment_matrix, FIGURE1_EDGES};
 pub use contraction::{contract, contract_on};
 pub use counterfactual::{holds as counterfactual_holds, might_hold, Counterfactual};
-pub use engine::{CompileError, DelayedKb, RevisedKb, RevisionChain};
+pub use engine::{compact, Backend, CompileError, RevisionChain};
 pub use engine_formula_based::{GfuvKb, WidtioKb, WorldBudgetExceeded};
 pub use equivalence::{
     logically_equivalent, query_equivalent_bdd, query_equivalent_enum,

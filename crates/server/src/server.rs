@@ -42,8 +42,8 @@ use revkb_obs as obs;
 use revkb_obs::Json;
 use revkb_revision::api::Engine;
 use revkb_revision::{
-    Backend, CompileError, DelayedKb, Error, GfuvEngine, ModelBasedOp, RevisedKb, RevisionChain,
-    Theory, WidtioEngine, CACHE_CAP_ENV, DEFAULT_CACHE_CAPACITY,
+    Backend, CompactRep, CompileError, Error, GfuvEngine, ModelBasedOp, RevisionChain, Theory,
+    WidtioEngine,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -67,6 +67,10 @@ pub const DEADLINE_ENV: &str = "REVKB_SERVER_DEADLINE_MS";
 /// Environment variable giving the compile timeout (ms) beyond which a
 /// revision degrades to delayed incorporation.
 pub const COMPILE_TIMEOUT_ENV: &str = "REVKB_SERVER_COMPILE_TIMEOUT_MS";
+/// Environment variable giving the compiled-artifact cache capacity.
+pub const CACHE_CAP_ENV: &str = "REVKB_CACHE_CAP";
+/// Compiled-artifact cache capacity when [`CACHE_CAP_ENV`] is unset.
+pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// Environment variable giving the GFUV possible-worlds budget.
 pub const WORLDS_ENV: &str = "REVKB_SERVER_WORLDS";
 /// Environment variable giving the slow-request threshold (ms): any
@@ -101,8 +105,8 @@ fn env_u64(name: &str) -> Option<u64> {
 }
 
 /// Server tuning knobs. [`ServerConfig::from_env`] reads the
-/// `REVKB_SERVER_*` variables; the setters override them (explicit
-/// wins, the same precedence rule as `ReviseBuilder`).
+/// `REVKB_SERVER_*` variables and [`CACHE_CAP_ENV`]; the setters
+/// override them (explicit wins).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent execution permits (default: the batch-pool thread
@@ -559,7 +563,7 @@ enum CacheOutcome {
     /// Formula-based operators bypass the artifact cache (WIDTIO's
     /// output is already small; GFUV's worlds are per-KB state).
     Bypass,
-    /// The compile budget expired; the engine is a delayed base.
+    /// The compile budget expired; the new revision is pending.
     Degraded,
 }
 
@@ -570,31 +574,6 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Bypass => "bypass",
             CacheOutcome::Degraded => "degraded",
-        }
-    }
-}
-
-/// What a model-based compile produced.
-enum Compiled {
-    /// A direct construction, which the next revise can extend.
-    Chain(RevisionChain),
-    /// A BDD compile of the whole chain from `T`; the next BDD-backend
-    /// revise compiles the longer chain from `T` again.
-    Bdd(RevisedKb),
-}
-
-impl Compiled {
-    fn kb(&self) -> &RevisedKb {
-        match self {
-            Compiled::Chain(chain) => chain.compiled(),
-            Compiled::Bdd(kb) => kb,
-        }
-    }
-
-    fn into_engine(self) -> Box<dyn Engine + Send> {
-        match self {
-            Compiled::Chain(chain) => Box::new(chain),
-            Compiled::Bdd(kb) => Box::new(kb),
         }
     }
 }
@@ -1418,9 +1397,9 @@ impl Server {
                 }
                 let mut ps = kb.revisions.clone();
                 ps.push(p.clone());
-                let (engine, outcome, micros) =
-                    self.model_based_engine(&kb, m, &ps, backend, req, trace)?;
-                (engine, KbKind::ModelBased(m), outcome, micros)
+                let (chain, outcome, micros) =
+                    self.model_based_engine(&kb, m, ps, backend, req, trace)?;
+                (Box::new(chain), KbKind::ModelBased(m), outcome, micros)
             }
             (KbKind::Unrevised, OpName::Gfuv) => {
                 let theory = Theory::new(kb.theory.iter().cloned());
@@ -1514,135 +1493,81 @@ impl Server {
         ]))
     }
 
-    /// Compile (or fetch from cache) the engine for a model-based
-    /// revision chain `T * P¹ * … * Pᵐ`. The third element is the
-    /// compile latency in microseconds (`None` on a cache hit or a
-    /// degraded fallback, where no compile finished).
+    /// Compile (or fetch from cache) the chain `T * P¹ * … * Pᵐ` of a
+    /// model-based revise. The third element is the compile latency in
+    /// microseconds (`None` on a cache hit or a degraded fallback,
+    /// where no compile finished).
     ///
-    /// The engine is a [`RevisionChain`] after a direct compile or a
-    /// cache hit on a direct artifact, and the compiled BDD's
-    /// representation after a BDD-backend compile or cache hit. A miss
-    /// extends the KB's current chain by `Pᵐ` when it has one over
-    /// `Pᵐ`'s letters, and compiles from `T` otherwise (see
-    /// [`Server::compile_budgeted`]).
-    #[allow(clippy::type_complexity)]
+    /// A hit takes the chain up from the cached artifact. A miss
+    /// revises the KB's chain by `Pᵐ` and applies it, by the route
+    /// [`RevisionChain::apply`] picks, under the compile budget.
     fn model_based_engine(
         &self,
         kb: &KbState,
         op: ModelBasedOp,
-        ps: &[Formula],
+        mut ps: Vec<Formula>,
         backend: Backend,
         req: u64,
         trace: u64,
-    ) -> Result<(Box<dyn Engine + Send>, CacheOutcome, Option<u64>), ExecError> {
-        let key = cache_key(OpName::Model(op), backend, &kb.theory, ps);
-        {
-            let mut cache = self.inner.cache.lock().expect("cache poisoned");
-            if let Some(artifact) = cache.get(&key) {
-                // A direct artifact is the running representation of a
-                // chain; a BDD-backend one is answered as it stands.
-                let engine: Box<dyn Engine + Send> = match backend {
-                    Backend::Direct => {
-                        Box::new(RevisionChain::new(op, artifact.formula, artifact.base))
-                    }
-                    Backend::Bdd => Box::new(revkb_revision::CompactRep::new(
-                        artifact.formula,
-                        artifact.base,
-                        artifact.logical,
-                    )),
-                };
-                return Ok((engine, CacheOutcome::Hit, None));
-            }
+    ) -> Result<(RevisionChain, CacheOutcome, Option<u64>), ExecError> {
+        let key = cache_key(OpName::Model(op), backend, &kb.theory, &ps);
+        let hit = self.inner.cache.lock().expect("cache poisoned").get(&key);
+        if let Some(artifact) = hit {
+            let rep = CompactRep::new(artifact.formula, artifact.base, artifact.logical);
+            let chain = RevisionChain::with_representation(op, backend, kb.t(), ps, rep);
+            return Ok((chain, CacheOutcome::Hit, None));
         }
-        let t = kb.t();
-        let p = ps.last().expect("a revise adds a step");
-        let chain = kb
-            .engine
-            .revision_chain()
-            .filter(|chain| chain.admits(p))
-            .cloned();
-        let compile_start = Instant::now();
-        let compiled = {
-            let _span = obs::span_with("server.compile", &[("req", req), (obs::TRACE_ATTR, trace)]);
-            self.compile_budgeted(op, &t, ps, backend, chain)
+        let mut chain = match kb.engine.revision_chain() {
+            Some(chain) => chain.clone(),
+            None => RevisionChain::delayed(op, kb.t()),
         };
-        match compiled {
-            Some(Ok(compiled)) => {
-                let micros = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let rep = compiled.kb().representation();
-                let artifact = Artifact {
-                    formula: rep.formula.clone(),
-                    base: rep.base.clone(),
-                    logical: rep.logical,
-                };
-                self.inner
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(key, artifact);
-                Ok((compiled.into_engine(), CacheOutcome::Miss, Some(micros)))
-            }
-            Some(Err(e)) => Err(engine_err(e)),
-            None => {
-                // Compile budget expired: degrade to delayed
-                // incorporation — the revise itself is then O(1) and
-                // the compilation cost moves to the first query.
-                self.inner.counters.degraded();
-                let mut delayed = DelayedKb::new(op, t);
-                for p in ps {
-                    delayed.revise(p.clone());
-                }
-                Ok((Box::new(delayed), CacheOutcome::Degraded, None))
-            }
+        chain.revise(ps.pop().expect("a revise adds a step"), backend);
+        let compile_start = Instant::now();
+        let chain = {
+            let _span = obs::span_with("server.compile", &[("req", req), (obs::TRACE_ATTR, trace)]);
+            self.compile_budgeted(chain)
         }
+        .map_err(|e| engine_err(e.into()))?;
+        if !chain.pending().is_empty() {
+            // Compile budget expired: the revise itself is then O(1)
+            // and the compilation cost moves to the first query.
+            self.inner.counters.degraded();
+            return Ok((chain, CacheOutcome::Degraded, None));
+        }
+        let micros = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let rep = chain.representation();
+        let artifact = Artifact {
+            formula: rep.formula.clone(),
+            base: rep.base.clone(),
+            logical: rep.logical,
+        };
+        self.inner
+            .cache
+            .lock()
+            .expect("cache poisoned")
+            .insert(key, artifact);
+        Ok((chain, CacheOutcome::Miss, Some(micros)))
     }
 
-    /// Run the compile under the configured budget: one step on
-    /// `chain` when there is one, else the whole of `ps` from `t`.
-    /// `None` means the budget expired.
-    fn compile_budgeted(
-        &self,
-        op: ModelBasedOp,
-        t: &Formula,
-        ps: &[Formula],
-        backend: Backend,
-        chain: Option<RevisionChain>,
-    ) -> Option<Result<Compiled, Error>> {
-        let compile = {
-            let t = t.clone();
-            let ps = ps.to_vec();
-            move || -> Result<Compiled, Error> {
-                Ok(match (chain, ps.as_slice(), backend) {
-                    (Some(mut chain), [.., p], _) => {
-                        chain.extend(p)?;
-                        Compiled::Chain(chain)
-                    }
-                    (None, ps, Backend::Bdd) => match RevisedKb::compile_via_bdd(op, &t, ps) {
-                        // A later step that widens the alphabet past the
-                        // BDD pipeline's enumeration cap keeps the direct
-                        // constructions; a first step past it is refused.
-                        Err(CompileError::AlphabetTooLarge { .. }) if ps.len() > 1 => {
-                            Compiled::Chain(RevisionChain::compile(op, &t, ps)?)
-                        }
-                        kb => Compiled::Bdd(kb?),
-                    },
-                    (_, ps, _) => Compiled::Chain(RevisionChain::compile(op, &t, ps)?),
-                })
-            }
-        };
+    /// Apply `chain`'s pending revisions under the configured budget.
+    /// When the budget expires the chain comes back as it was given,
+    /// its revisions still pending.
+    fn compile_budgeted(&self, mut chain: RevisionChain) -> Result<RevisionChain, CompileError> {
         match self.inner.config.compile_timeout_ms {
-            None => Some(compile()),
+            None => chain.apply().map(|()| chain),
             // A zero budget degrades unconditionally — and skips
             // spawning a compile thread that nobody would wait for.
-            Some(0) => None,
+            Some(0) => Ok(chain),
             Some(ms) => {
                 let (tx, rx) = std::sync::mpsc::channel();
+                let mut compiling = chain.clone();
                 std::thread::spawn(move || {
                     // The receiver may be gone if the budget expired;
-                    // the finished artifact is then simply dropped.
-                    let _ = tx.send(compile());
+                    // the finished chain is then simply dropped.
+                    let _ = tx.send(compiling.apply().map(|()| compiling));
                 });
-                rx.recv_timeout(Duration::from_millis(ms)).ok()
+                rx.recv_timeout(Duration::from_millis(ms))
+                    .unwrap_or(Ok(chain))
             }
         }
     }

@@ -15,7 +15,7 @@
 //! under query equivalence.
 
 use revkb::logic::{Formula, Signature};
-use revkb::revision::{DelayedKb, ModelBasedOp};
+use revkb::revision::{Backend, Engine, ModelBasedOp, RevisionChain};
 
 fn main() {
     let mut sig = Signature::new();
@@ -28,7 +28,7 @@ fn main() {
     println!("initial beliefs: all rooms lit; rooms 2 and 3 share a breaker");
     println!("|T| = {}\n", t.size());
 
-    let mut kb = DelayedKb::new(ModelBasedOp::Dalal, t);
+    let mut kb = RevisionChain::delayed(ModelBasedOp::Dalal, t);
 
     let observations: Vec<(&str, Formula)> = vec![
         ("room 0 is dark", lit[0].clone().not()),
@@ -41,14 +41,14 @@ fn main() {
     ];
 
     for (label, p) in observations {
-        kb.revise(p);
+        kb.revise(p, Backend::Direct);
         println!("observe: {label}");
-        let m = kb.pending().len();
+        let m = kb.revisions().len();
         // Query after each revision (compiles Φₘ lazily).
         let lit3 = &lit[3];
         let q = lit3.clone();
-        let believes_lit3 = kb.entails(&q).expect("compile");
-        let believes_dark3 = kb.entails(&q.clone().not()).expect("compile");
+        let believes_lit3 = kb.try_entails(&q).expect("compile");
+        let believes_dark3 = kb.try_entails(&q.clone().not()).expect("compile");
         let verdict = match (believes_lit3, believes_dark3) {
             (true, _) => "lit",
             (_, true) => "dark",

@@ -14,7 +14,7 @@
 //! larger than the original, and queries run against the compilation.
 
 use revkb::logic::{Formula, Signature, Var};
-use revkb::revision::{ModelBasedOp, RevisedKb};
+use revkb::revision::{compact, ModelBasedOp};
 
 /// Build the database: for each employee `i`, letters `eng_i` (works
 /// in engineering) and `oncall_i`, with constraints.
@@ -60,7 +60,7 @@ fn main() {
     );
     println!("{}", "-".repeat(64));
     for op in ModelBasedOp::ALL {
-        let kb = RevisedKb::compile(op, &t, &p).expect("bounded compile");
+        let kb = compact(op, &t, &p).expect("bounded compile");
         // After the update: employee 0's on-call bit was recorded as
         // an independent fact, so it survives; employee 1's record
         // must be untouched.

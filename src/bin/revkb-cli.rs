@@ -19,8 +19,8 @@
 
 use revkb::logic::{parse, render, Formula, Signature};
 use revkb::revision::{
-    advise, model_check, possible_worlds, postulate_report, revise, widtio, Advice, ModelBasedOp,
-    OperatorKind, Postulate, Profile, RevisedKb, Theory,
+    advise, compact, model_check, possible_worlds, postulate_report, revise, widtio, Advice,
+    ModelBasedOp, OperatorKind, Postulate, Profile, RevisionChain, Theory,
 };
 use std::process::ExitCode;
 
@@ -485,7 +485,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let t = parse(required(&flags, "t")?, &mut sig).map_err(|e| e.to_string())?;
             let p = parse(required(&flags, "p")?, &mut sig).map_err(|e| e.to_string())?;
             let q = parse(required(&flags, "q")?, &mut sig).map_err(|e| e.to_string())?;
-            let kb = RevisedKb::compile(op, &t, &p).map_err(|e| e.to_string())?;
+            let kb = compact(op, &t, &p).map_err(|e| e.to_string())?;
             writeln!(out, "operator: {}", op.name()).unwrap();
             writeln!(out, "|T'| = {} variable occurrences", kb.size()).unwrap();
             writeln!(
@@ -547,7 +547,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 .collect();
             let ps = ps?;
             let q = parse(required(&flags, "q")?, &mut sig).map_err(|e| e.to_string())?;
-            let kb = RevisedKb::compile_iterated(op, &t, &ps).map_err(|e| e.to_string())?;
+            let chain = RevisionChain::compile(op, &t, &ps).map_err(|e| e.to_string())?;
+            let kb = chain.representation();
             writeln!(out, "operator: {}, {} revision(s)", op.name(), ps.len()).unwrap();
             writeln!(out, "|T'| = {} variable occurrences", kb.size()).unwrap();
             writeln!(

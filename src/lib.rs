@@ -8,9 +8,9 @@
 //! results, and the substrates they run on (a CDCL SAT solver, an
 //! ROBDD engine, Hamming-distance circuits, QBF expansion).
 //!
-//! Start with [`revision::RevisedKb`] for the paper's two-step
-//! query-answering pipeline, or the `examples/` directory for
-//! runnable scenarios.
+//! Start with [`revision::RevisionChain`] (or [`ReviseBuilder`]) for
+//! the paper's two-step query-answering pipeline, or the `examples/`
+//! directory for runnable scenarios.
 //!
 //! ```
 //! use revkb::logic::{parse, Signature};
@@ -52,14 +52,14 @@ pub use revkb_revision::{Backend, Engine, Error, ReviseBuilder};
 /// let mut sig = Signature::new();
 /// let t = parse("george | bill", &mut sig).unwrap();
 /// let p = parse("!george", &mut sig).unwrap();
-/// let kb = ReviseBuilder::new(ModelBasedOp::Dalal).compile(&t, &p).unwrap();
+/// let mut kb = ReviseBuilder::new(ModelBasedOp::Dalal).compile(&t, &p).unwrap();
 /// assert!(kb.entails(&parse("bill", &mut sig).unwrap()));
 /// ```
 pub mod prelude {
     pub use revkb_logic::{parse, render, Formula, Signature, Var};
     pub use revkb_revision::{
-        Backend, DelayedKb, Engine, Error, GfuvEngine, ModelBasedOp, Profile, ReviseBuilder,
-        RevisedKb, Theory, WidtioEngine,
+        compact, Backend, Engine, Error, GfuvEngine, ModelBasedOp, Profile, ReviseBuilder,
+        RevisionChain, Theory, WidtioEngine,
     };
     pub use revkb_server::{Server, ServerConfig};
 }

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
-    advise, query_equivalent_enum, revise_iterated_on, revise_on, Advice, ModelBasedOp,
-    OperatorKind, Profile, RevisedKb,
+    advise, compact, query_equivalent_enum, revise_iterated_on, revise_on, Advice, ModelBasedOp,
+    OperatorKind, Profile, RevisionChain,
 };
 
 fn formula_strategy(num_vars: u32, depth: u32) -> BoxedStrategy<Formula> {
@@ -40,8 +40,7 @@ proptest! {
         for op in ModelBasedOp::ALL {
             let advice = advise(OperatorKind::ModelBased(op), profile);
             prop_assert!(advice.is_compactable(), "{} should be compactable", op.name());
-            let kb = RevisedKb::compile(op, &t, &p).expect("promised compilable");
-            let rep = kb.representation();
+            let rep = &compact(op, &t, &p).expect("promised compilable");
             let alpha = Alphabet::new(rep.base.clone());
             let oracle = revise_on(op, &alpha, &t, &p);
             prop_assert!(query_equivalent_enum(&rep.formula, &oracle.to_dnf(), &rep.base));
@@ -58,7 +57,7 @@ proptest! {
         let t = Formula::var(Var(0)).and(Formula::var(Var(1)));
         for op in ModelBasedOp::ALL {
             let advice = advise(OperatorKind::ModelBased(op), profile);
-            let compiles = RevisedKb::compile(op, &t, &wide_p).is_ok();
+            let compiles = compact(op, &t, &wide_p).is_ok();
             prop_assert_eq!(
                 advice.is_compactable(),
                 compiles,
@@ -82,7 +81,7 @@ proptest! {
         let ps = vec![p1, p2];
         for op in ModelBasedOp::ALL {
             prop_assert!(advise(OperatorKind::ModelBased(op), profile).is_compactable());
-            let kb = RevisedKb::compile_iterated(op, &t, &ps).expect("promised compilable");
+            let kb = RevisionChain::compile(op, &t, &ps).expect("promised compilable");
             let rep = kb.representation();
             let alpha = Alphabet::new(rep.base.clone());
             let oracle = revise_iterated_on(op, &alpha, &t, &ps);

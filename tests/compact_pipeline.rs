@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
-    query_equivalent_enum, revise_iterated_on, revise_on, ModelBasedOp, ModelSet, RevisedKb,
+    compact, query_equivalent_enum, revise_iterated_on, revise_on, ModelBasedOp, ModelSet,
+    RevisionChain,
 };
 
 /// Strategy: a random formula over `vars` letters with bounded depth.
@@ -45,8 +46,7 @@ proptest! {
         prop_assume!(revkb::sat::satisfiable(&t));
         prop_assume!(revkb::sat::satisfiable(&p));
         for op in ModelBasedOp::ALL {
-            let kb = RevisedKb::compile(op, &t, &p).unwrap();
-            let rep = kb.representation();
+            let rep = &compact(op, &t, &p).unwrap();
             let alpha = Alphabet::new(rep.base.clone());
             let oracle = revise_on(op, &alpha, &t, &p);
             if rep.logical {
@@ -73,7 +73,7 @@ proptest! {
         prop_assume!(revkb::sat::satisfiable(&p2));
         let ps = vec![p1, p2];
         for op in ModelBasedOp::ALL {
-            let kb = RevisedKb::compile_iterated(op, &t, &ps).unwrap();
+            let kb = RevisionChain::compile(op, &t, &ps).unwrap();
             let rep = kb.representation();
             let alpha = Alphabet::new(rep.base.clone());
             let oracle = revise_iterated_on(op, &alpha, &t, &ps);
@@ -93,7 +93,7 @@ proptest! {
         prop_assume!(revkb::sat::satisfiable(&t));
         prop_assume!(revkb::sat::satisfiable(&p));
         for op in ModelBasedOp::ALL {
-            let kb = RevisedKb::compile(op, &t, &p).unwrap();
+            let kb = compact(op, &t, &p).unwrap();
             prop_assert!(kb.entails(&p), "{} violates success", op.name());
         }
     }
@@ -113,8 +113,7 @@ proptest! {
             ModelBasedOp::Dalal,
             ModelBasedOp::Weber,
         ] {
-            let kb = RevisedKb::compile(op, &t, &p).unwrap();
-            let rep = kb.representation();
+            let rep = &compact(op, &t, &p).unwrap();
             prop_assert!(
                 query_equivalent_enum(&rep.formula, &conj, &rep.base),
                 "{} should equal T ∧ P when consistent", op.name()

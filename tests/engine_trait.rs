@@ -31,10 +31,12 @@ fn scenario() -> (Formula, Formula, Vec<Formula>) {
 fn boxed_engines_match_concrete_for_all_model_based_ops() {
     let (t, p, queries) = scenario();
     for op in ModelBasedOp::ALL {
-        let concrete = RevisedKb::compile(op, &t, &p).unwrap();
-        let mut boxed: Box<dyn Engine + Send> = ReviseBuilder::new(op)
-            .engine(&t, std::slice::from_ref(&p))
-            .unwrap();
+        let concrete = compact(op, &t, &p).unwrap();
+        let mut boxed: Box<dyn Engine + Send> = Box::new(
+            ReviseBuilder::new(op)
+                .engine(&t, std::slice::from_ref(&p))
+                .unwrap(),
+        );
         let batch = boxed.try_entails_batch(&queries).unwrap();
         let parallel = boxed.par_entails_batch(&queries).unwrap();
         assert_eq!(batch, parallel, "{}", op.name());
@@ -49,9 +51,9 @@ fn boxed_engines_match_concrete_for_all_model_based_ops() {
 fn delayed_engine_matches_eager_compilation() {
     let (t, p, queries) = scenario();
     for op in ModelBasedOp::ALL {
-        let eager = RevisedKb::compile(op, &t, &p).unwrap();
+        let eager = compact(op, &t, &p).unwrap();
         let mut delayed = ReviseBuilder::new(op).delayed(t.clone());
-        delayed.revise(p.clone());
+        delayed.revise(p.clone(), Backend::Direct);
         let engine: &mut dyn Engine = &mut delayed;
         assert_eq!(engine.compiled_size(), None, "not compiled before query");
         for q in &queries {

@@ -3,7 +3,8 @@
 
 use revkb::logic::{parse, parse_dimacs, Formula, Signature, Var};
 use revkb::revision::{
-    model_check, CompileError, GfuvKb, ModelBasedOp, ModelCheckError, RevisedKb, Theory,
+    compact, model_check, CompileError, GfuvKb, ModelBasedOp, ModelCheckError, RevisionChain,
+    Theory,
 };
 
 #[test]
@@ -33,7 +34,7 @@ fn compile_refuses_unbounded_pointwise() {
         ModelBasedOp::Forbus,
         ModelBasedOp::Satoh,
     ] {
-        let err = RevisedKb::compile(op, &t, &wide).unwrap_err();
+        let err = compact(op, &t, &wide).unwrap_err();
         match err {
             CompileError::UpdateAlphabetTooLarge { op: eop, got, .. } => {
                 assert_eq!(eop, op);
@@ -42,7 +43,7 @@ fn compile_refuses_unbounded_pointwise() {
             other => panic!("unexpected error {other:?}"),
         }
         // The error message names the operator and the width.
-        let msg = RevisedKb::compile(op, &t, &wide).unwrap_err().to_string();
+        let msg = compact(op, &t, &wide).unwrap_err().to_string();
         assert!(msg.contains(op.name()));
         assert!(msg.contains("30"));
     }
@@ -55,9 +56,9 @@ fn compile_iterated_refuses_wide_steps() {
         Formula::var(Var(1)).not(),
         Formula::or_all((0..30).map(|i| Formula::var(Var(i)))),
     ];
-    assert!(RevisedKb::compile_iterated(ModelBasedOp::Forbus, &t, &ps).is_err());
+    assert!(RevisionChain::compile(ModelBasedOp::Forbus, &t, &ps).is_err());
     // Dalal's iterated construction handles any width.
-    assert!(RevisedKb::compile_iterated(ModelBasedOp::Dalal, &t, &ps).is_ok());
+    assert!(RevisionChain::compile(ModelBasedOp::Dalal, &t, &ps).is_ok());
 }
 
 #[test]
@@ -133,6 +134,6 @@ fn query_outside_base_is_caught_in_debug() {
     // it still answers soundly for in-base queries.
     let t = Formula::var(Var(0)).and(Formula::var(Var(1)));
     let p = Formula::var(Var(0)).not();
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
     assert!(kb.entails(&Formula::var(Var(1))));
 }

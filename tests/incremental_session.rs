@@ -1,13 +1,13 @@
 //! End-to-end acceptance of the incremental query pipeline: one
-//! compiled [`RevisedKb`] answers a large query batch through a single
-//! solver session, with every answer matching both the one-shot SAT
-//! path and the semantic oracle.
+//! representation compiled by [`revkb::revision::compact`] answers a
+//! large query batch through a single solver session, with every
+//! answer matching both the one-shot SAT path and the semantic oracle.
 //!
 //! This file holds exactly one test because it measures exact deltas
 //! of the process-wide solver-construction counter.
 
 use revkb::logic::{Formula, Var};
-use revkb::revision::{revise_on, ModelBasedOp, RevisedKb};
+use revkb::revision::{compact, revise_on, ModelBasedOp};
 use revkb::sat;
 
 fn v(i: u32) -> Formula {
@@ -18,7 +18,7 @@ fn v(i: u32) -> Formula {
 fn fifty_queries_one_solver() {
     let t = v(0).and(v(1)).and(v(2)).and(v(3));
     let p = v(0).not().or(v(1).not());
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
     let alpha = revkb::revision::revision_alphabet_seq(&t, std::slice::from_ref(&p));
     let oracle = revise_on(ModelBasedOp::Dalal, &alpha, &t, &p);
 
@@ -33,7 +33,7 @@ fn fifty_queries_one_solver() {
     let incremental_solvers = sat::constructions() - before;
 
     // One-shot path: a fresh Tseitin transform + solver per query.
-    let rep = kb.representation();
+    let rep = &kb;
     let before = sat::constructions();
     let one_shot: Vec<bool> = queries
         .iter()

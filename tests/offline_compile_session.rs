@@ -20,7 +20,7 @@ use revkb::logic::{Alphabet, Formula, Var};
 use revkb::obs::{self, TraceMode};
 use revkb::revision::equivalence::query_equivalent_enum;
 use revkb::revision::semantic::{delta, k_global};
-use revkb::revision::{revise_iterated_on, ModelBasedOp, RevisedKb, RevisionChain};
+use revkb::revision::{revise_iterated_on, ModelBasedOp, RevisionChain};
 use revkb::sat;
 
 fn x(i: u32) -> Formula {
@@ -58,7 +58,7 @@ fn one_solver_per_non_degenerate_step() {
 
         let before = sat::constructions();
         obs::reset();
-        let whole = RevisedKb::compile_iterated(op, &t, &ps).expect("compiles");
+        let whole = RevisionChain::compile(op, &t, &ps).expect("compiles");
         let solvers = sat::constructions() - before;
         let work = obs::drain();
         let count = |name| work.counter(name).unwrap_or(0);
@@ -104,8 +104,8 @@ fn one_solver_per_non_degenerate_step() {
 
         for (how, kb) in [
             ("whole", whole),
-            ("stepwise", stepwise.into_compiled()),
-            ("resumed", resumed.into_compiled()),
+            ("stepwise", stepwise),
+            ("resumed", resumed),
         ] {
             let rep = kb.representation();
             assert_eq!(rep.base, alpha.vars());
@@ -115,7 +115,7 @@ fn one_solver_per_non_degenerate_step() {
                 op.name()
             );
             assert_eq!(
-                kb.size(),
+                rep.size(),
                 pinned_size,
                 "{} ({how}): |T'| changed",
                 op.name()

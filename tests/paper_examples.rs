@@ -7,8 +7,8 @@ use revkb::instances::{
 };
 use revkb::logic::{Formula, Interpretation};
 use revkb::revision::{
-    gfuv_entails, gfuv_explicit, query_equivalent_enum, revise, revise_iterated_on, ModelBasedOp,
-    RevisedKb,
+    compact, gfuv_entails, gfuv_explicit, query_equivalent_enum, revise, revise_iterated_on,
+    ModelBasedOp, RevisionChain,
 };
 
 /// §1 office example: revision concludes Bill; update stays agnostic.
@@ -22,11 +22,11 @@ fn office_example_revision_vs_update() {
         ModelBasedOp::Weber,
         ModelBasedOp::Borgida,
     ] {
-        let kb = RevisedKb::compile(op, &s.t, &s.p).unwrap();
+        let kb = compact(op, &s.t, &s.p).unwrap();
         assert!(kb.entails(&bill), "{} should conclude bill", op.name());
     }
     for op in [ModelBasedOp::Winslett, ModelBasedOp::Forbus] {
-        let kb = RevisedKb::compile(op, &s.t, &s.p).unwrap();
+        let kb = compact(op, &s.t, &s.p).unwrap();
         assert!(!kb.entails(&bill), "{} should stay agnostic", op.name());
         assert!(kb.entails(&s.p), "success postulate");
     }
@@ -97,7 +97,7 @@ fn section4_example_counts() {
 #[test]
 fn section5_iterated_weber() {
     let (sig, t, ps) = section5_example();
-    let kb = RevisedKb::compile_iterated(ModelBasedOp::Weber, &t, &ps).unwrap();
+    let kb = RevisionChain::compile(ModelBasedOp::Weber, &t, &ps).unwrap();
     let alpha = revkb::revision::revision_alphabet_seq(&t, &ps);
     let oracle = revise_iterated_on(ModelBasedOp::Weber, &alpha, &t, &ps);
     assert_eq!(oracle.len(), 3);
@@ -122,8 +122,9 @@ fn section5_iterated_weber() {
 #[test]
 fn section6_winslett_single_model() {
     let s = section6_example();
-    let kb = RevisedKb::compile_iterated(ModelBasedOp::Winslett, &s.t, std::slice::from_ref(&s.p))
-        .unwrap();
+    let kb = RevisionChain::compile(ModelBasedOp::Winslett, &s.t, std::slice::from_ref(&s.p))
+        .unwrap()
+        .into_representation();
     let x = |n: &str| Formula::var(s.sig.lookup(n).unwrap());
     assert!(kb.entails(&x("x2").and(x("x3")).and(x("x4")).and(x("x5"))));
     assert!(kb.entails(&x("x1").not()));

@@ -8,15 +8,15 @@
 //! 4. a semantic oracle that enumerates models.
 //!
 //! The six model-based operators are compiled through
-//! [`RevisedKb::compile`] and checked against [`revise_on`]; the two
-//! formula-based operators (GFUV, WIDTIO) go through their explicit
+//! [`revkb::revision::compact`] and checked against [`revise_on`]; the
+//! two formula-based operators (GFUV, WIDTIO) go through their explicit
 //! representations and [`ModelSet`] enumeration. The generators are
 //! deterministic (`pseudo_random_formula` with fixed seeds), so a
 //! failure here reproduces on every run.
 
 use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
-    revise_on, revision_alphabet, GfuvKb, ModelBasedOp, ModelSet, RevisedKb, Theory, WidtioKb,
+    compact, revise_on, revision_alphabet, GfuvKb, ModelBasedOp, ModelSet, Theory, WidtioKb,
 };
 use revkb::sat::{pseudo_random_formula, PoolConfig, QuerySession, SessionPool};
 
@@ -87,7 +87,7 @@ fn check_all_paths(
     queries.len()
 }
 
-/// The six model-based operators: `RevisedKb::compile` vs the
+/// The six model-based operators: `compact` vs the
 /// `revise_on` model-set oracle, 6 × 6 pairs × 8 queries = 288
 /// triples.
 #[test]
@@ -99,7 +99,7 @@ fn model_based_operators_agree_on_all_paths() {
         for pair in 0..PAIRS_PER_OP {
             let t = pseudo_random_formula(&mut seed, 3, NUM_VARS).and(anchor.clone());
             let p = pseudo_random_formula(&mut seed, 3, NUM_VARS);
-            let kb = RevisedKb::compile(op, &t, &p)
+            let kb = compact(op, &t, &p)
                 .unwrap_or_else(|e| panic!("{} pair {pair}: compile failed: {e:?}", op.name()));
             let alpha = revision_alphabet(&t, &p);
             let oracle = revise_on(op, &alpha, &t, &p);
@@ -107,16 +107,14 @@ fn model_based_operators_agree_on_all_paths() {
                 .map(|_| pseudo_random_formula(&mut seed, 3, NUM_VARS))
                 .collect();
             let label = format!("{} pair {pair}", op.name());
-            triples += check_all_paths(&label, &kb.representation().formula, &queries, |q| {
-                oracle.entails(q)
-            });
+            triples += check_all_paths(&label, &kb.formula, &queries, |q| oracle.entails(q));
             // The KB's own (memoised, single-session) path must agree
             // with everything above too.
             for q in &queries {
                 assert_eq!(
                     kb.entails(q),
                     oracle.entails(q),
-                    "{label}: RevisedKb::entails disagrees on {q:?}"
+                    "{label}: CompactRep::entails disagrees on {q:?}"
                 );
             }
         }
@@ -194,8 +192,8 @@ fn parallel_batches_are_deterministic() {
     let mut seed = 0xDE7E_2417;
     let t = pseudo_random_formula(&mut seed, 4, NUM_VARS).and(alphabet_anchor());
     let p = pseudo_random_formula(&mut seed, 3, NUM_VARS);
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).expect("dalal always compiles");
-    let base = &kb.representation().formula;
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).expect("dalal always compiles");
+    let base = &kb.formula;
     let queries: Vec<Formula> = (0..60)
         .map(|_| pseudo_random_formula(&mut seed, 3, NUM_VARS))
         .collect();

@@ -10,7 +10,10 @@
 //! likewise answer and report `|T'|` as the fold from `T` does.
 
 use revkb::logic::{parse, Formula, Signature};
-use revkb::revision::{widtio, Engine, ModelBasedOp, RevisedKb, Theory, WidtioEngine};
+use revkb::revision::{
+    widtio, Backend, CompactRep, Engine, ModelBasedOp, ReviseBuilder, RevisionChain, Theory,
+    WidtioEngine,
+};
 use revkb::server::{Json, Server, ServerConfig, SyncMode};
 use std::path::PathBuf;
 
@@ -56,14 +59,16 @@ fn revise(server: &Server, kb: &str, op: ModelBasedOp, backend: &str, p: &str) -
 
 /// The whole chain compiled from `T` in one go, the way a revise with
 /// no running chain compiles it, with the KB's letter numbering.
-fn whole_chain(op: ModelBasedOp, backend: &str, ps: &[&str]) -> RevisedKb {
+fn whole_chain(op: ModelBasedOp, backend: &str, ps: &[&str]) -> CompactRep {
     let mut sig = Signature::new();
     let t = Formula::and_all(THEORY.split(';').map(|f| parse(f, &mut sig).unwrap()));
     let ps: Vec<Formula> = ps.iter().map(|p| parse(p, &mut sig).unwrap()).collect();
-    match backend {
-        "bdd" => RevisedKb::compile_via_bdd(op, &t, &ps).unwrap(),
-        _ => RevisedKb::compile_iterated(op, &t, &ps).unwrap(),
-    }
+    let backend = Backend::from_tag(backend).unwrap();
+    let builder = ReviseBuilder::new(op).backend(backend);
+    builder
+        .compile_iterated(&t, &ps)
+        .unwrap()
+        .into_representation()
 }
 
 /// Compare `kb` after the revisions `ps` with [`whole_chain`]: every
@@ -121,10 +126,12 @@ fn step_by_step_matches_whole_chain() {
         for backend in BACKENDS {
             let kb = format!("k-{}-{backend}", op.name());
             load(&server, &kb);
+            let mut engines = Vec::new();
             for step in 1..=CHAIN.len() {
                 let resp = revise(&server, &kb, op, backend, CHAIN[step - 1]);
                 assert_eq!(cache_outcome(&resp), "miss");
                 check(&server, &kb, op, backend, &CHAIN[..step], &resp);
+                engines.push(resp.get("engine").cloned());
             }
 
             let kb = format!("h-{}-{backend}", op.name());
@@ -133,11 +140,48 @@ fn step_by_step_matches_whole_chain() {
                 let resp = revise(&server, &kb, op, backend, CHAIN[step - 1]);
                 assert_eq!(cache_outcome(&resp), "hit");
                 check(&server, &kb, op, backend, &CHAIN[..step], &resp);
+                assert_eq!(
+                    resp.get("engine").cloned(),
+                    engines[step - 1],
+                    "{kb} step {step}: a hit reports the miss's engine"
+                );
             }
             let resp = revise(&server, &kb, op, backend, "e & !a");
             assert_eq!(cache_outcome(&resp), "miss");
             let ps = [CHAIN[0], CHAIN[1], CHAIN[2], "e & !a"];
             check(&server, &kb, op, backend, &ps, &resp);
+        }
+    }
+}
+
+/// A KB whose revises switch backend compiles each step by that step's
+/// backend, whatever its earlier steps were and whichever KB filled the
+/// cache first: a direct→bdd and a bdd→direct KB, run in both orders
+/// on one server, report at each step the `|T'|` of the whole chain
+/// compiled with that step's backend, and the same engine.
+#[test]
+fn switching_backend_compiles_by_the_step_backend() {
+    let server = Server::new(ServerConfig::default());
+    let orders = [
+        [["direct", "bdd"], ["bdd", "direct"]],
+        [["bdd", "direct"], ["direct", "bdd"]],
+    ];
+    for op in ModelBasedOp::ALL {
+        for (order, pair) in orders.iter().enumerate() {
+            for backends in pair {
+                let kb = format!("s{order}-{}-{}", op.name(), backends.join("-"));
+                load(&server, &kb);
+                for (step, backend) in backends.iter().enumerate() {
+                    let resp = revise(&server, &kb, op, backend, CHAIN[step]);
+                    check(&server, &kb, op, backend, &CHAIN[..=step], &resp);
+                    assert_eq!(
+                        resp.get("engine").and_then(Json::as_str),
+                        Some(format!("revised({})", op.name()).as_str()),
+                        "{kb} step {}",
+                        step + 1
+                    );
+                }
+            }
         }
     }
 }
@@ -256,9 +300,12 @@ fn bdd_chain_past_the_enumeration_cap_compiles_directly() {
         );
         for step in 1..=WIDE_CHAIN.len() {
             let resp = revise(&server, &kb, op, "bdd", WIDE_CHAIN[step - 1]);
-            let direct = RevisedKb::compile_iterated(op, &t, &ps[..step]).unwrap();
+            let direct = RevisionChain::compile(op, &t, &ps[..step])
+                .unwrap()
+                .into_representation();
+            let bdd = ReviseBuilder::new(op).backend(Backend::Bdd);
             let size = match step {
-                1 => RevisedKb::compile_via_bdd(op, &t, &ps[..1]).unwrap().size(),
+                1 => bdd.compile(&t, &ps[0]).unwrap().representation().size(),
                 _ => direct.size(),
             };
             assert_eq!(

@@ -42,9 +42,11 @@ fn oracle_answers(op: &str) -> Vec<bool> {
         name => {
             let m = ModelBasedOp::from_name(name).expect("operator name");
             let t = Formula::and_all(theory);
-            ReviseBuilder::new(m)
-                .engine(&t, std::slice::from_ref(&p))
-                .expect("model-based compile")
+            Box::new(
+                ReviseBuilder::new(m)
+                    .engine(&t, std::slice::from_ref(&p))
+                    .expect("model-based compile"),
+            )
         }
     };
     queries

@@ -9,7 +9,7 @@
 
 use revkb::logic::{Formula, Var};
 use revkb::obs::{self, Counter, TraceMode};
-use revkb::revision::{compact::CompactRep, DelayedKb, ModelBasedOp, RevisedKb};
+use revkb::revision::{compact, compact::CompactRep, Backend, Engine, ModelBasedOp, RevisionChain};
 use revkb::sat::{PoolConfig, SessionPool};
 use std::sync::Mutex;
 
@@ -113,7 +113,7 @@ fn span_nesting_is_physically_consistent() {
     obs::reset();
     let t = v(0).or(v(1));
     let p = v(0).not();
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
     assert!(kb.entails(&v(1)));
     let snap = obs::drain();
     obs::set_mode(TraceMode::Off);
@@ -150,7 +150,7 @@ fn chrome_trace_export_is_valid_json() {
     obs::reset();
     let t = Formula::and_all((0..6u32).map(v));
     let p = v(0).not().or(v(1).not());
-    let kb = RevisedKb::compile(ModelBasedOp::Satoh, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Satoh, &t, &p).unwrap();
     let _ = kb.entails_batch(&distinct_queries());
     let snap = obs::drain();
     obs::set_mode(TraceMode::Off);
@@ -175,17 +175,17 @@ fn stats_shape_is_uniform_across_engines() {
     assert_eq!(rep_stats.session.as_ref().map(|s| s.queries), Some(1));
     assert!(rep_stats.pool.is_none());
 
-    let kb = RevisedKb::compile(ModelBasedOp::Dalal, &t, &p).unwrap();
+    let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
     assert!(kb.stats().is_empty());
     assert!(kb.entails(&v(1)));
     assert_eq!(kb.stats().session.as_ref().map(|s| s.queries), Some(1));
 
-    let mut delayed = DelayedKb::new(ModelBasedOp::Dalal, t.clone());
-    delayed.revise(p);
+    let mut delayed = RevisionChain::delayed(ModelBasedOp::Dalal, t.clone());
+    delayed.revise(p, Backend::Direct);
     // Uniform shape: empty stats before any compilation, not a panic
     // or a different type.
     assert!(delayed.stats().is_empty());
-    assert!(delayed.entails(&v(1)).unwrap());
+    assert!(delayed.try_entails(&v(1)).unwrap());
     assert_eq!(delayed.stats().session.as_ref().map(|s| s.queries), Some(1));
 
     // All three merge the same way.

@@ -12,8 +12,8 @@
 
 use revkb::logic::{parse, Formula, Signature};
 use revkb::revision::{
-    contract, counterfactual::holds_compiled, horn_lub, is_horn_definable, revise, Counterfactual,
-    DelayedKb, GfuvKb, ModelBasedOp, Theory, WidtioKb,
+    contract, counterfactual::holds_compiled, horn_lub, is_horn_definable, revise, Backend,
+    Counterfactual, Engine, GfuvKb, ModelBasedOp, RevisionChain, Theory, WidtioKb,
 };
 
 struct Cluster {
@@ -55,21 +55,24 @@ fn naive_observation_drops_the_invariants() {
 #[test]
 fn monitoring_agent_full_workflow() {
     let mut c = cluster();
-    let mut kb = DelayedKb::new(ModelBasedOp::Dalal, c.base.clone());
+    let mut kb = RevisionChain::delayed(ModelBasedOp::Dalal, c.base.clone());
 
     // Observation 1: node 1 went down (invariants conjoined).
     let node1_down = parse("!up1", &mut c.sig).unwrap().and(c.ic.clone());
-    kb.revise(node1_down.clone());
+    kb.revise(node1_down.clone(), Backend::Direct);
     let prim1 = parse("prim1", &mut c.sig).unwrap();
-    assert!(kb.entails(&prim1.clone().not()).unwrap());
+    assert!(kb.try_entails(&prim1.clone().not()).unwrap());
     let some_primary = parse("prim1 | prim2 | prim3", &mut c.sig).unwrap();
-    assert!(kb.entails(&some_primary).unwrap());
+    assert!(kb.try_entails(&some_primary).unwrap());
 
     // Observation 2: node 2 is NOT the new primary.
     let not_prim2 = parse("!prim2", &mut c.sig).unwrap().and(c.ic.clone());
-    kb.revise(not_prim2);
+    kb.revise(not_prim2, Backend::Direct);
     let prim3 = parse("prim3", &mut c.sig).unwrap();
-    assert!(kb.entails(&prim3).unwrap(), "primary must be node 3 now");
+    assert!(
+        kb.try_entails(&prim3).unwrap(),
+        "primary must be node 3 now"
+    );
 
     // Counterfactual against the *original* base, via the compiled
     // iterated pipeline: "if node 1 went down and then node 3 too,
