@@ -11,15 +11,13 @@
 //! operators through the BDD backend, sequential-vs-parallel batch
 //! queries with
 //! histogram percentiles, BDD apply, the Tseitin transform, the
+//! analysis passes (`analysis.min_dnf`, `analysis.horn_lub`,
+//! `analysis.model_check`, `analysis.prune_disjuncts`), the
 //! artifact-cache touch cost, cold-vs-warm server revises over
 //! loopback TCP, cold-boot recovery from a WAL data directory, and
 //! replication (replica catch-up and read fan-out across replicas).
 //! Instances are seeded (`REVKB_BENCH_SEED`), trials are medians over
 //! `REVKB_BENCH_TRIALS` runs after `REVKB_BENCH_WARMUP` warmups.
-//!
-//! Also regenerates `server_bench_report.json` (the per-operator
-//! cold/warm grid formerly produced by the separate `server_bench`
-//! binary) unless `--no-server-report` is given.
 //!
 //! A baseline comparison fails on any change in a deterministic work
 //! count (`compiled_size`, `k_session_probes`, `k_session_conflicts`,
@@ -32,21 +30,19 @@
 //! uses.
 
 use revkb_bench::suite::{
-    compare_against_baseline, comparison_fails, report_json, run_suite, server_ops_report,
-    SuiteConfig,
+    compare_against_baseline, comparison_fails, report_json, run_suite, SuiteConfig,
 };
 use revkb_bench::RunMeta;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: revkb-bench [--out FILE] [--baseline FILE] [--warn-only] \
                      [--seed N] [--trials N] [--warmup N] [--tolerance-pct X] \
-                     [--no-server-report] [--load-only]";
+                     [--load-only]";
 
 struct Args {
     out: String,
     baseline: Option<String>,
     warn_only: bool,
-    server_report: bool,
     load_only: bool,
     config: SuiteConfig,
 }
@@ -56,7 +52,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         out: "BENCH_PR20.json".to_string(),
         baseline: None,
         warn_only: false,
-        server_report: true,
         load_only: false,
         config: SuiteConfig::from_env(),
     };
@@ -71,7 +66,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--out" => parsed.out = value(&mut iter, "--out")?,
             "--baseline" => parsed.baseline = Some(value(&mut iter, "--baseline")?),
             "--warn-only" => parsed.warn_only = true,
-            "--no-server-report" => parsed.server_report = false,
             "--load-only" => parsed.load_only = true,
             "--seed" => {
                 parsed.config.seed = value(&mut iter, "--seed")?
@@ -159,16 +153,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("report written to {}", args.out);
-    }
-
-    if args.server_report && !args.load_only {
-        let (server_report, summary) = server_ops_report(&args.config, &meta);
-        print!("{summary}");
-        if let Err(e) = std::fs::write("server_bench_report.json", server_report) {
-            eprintln!("revkb-bench: cannot write server_bench_report.json: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("(per-operator grid written to server_bench_report.json)\n");
     }
 
     if let (Some(path), Some(baseline)) = (&args.baseline, &baseline) {

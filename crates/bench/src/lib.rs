@@ -1,10 +1,10 @@
 //! # revkb-bench
 //!
 //! Shared measurement machinery for the table-generator binaries
-//! (`table1`, `table2`, `figure1`, `section7`) and the Criterion
-//! benches. The binaries regenerate the paper's Table 1, Table 2 and
-//! Figure 1; the Criterion benches time the substrates and
-//! constructions.
+//! (`table1`, `table2`, `figure1`, `section7`) and the `revkb-bench`
+//! regression suite ([`suite`]). The binaries regenerate the paper's
+//! Table 1, Table 2 and Figure 1; the suite times the substrates,
+//! constructions, analysis passes and the server.
 //!
 //! Reports are serialised with [`Json::pretty`], the workspace's one
 //! JSON codec in `revkb_obs::json` — the build is fully offline, so

@@ -3,7 +3,9 @@
 //! times (direct, a planted Dalal chain, and through the BDD backend),
 //! sequential-vs-parallel batch query latency (with percentiles
 //! from the `revkb-obs` histograms), BDD apply throughput, the Tseitin
-//! transform, artifact-cache touch cost at large capacity,
+//! transform, the analysis passes (`analysis.min_dnf`,
+//! `analysis.horn_lub`, `analysis.model_check`,
+//! `analysis.prune_disjuncts`), artifact-cache touch cost at large capacity,
 //! cold-vs-warm server revises over a loopback TCP connection,
 //! cold-boot recovery from a write-ahead-log data directory (with and
 //! without artifact snapshots), replication — replica catch-up
@@ -460,6 +462,69 @@ fn tseitin_bench(cfg: &SuiteConfig) -> BenchResult {
     r.extra.push(("clauses", Json::Num(clauses as f64)));
     r.extra.push(("formula_size", Json::Num(f.size() as f64)));
     r
+}
+
+/// `analysis.<name>` — `pass` once per trial; its last `Some(size)`,
+/// the size of what it returns, is recorded as `compiled_size`.
+fn analysis_bench(
+    cfg: &SuiteConfig,
+    name: &str,
+    mut pass: impl FnMut() -> Option<usize>,
+) -> BenchResult {
+    let mut size = None;
+    let (median, trials) = timed_trials(cfg, || size = pass());
+    let mut r = result(cfg, format!("analysis.{name}"), median, trials);
+    if let Some(size) = size {
+        r.extra.push(("compiled_size", Json::Num(size as f64)));
+    }
+    r
+}
+
+/// The analysis passes, one fixed size each: `analysis.min_dnf`
+/// (Quine–McCluskey `minimum_dnf` of a seeded sparse 7-letter on-set,
+/// literal count), `analysis.horn_lub` (the Horn closure of a seeded
+/// 8-letter model set, model count), `analysis.model_check` (Dalal,
+/// Weber and Winslett `model_check` of one model at n = 12, all three
+/// in one trial) and `analysis.prune_disjuncts` (§4.2's pruning of
+/// `winslett_bounded` at n = 16, formula size).
+fn analysis_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
+    use revkb_logic::{Alphabet, Interpretation, Var};
+    use revkb_revision::compact::{prune_disjuncts, winslett_bounded};
+    use revkb_revision::minimize::minimum_dnf;
+    use revkb_revision::{horn_lub, model_check, ModelBasedOp, ModelSet};
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_0004);
+    // QM's pairwise combining explodes with dense on-sets.
+    let minterms: Vec<u64> = (0..1u64 << 7).filter(|_| rng.gen_bool(0.15)).collect();
+    let models = ModelSet::new(
+        Alphabet::new((0..8).map(Var).collect()),
+        (0..1u64 << 8).filter(|_| rng.gen_bool(0.2)).collect(),
+    );
+    // T = x₀ ∧ … ∧ xₙ₋₁ revised by P = ¬x₀ ∨ ¬x₁.
+    let all_true = |n: u32| Formula::and_all((0..n).map(|i| Formula::var(Var(i))));
+    let p = Formula::var(Var(0)).not().or(Formula::var(Var(1)).not());
+    let t = all_true(12);
+    let m: Interpretation = (1..12).map(Var).collect();
+    let rep = winslett_bounded(&all_true(16), &p);
+    vec![
+        analysis_bench(cfg, "min_dnf", || {
+            Some(minimum_dnf(&minterms, 7).literal_count())
+        }),
+        analysis_bench(cfg, "horn_lub", || Some(horn_lub(&models).len())),
+        analysis_bench(cfg, "model_check", || {
+            for op in [
+                ModelBasedOp::Dalal,
+                ModelBasedOp::Weber,
+                ModelBasedOp::Winslett,
+            ] {
+                // M flips only x₀, so it is a model of T * P for all three.
+                assert!(model_check(op, &m, &t, &p).expect("12 letters check directly"));
+            }
+            None
+        }),
+        analysis_bench(cfg, "prune_disjuncts", || {
+            Some(prune_disjuncts(&rep).size())
+        }),
+    ]
 }
 
 /// One loopback client round-trip: write the line, read one response
@@ -1015,6 +1080,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     results.extend(query_benches(cfg));
     results.push(bdd_bench(cfg));
     results.push(tseitin_bench(cfg));
+    results.extend(analysis_benches(cfg));
     results.push(cache_touch_bench(cfg));
     results.extend(server_benches(cfg));
     results.extend(wal_boot_benches(cfg));
@@ -1166,112 +1232,6 @@ pub fn compare_against_baseline(
         });
     }
     Ok(comparisons)
-}
-
-/// The folded-in `server_bench` workload: per-operator cold/warm
-/// revise through an in-process server, reported with the same
-/// schema-versioned envelope. Returns the rendered
-/// `server_bench_report.json` contents and a printable summary.
-pub fn server_ops_report(cfg: &SuiteConfig, meta: &RunMeta) -> (String, String) {
-    const THEORY: &str = "a & b; b -> c; c | d";
-    const REVISION: &str = "!b | !c";
-    const QUERIES: [&str; 4] = ["a", "c | d", "!(b & c)", "a & (c | d)"];
-    let server = Server::new(ServerConfig::default());
-    let call = |line: &str| -> (Json, u64) {
-        let start = Instant::now();
-        let response = server.handle_line(line).expect("non-blank line");
-        let micros = start.elapsed().as_micros() as u64;
-        let json = Json::parse(&response).expect("response is valid JSON");
-        assert_eq!(
-            json.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "request failed: {line} -> {response}"
-        );
-        (json, micros)
-    };
-    let mut rows = Vec::new();
-    let mut summary =
-        String::from("== server ops: artifact cache & request latency (in-process) ==\n");
-    summary.push_str(&format!(
-        "{:<10} {:>16} {:>16} {:>10} {:>16} {:>14}\n",
-        "operator", "cold_revise_us", "warm_revise_us", "cache", "query_batch_us", "compiled_size"
-    ));
-    for op in OPERATORS {
-        let kb = format!("bench-{op}");
-        let load = format!(r#"{{"cmd":"load","kb":"{kb}","t":"{THEORY}"}}"#);
-        let revise = format!(r#"{{"cmd":"revise","kb":"{kb}","op":"{op}","p":"{REVISION}"}}"#);
-        let qs: Vec<String> = QUERIES.iter().map(|q| format!("\"{q}\"")).collect();
-        let query = format!(
-            r#"{{"cmd":"query_batch","kb":"{kb}","qs":[{}]}}"#,
-            qs.join(",")
-        );
-        call(&load);
-        let (cold_resp, cold_micros) = call(&revise);
-        let (_, query_micros) = call(&query);
-        let compiled_size = cold_resp
-            .get("result")
-            .and_then(|r| r.get("compiled_size"))
-            .and_then(Json::as_u64);
-        call(&format!(r#"{{"cmd":"drop","kb":"{kb}"}}"#));
-        call(&load);
-        let (warm_resp, warm_micros) = call(&revise);
-        let warm_cache = warm_resp
-            .get("result")
-            .and_then(|r| r.get("cache"))
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        call(&format!(r#"{{"cmd":"drop","kb":"{kb}"}}"#));
-        summary.push_str(&format!(
-            "{:<10} {:>16} {:>16} {:>10} {:>16} {:>14}\n",
-            op,
-            cold_micros,
-            warm_micros,
-            warm_cache,
-            query_micros,
-            compiled_size.map_or_else(|| "-".to_string(), |s| s.to_string()),
-        ));
-        rows.push(Json::obj([
-            ("op", Json::str(op)),
-            ("cold_revise_micros", Json::Num(cold_micros as f64)),
-            ("warm_revise_micros", Json::Num(warm_micros as f64)),
-            ("warm_cache", Json::str(&warm_cache)),
-            ("query_batch_micros", Json::Num(query_micros as f64)),
-            (
-                "compiled_size",
-                compiled_size.map_or(Json::Null, |s| Json::Num(s as f64)),
-            ),
-        ]));
-    }
-    let (stats, _) = call(r#"{"cmd":"stats"}"#);
-    let stats_result = stats.get("result").expect("stats result");
-    let cache = stats_result.get("cache").expect("stats cache block");
-    let cache_field = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let report = Json::obj([
-        ("bench", Json::str("server_bench")),
-        ("schema_version", Json::Num(BENCH_SCHEMA_VERSION as f64)),
-        ("run_meta", run_meta_json(cfg, meta)),
-        ("operators", Json::Arr(rows)),
-        (
-            "cache",
-            Json::obj([
-                ("hits", Json::Num(cache_field("hits") as f64)),
-                ("misses", Json::Num(cache_field("misses") as f64)),
-                ("evictions", Json::Num(cache_field("evictions") as f64)),
-            ]),
-        ),
-        (
-            "requests",
-            Json::Num(
-                stats_result
-                    .get("requests")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0) as f64,
-            ),
-        ),
-    ])
-    .pretty();
-    (report, summary)
 }
 
 #[cfg(test)]
