@@ -175,7 +175,9 @@ fn median_of(xs: &[f64]) -> f64 {
     }
 }
 
-/// Warmup + timed trials of `work`; returns `(median, trials)`.
+/// Warmup + timed trials of `work`; returns `(median, trials)`. Each
+/// trial is in microseconds with the timer's sub-microsecond part
+/// kept, so a case that runs in a few microseconds still spreads.
 fn timed_trials(cfg: &SuiteConfig, mut work: impl FnMut()) -> (f64, Vec<f64>) {
     for _ in 0..cfg.warmup {
         work();
@@ -184,7 +186,7 @@ fn timed_trials(cfg: &SuiteConfig, mut work: impl FnMut()) -> (f64, Vec<f64>) {
     for _ in 0..cfg.trials {
         let start = Instant::now();
         work();
-        trials.push(start.elapsed().as_micros() as f64);
+        trials.push(start.elapsed().as_secs_f64() * 1e6);
     }
     (median_of(&trials), trials)
 }

@@ -13,7 +13,8 @@
 //! single queries only, or one configured thread — holds one solver.
 //! A parallel batch answers each query some worker has memoised on
 //! that worker, so a query answered in an earlier batch never reaches
-//! a solver again, and shards the rest over the workers with a simple
+//! a solver again, answers NO each query that a countermodel some
+//! worker stored falsifies, and shards the rest over the workers with a simple
 //! atomic work queue ([`SessionPool::par_entails_batch`]). Small
 //! batches fall back to the sequential path automatically — spawning
 //! threads for three queries costs more than it saves.
@@ -272,7 +273,9 @@ impl SessionPool {
     }
 
     /// Answer a batch in parallel. A query some worker has answered
-    /// before is answered again from that worker's memo; the rest are
+    /// before is answered again from that worker's memo, and one that a
+    /// countermodel some worker stored falsifies is answered NO by that
+    /// worker ([`QuerySession::refuted`]); the rest are
     /// sharded over the workers through an atomic work queue, so a slow
     /// query on one worker does not hold up the rest of the batch. The
     /// answer at index `i` is for `queries[i]`, exactly as in
@@ -304,6 +307,7 @@ impl SessionPool {
         for (i, q) in queries.iter().enumerate() {
             match self.workers.iter_mut().find_map(|w| w.memoised(q)) {
                 Some(answer) => answers[i] = answer,
+                None if self.workers.iter_mut().any(|w| w.refuted(q)) => answers[i] = false,
                 None => open.push(i),
             }
         }
@@ -520,6 +524,33 @@ mod tests {
             "repeats are hits"
         );
         assert_eq!(memo_len(&pool), before + fresh.len());
+    }
+
+    #[test]
+    fn parallel_batch_is_refuted_by_any_workers_countermodels() {
+        // Every countermodel of v1 over v0 ∧ (v1 ∨ v2) sets v0, clears
+        // v1 and sets v2, and so falsifies each query of the batch.
+        let mut pool = SessionPool::with_config(&v(0).and(v(1).or(v(2))), forced_parallel(3));
+        assert!(!pool.entails(&v(1)));
+        let decisions = pool.stats().merged().decisions;
+        let queries = [
+            v(0).not(),
+            v(2).not(),
+            v(1).or(v(0).not()),
+            v(1).and(v(2)),
+            v(0).not().or(v(2).not()),
+            v(1).or(v(2).not()),
+        ];
+        assert_eq!(pool.par_entails_batch(&queries), vec![false; 6]);
+        let merged = pool.stats().merged();
+        assert_eq!(merged.countermodel_hits, 6);
+        assert_eq!(merged.decisions, decisions, "no solve");
+        // Each refuted answer was memoised by the worker that found it.
+        let cached: Vec<bool> = queries
+            .iter()
+            .map(|q| pool.workers[0].memoised(q) == Some(false))
+            .collect();
+        assert_eq!(cached, vec![true; 6]);
     }
 
     #[test]

@@ -699,7 +699,9 @@ impl Solver {
                     // Snapshot the model, then return to the root level
                     // so the solver can be mutated immediately
                     // (all-SAT blocking clauses rely on this).
-                    self.stored_model = self.assigns.iter().map(|&a| a == LBool::True).collect();
+                    self.stored_model.clear();
+                    self.stored_model
+                        .extend(self.assigns.iter().map(|&a| a == LBool::True));
                     self.cancel_until(0);
                     return true;
                 }
