@@ -176,6 +176,20 @@ impl Formula {
         out
     }
 
+    /// The largest letter of `V(φ)`, if it has one, found without
+    /// building the set.
+    pub fn max_var(&self) -> Option<Var> {
+        match self {
+            Formula::True | Formula::False => None,
+            Formula::Var(v) => Some(*v),
+            Formula::Not(f) => f.max_var(),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().filter_map(Formula::max_var).max(),
+            Formula::Implies(a, b) | Formula::Iff(a, b) | Formula::Xor(a, b) => {
+                a.max_var().max(b.max_var())
+            }
+        }
+    }
+
     /// Accumulate `V(φ)` into `out` without allocating a fresh set.
     pub fn collect_vars(&self, out: &mut BTreeSet<Var>) {
         match self {
@@ -266,6 +280,14 @@ mod tests {
 
     fn v(i: u32) -> Formula {
         Formula::var(Var(i))
+    }
+
+    #[test]
+    fn max_var_is_the_last_of_vars() {
+        let f = v(3).implies(v(0).or(v(7).not()).and(v(5)).iff(v(2).xor(v(6))));
+        assert_eq!(f.max_var(), f.vars().last().copied());
+        assert_eq!(f.max_var(), Some(Var(7)));
+        assert_eq!(Formula::True.max_var(), None);
     }
 
     #[test]

@@ -12,13 +12,8 @@ use std::collections::BTreeSet;
 
 /// A fresh-variable supply placed above every variable of `fs`.
 pub fn supply_above<'a, I: IntoIterator<Item = &'a Formula>>(fs: I) -> CountingSupply {
-    let mut max = 0u32;
-    for f in fs {
-        for v in f.vars() {
-            max = max.max(v.0 + 1);
-        }
-    }
-    CountingSupply::new(max)
+    let above = fs.into_iter().filter_map(Formula::max_var).max();
+    CountingSupply::new(above.map_or(0, |v| v.0 + 1))
 }
 
 /// Build a solver loaded with the Tseitin CNF of `f`.
