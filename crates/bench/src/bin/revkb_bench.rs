@@ -8,9 +8,8 @@
 //!
 //! The suite is fixed and named (see [`revkb_bench::suite`]): eight
 //! per-operator compiles, a planted Dalal chain, the six model-based
-//! operators through the BDD backend, sequential-vs-parallel batch
-//! queries with
-//! histogram percentiles, BDD apply, the Tseitin transform, the
+//! operators through the BDD backend, a query batch on one session
+//! with histogram percentiles, BDD apply, the Tseitin transform, the
 //! analysis passes (`analysis.min_dnf`, `analysis.horn_lub`,
 //! `analysis.model_check`, `analysis.prune_disjuncts`), the
 //! artifact-cache touch cost, cold-vs-warm server revises over
@@ -122,8 +121,8 @@ fn main() -> ExitCode {
 
     let meta = RunMeta::capture();
     println!(
-        "== revkb-bench: seed={} trials={} warmup={} threads={} ==",
-        args.config.seed, args.config.trials, args.config.warmup, meta.threads
+        "== revkb-bench: seed={} trials={} warmup={} ==",
+        args.config.seed, args.config.trials, args.config.warmup
     );
     let results = if args.load_only {
         revkb_bench::load::load_benches(&args.config)

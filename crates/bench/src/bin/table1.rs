@@ -182,14 +182,12 @@ fn bdd_exercise() {
 }
 
 /// Answer a table1-sized batch (60 queries) against each operator's
-/// bounded compact representation through a sharded
-/// [`revkb_sat::SessionPool`] — one sequential pass and one parallel
-/// pass over the same pool, reporting worker count, merged pool
-/// statistics, and the head-to-head wall times. A mismatch between
-/// the two passes would be flagged in the report (`answers_match`).
+/// bounded compact representation on one [`revkb_sat::QuerySession`],
+/// reporting the session's counters and the batch's wall time. An
+/// answer that differs from a one-shot solve is flagged in the report
+/// (`answers_match`).
 fn query_workloads() -> Vec<(String, BatchWorkload)> {
     let n = 12u32;
-    let threads = revkb_sat::default_threads();
     let t = Formula::and_all((0..n).map(|i| Formula::var(Var(i))));
     let p = Formula::var(Var(0)).not().or(Formula::var(Var(1)).not());
     [
@@ -217,7 +215,7 @@ fn query_workloads() -> Vec<(String, BatchWorkload)> {
             .collect();
         (
             op.name().to_string(),
-            run_batch_workload(&rep.formula, &queries, threads),
+            run_batch_workload(&rep.formula, &queries),
         )
     })
     .collect()

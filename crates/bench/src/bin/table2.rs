@@ -143,13 +143,12 @@ fn main() {
 }
 
 /// Per-operator batch workloads: each operator's iterated compact
-/// representation (m = 4 revisions) answers a 60-query batch through
-/// a sharded [`revkb_sat::SessionPool`] — one sequential pass, one
-/// parallel pass, merged pool statistics and both wall times in the
+/// representation (m = 4 revisions) answers a 60-query batch on one
+/// [`revkb_sat::QuerySession`], each answer checked against a one-shot
+/// solve; the session's counters and the batch's wall time go in the
 /// report.
 fn query_workloads() -> Vec<(String, BatchWorkload)> {
     let (t, ps) = workload(4);
-    let threads = revkb_sat::default_threads();
     ModelBasedOp::ALL
         .iter()
         .enumerate()
@@ -161,7 +160,7 @@ fn query_workloads() -> Vec<(String, BatchWorkload)> {
                 .collect();
             Some((
                 op.name().to_string(),
-                run_batch_workload(&rep.formula, &queries, threads),
+                run_batch_workload(&rep.formula, &queries),
             ))
         })
         .collect()

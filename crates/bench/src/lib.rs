@@ -15,8 +15,7 @@
 
 use revkb_logic::Formula;
 use revkb_obs::Json;
-use revkb_revision::Engine;
-use revkb_sat::{PoolConfig, PoolStats, SessionPool};
+use revkb_sat::{QuerySession, SolverStats};
 use std::time::Instant;
 
 pub mod load;
@@ -179,156 +178,56 @@ impl Cell {
     }
 }
 
-/// One operator's batch-query workload, answered twice, each time on a
-/// fresh [`SessionPool`]: once sequentially, once sharded across the
-/// workers. Captures the head-to-head wall times and the parallel
-/// pool's statistics.
+/// One operator's batch-query workload, answered in order on a fresh
+/// [`QuerySession`] and checked query by query against one-shot
+/// [`revkb_sat::entails`]. Captures the batch's wall time and the
+/// session's counters.
 #[derive(Debug, Clone)]
 pub struct BatchWorkload {
-    /// Worker threads in the pool.
-    pub threads: usize,
     /// Queries in the batch.
     pub queries: usize,
-    /// Wall time of the sequential pass, in microseconds.
+    /// Wall time of the batch on the session, in microseconds.
     pub sequential_wall_micros: u64,
-    /// Wall time of the parallel pass, in microseconds.
-    pub parallel_wall_micros: u64,
-    /// Whether the two passes returned bit-identical answer vectors
-    /// (they must — a `false` here is a correctness bug, and the
-    /// report says so rather than hiding it).
+    /// Whether every session answer equals the one-shot answer (it
+    /// must — a `false` here is a correctness bug, and the report says
+    /// so rather than hiding it).
     pub answers_match: bool,
-    /// The parallel pool's statistics after its pass (per-worker
-    /// blocks, merged counters, CPU-vs-wall time accounting).
-    pub pool: PoolStats,
+    /// The session's counters after the batch.
+    pub session: SolverStats,
 }
 
-/// Run `queries` over `base` twice, each pass on a fresh pool — a
-/// sequential pass and a parallel pass — and capture the comparison.
-/// The passes get a pool each because parallel workers are forked from
-/// worker 0 with its memo: after a sequential pass on the same pool,
-/// the parallel pass would only read memoised answers.
-///
-/// The parallel pass uses a forced-parallel threshold so the
-/// comparison is honest even for small sweeps; worker count comes
-/// from `threads` (pass [`revkb_sat::default_threads`] for the
-/// `REVKB_THREADS`-aware default).
-pub fn run_batch_workload(base: &Formula, queries: &[Formula], threads: usize) -> BatchWorkload {
-    let new_pool = || {
-        SessionPool::with_config(
-            base,
-            PoolConfig {
-                threads,
-                sequential_threshold: 0,
-            },
-        )
-    };
-    let mut sequential_pool = new_pool();
+/// Answer `queries` over `base` on a fresh session, timing the batch,
+/// then check each answer against a one-shot solve of `base ⊨ q`.
+pub fn run_batch_workload(base: &Formula, queries: &[Formula]) -> BatchWorkload {
+    let mut session = QuerySession::new(base);
     let start = Instant::now();
-    let sequential = sequential_pool.entails_batch(queries);
+    let answers: Vec<bool> = queries.iter().map(|q| session.entails(q)).collect();
     let sequential_wall_micros = start.elapsed().as_micros() as u64;
-    let mut pool = new_pool();
-    let start = Instant::now();
-    let parallel = pool.par_entails_batch(queries);
-    let parallel_wall_micros = start.elapsed().as_micros() as u64;
     BatchWorkload {
-        threads: pool.threads(),
         queries: queries.len(),
         sequential_wall_micros,
-        parallel_wall_micros,
-        answers_match: sequential == parallel,
-        pool: pool.stats(),
+        answers_match: queries
+            .iter()
+            .zip(&answers)
+            .all(|(q, &answer)| revkb_sat::entails(base, q) == answer),
+        session: session.stats(),
     }
 }
 
 impl BatchWorkload {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("threads", Json::Num(self.threads as f64)),
             ("queries", Json::Num(self.queries as f64)),
             (
                 "sequential_wall_micros",
                 Json::Num(self.sequential_wall_micros as f64),
             ),
-            (
-                "parallel_wall_micros",
-                Json::Num(self.parallel_wall_micros as f64),
-            ),
             ("answers_match", Json::Bool(self.answers_match)),
             (
-                "pool_stats",
-                Json::parse(&self.pool.to_json()).expect("PoolStats::to_json renders valid JSON"),
+                "session_stats",
+                Json::parse(&self.session.to_json())
+                    .expect("SolverStats::to_json renders valid JSON"),
             ),
-        ])
-    }
-}
-
-/// One engine's workload, measured through trait-object dispatch: the
-/// same queries answered one at a time, as a batch, and through the
-/// parallel path, with the three answer vectors cross-checked.
-#[derive(Debug, Clone)]
-pub struct EngineWorkload {
-    /// `Engine::describe()` of the engine under test.
-    pub engine: String,
-    /// Queries in the workload.
-    pub queries: usize,
-    /// Wall time of the one-at-a-time pass, in microseconds.
-    pub single_wall_micros: u64,
-    /// Wall time of the batch pass, in microseconds.
-    pub batch_wall_micros: u64,
-    /// Wall time of the parallel-batch pass, in microseconds.
-    pub parallel_wall_micros: u64,
-    /// Whether all three passes agreed bit-for-bit (a `false` is a
-    /// correctness bug, and the report says so rather than hiding it).
-    pub answers_match: bool,
-}
-
-/// Run `queries` through any [`Engine`] three ways — single calls,
-/// one batch, one parallel batch — and capture the comparison. This is
-/// the generic analogue of [`run_batch_workload`]: it exercises the
-/// exact dispatch path the `revkb-server` registry uses
-/// (`Box<dyn Engine + Send>`), so a divergence between trait-object
-/// and concrete behaviour shows up here first.
-pub fn run_engine_workload(engine: &mut dyn Engine, queries: &[Formula]) -> EngineWorkload {
-    let start = Instant::now();
-    let single: Vec<bool> = queries.iter().map(|q| engine.entails(q)).collect();
-    let single_wall_micros = start.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let batch = engine.entails_batch(queries);
-    let batch_wall_micros = start.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let parallel = engine
-        .par_entails_batch(queries)
-        .expect("parallel batch failed after batch succeeded");
-    let parallel_wall_micros = start.elapsed().as_micros() as u64;
-    EngineWorkload {
-        engine: engine.describe(),
-        queries: queries.len(),
-        single_wall_micros,
-        batch_wall_micros,
-        parallel_wall_micros,
-        answers_match: single == batch && batch == parallel,
-    }
-}
-
-impl EngineWorkload {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("engine", Json::str(&self.engine)),
-            ("queries", Json::Num(self.queries as f64)),
-            (
-                "single_wall_micros",
-                Json::Num(self.single_wall_micros as f64),
-            ),
-            (
-                "batch_wall_micros",
-                Json::Num(self.batch_wall_micros as f64),
-            ),
-            (
-                "parallel_wall_micros",
-                Json::Num(self.parallel_wall_micros as f64),
-            ),
-            ("answers_match", Json::Bool(self.answers_match)),
         ])
     }
 }
@@ -342,9 +241,6 @@ pub const REPORT_SCHEMA_VERSION: u32 = 2;
 /// numbers were produced without reading shell history.
 #[derive(Debug, Clone)]
 pub struct RunMeta {
-    /// Worker threads the batch pools default to (`REVKB_THREADS` /
-    /// available parallelism).
-    pub threads: usize,
     /// Telemetry mode of the run (`REVKB_TRACE`).
     pub trace_mode: &'static str,
     /// `git describe --always --dirty` of the working tree, when a git
@@ -356,7 +252,6 @@ impl RunMeta {
     /// Capture the current process environment.
     pub fn capture() -> Self {
         RunMeta {
-            threads: revkb_sat::default_threads(),
             trace_mode: revkb_obs::mode().name(),
             git_describe: git_describe(),
         }
@@ -364,7 +259,6 @@ impl RunMeta {
 
     fn to_json(&self) -> Json {
         Json::obj([
-            ("threads", Json::Num(self.threads as f64)),
             ("trace_mode", Json::str(self.trace_mode)),
             (
                 "git_describe",
@@ -413,12 +307,12 @@ pub fn drain_telemetry() -> Option<String> {
 pub struct TableReport {
     /// Table name.
     pub table: String,
-    /// Run metadata (threads, trace mode, git describe).
+    /// Run metadata (trace mode, git describe).
     pub meta: RunMeta,
     /// Row label → column label → cell.
     pub rows: Vec<(String, Vec<(String, Cell)>)>,
-    /// Per-operator batch-query workloads: label → sequential vs
-    /// parallel comparison over one sharded session pool.
+    /// Per-operator batch-query workloads: label → the batch on one
+    /// query session, checked against one-shot solves.
     pub workloads: Vec<(String, BatchWorkload)>,
     /// Drained telemetry snapshot (pre-rendered JSON), present only
     /// when the run had `REVKB_TRACE` enabled — so `off` runs stay
@@ -497,29 +391,25 @@ pub fn print_grid(title: &str, columns: &[&str], rows: &[(String, Vec<(String, C
     println!();
 }
 
-/// Print the per-operator sequential-vs-parallel workload comparison.
+/// Print the per-operator batch workloads.
 pub fn print_workloads(workloads: &[(String, BatchWorkload)]) {
-    println!("== Batch query workloads (sharded session pool) ==");
+    println!("== Batch query workloads (one query session) ==");
     for (label, w) in workloads {
-        let merged = w.pool.merged();
         let verdict = if w.answers_match {
-            "identical"
+            "match one-shot"
         } else {
             "DIVERGED (!)"
         };
         println!(
-            "{label:<22} threads={} queries={} seq_us={} par_us={} answers={} \
-             cache_hits={} conflicts={} decisions={} cpu_us={} wall_us={}",
-            w.threads,
+            "{label:<22} queries={} wall_us={} answers={} cache_hits={} \
+             countermodel_hits={} conflicts={} decisions={}",
             w.queries,
             w.sequential_wall_micros,
-            w.parallel_wall_micros,
             verdict,
-            merged.cache_hits,
-            merged.conflicts,
-            merged.decisions,
-            w.pool.cpu_time_total_micros(),
-            w.pool.wall_time_micros,
+            w.session.cache_hits,
+            w.session.countermodel_hits,
+            w.session.conflicts,
+            w.session.decisions,
         );
     }
     println!();
@@ -575,35 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_workload_through_trait_object() {
-        use revkb_logic::Var;
-        use revkb_revision::{ModelBasedOp, ReviseBuilder};
-        let v = |i: u32| Formula::var(Var(i));
-        let t = v(0).and(v(1)).and(v(2));
-        let p = v(0).not().or(v(1).not());
-        let mut engine: Box<dyn Engine> = Box::new(
-            ReviseBuilder::new(ModelBasedOp::Dalal)
-                .compile(&t, &p)
-                .unwrap(),
-        );
-        let queries = vec![v(2), v(0).or(v(1)), v(0).and(v(1)), v(2).not()];
-        let workload = run_engine_workload(engine.as_mut(), &queries);
-        assert!(workload.answers_match);
-        assert_eq!(workload.queries, 4);
-        assert!(workload.engine.contains("Dalal"));
-        let j = format!("{:?}", workload.to_json());
-        assert!(j.contains("answers_match"));
-    }
-
-    #[test]
     fn report_json_shape() {
         use revkb_logic::Var;
         let base = Formula::var(Var(0)).and(Formula::var(Var(1)));
         let queries = vec![Formula::var(Var(0)), Formula::var(Var(1)).not()];
-        let workload = run_batch_workload(&base, &queries, 2);
+        let workload = run_batch_workload(&base, &queries);
         assert!(workload.answers_match);
-        assert_eq!(workload.threads, 2);
         assert_eq!(workload.queries, 2);
+        assert_eq!(workload.session.queries, 2);
         let report = TableReport {
             table: "t".into(),
             meta: RunMeta::capture(),
@@ -639,23 +508,19 @@ mod tests {
             "\"trace_mode\":",
             "\"query_workloads\"",
             "\"operator\": \"revision\"",
-            "\"threads\": 2",
             "\"sequential_wall_micros\"",
-            "\"parallel_wall_micros\"",
             "\"answers_match\": true",
-            "\"pool_stats\": {",
-            "\"cpu_time_total_micros\"",
-            "\"wall_time_micros\"",
-            "\"per_worker\": [",
+            "\"session_stats\": {",
+            "\"total_query_micros\"",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
-        // The pool's own JSON is embedded as a value, not a string.
+        // The session's own JSON is embedded as a value, not a string.
         let parsed = Json::parse(&j).expect("report parses");
-        let per_worker = parsed
+        let queries = parsed
             .get("query_workloads")
             .and_then(Json::as_array)
-            .and_then(|w| w.first()?.get("pool_stats")?.get("per_worker")?.as_array());
-        assert!(matches!(per_worker, Some([Json::Obj(_), ..])), "{j}");
+            .and_then(|w| w.first()?.get("session_stats")?.get("queries")?.as_u64());
+        assert_eq!(queries, Some(2), "{j}");
     }
 }

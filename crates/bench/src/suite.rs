@@ -1,7 +1,7 @@
 //! The `revkb-bench` regression suite: a fixed, named set of
 //! benchmarks spanning the whole pipeline — per-operator compile
 //! times (direct, a planted Dalal chain, and through the BDD backend),
-//! sequential-vs-parallel batch query latency (with percentiles
+//! batch query latency on one query session (with percentiles
 //! from the `revkb-obs` histograms), BDD apply throughput, the Tseitin
 //! transform, the analysis passes (`analysis.min_dnf`,
 //! `analysis.horn_lub`, `analysis.model_check`,
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revkb_instances::{random_formula, random_kcnf, random_satisfiable};
 use revkb_logic::{tseitin_auto, Formula};
-use revkb_sat::{PoolConfig, SessionPool};
+use revkb_sat::QuerySession;
 use revkb_server::{Artifact, ArtifactCache, Json, Server, ServerConfig, SyncMode};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -100,9 +100,9 @@ impl SuiteConfig {
         if let Some(t) = self.tolerance_pct {
             return t;
         }
-        // Wall-clock-noisy benches (thread pools, TCP round-trips,
-        // replication tail-polling) get wider bands; pure-compute
-        // compile benches keep the default. The prefixes name benches,
+        // Wall-clock-noisy benches (the sub-millisecond query batch,
+        // TCP round-trips, replication tail-polling) get wider bands;
+        // pure-compute compile benches keep the default. The prefixes name benches,
         // not telemetry: a server's counters are not in the `obs`
         // registry under `server.*` or `repl.*`.
         if name.starts_with("query.") || name.starts_with("server.") || name.starts_with("repl.") {
@@ -347,16 +347,16 @@ fn via_bdd_bench(cfg: &SuiteConfig) -> BenchResult {
     r
 }
 
-/// `query.sequential` / `query.parallel` — a 64-query batch through
-/// a sharded [`SessionPool`], each way, with per-query latency
-/// percentiles read from the `sat.session.query_micros` histogram
-/// under a temporarily-enabled `Summary` trace mode.
+/// `query.sequential` — a 64-query batch answered in order on one
+/// [`QuerySession`], with per-query latency percentiles read from the
+/// `sat.session.query_micros` histogram under a temporarily-enabled
+/// `Summary` trace mode.
 ///
 /// Every trial and the instrumented pass answer the batch on a fresh
-/// pool, built outside the timed region: a pool answers queries it has
-/// seen from its memo, and parallel workers are forked with worker 0's
-/// memo, so a reused pool would time memo lookups instead of solving.
-fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
+/// session, built outside the timed region: a session answers queries
+/// it has seen from its memo, so a reused one would time memo lookups
+/// instead of solving.
+fn query_bench(cfg: &SuiteConfig) -> BenchResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_0001);
     let base = random_satisfiable(&mut rng, 4, 10, 0);
     // Queries must stay inside the base alphabet — a query letter the
@@ -367,65 +367,44 @@ fn query_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         .filter(|q| q.vars().iter().all(|&v| alpha.contains(v)))
         .take(64)
         .collect();
-    let new_pool = || {
-        SessionPool::with_config(
-            &base,
-            PoolConfig {
-                threads: revkb_sat::default_threads(),
-                sequential_threshold: 0,
-            },
-        )
-    };
-    let timed_on_fresh_pools = |batch: fn(&mut SessionPool, &[Formula]) -> Vec<bool>| {
-        let runs = cfg.warmup + cfg.trials;
-        let mut fresh: Vec<SessionPool> = (0..runs).map(|_| new_pool()).collect();
-        // Used pools are dropped after the trials, not inside them.
-        let mut used = Vec::with_capacity(runs);
-        timed_trials(cfg, || {
-            let mut pool = fresh.pop().expect("one pool per run");
-            let _ = batch(&mut pool, &queries);
-            used.push(pool);
-        })
-    };
-    let (seq_median, seq_trials) = timed_on_fresh_pools(SessionPool::entails_batch);
-    let (par_median, par_trials) = timed_on_fresh_pools(SessionPool::par_entails_batch);
-
-    // Percentiles: run one instrumented pass of each kind under the
-    // Summary mode, then restore whatever mode the process had. The
-    // suite owns the process-wide registry here, so the reset is safe.
-    let percentiles = |parallel: bool, pool: &mut SessionPool| -> Vec<(&'static str, Json)> {
-        let prev = revkb_obs::mode();
-        revkb_obs::set_mode(revkb_obs::TraceMode::Summary);
-        revkb_obs::reset();
-        if parallel {
-            let _ = pool.par_entails_batch(&queries);
-        } else {
-            let _ = pool.entails_batch(&queries);
+    let batch = |session: &mut QuerySession| {
+        for q in &queries {
+            session.entails(q);
         }
-        let snap = revkb_obs::snapshot();
-        let extra = match snap.histogram("sat.session.query_micros") {
-            Some(h) => vec![
-                ("query_count", Json::Num(h.count as f64)),
-                ("p50_micros", pct(h.percentile(0.50))),
-                ("p95_micros", pct(h.percentile(0.95))),
-                ("p99_micros", pct(h.percentile(0.99))),
-            ],
-            None => Vec::new(),
-        };
-        revkb_obs::reset();
-        revkb_obs::set_mode(prev);
-        extra
     };
-    let seq_extra = percentiles(false, &mut new_pool());
-    let par_extra = percentiles(true, &mut new_pool());
+    let runs = cfg.warmup + cfg.trials;
+    let mut fresh: Vec<QuerySession> = (0..runs).map(|_| QuerySession::new(&base)).collect();
+    // Used sessions are dropped after the trials, not inside them.
+    let mut used = Vec::with_capacity(runs);
+    let (median, trials) = timed_trials(cfg, || {
+        let mut session = fresh.pop().expect("one session per run");
+        batch(&mut session);
+        used.push(session);
+    });
 
-    let mut seq = result(cfg, "query.sequential".into(), seq_median, seq_trials);
-    seq.extra = seq_extra;
-    let mut par = result(cfg, "query.parallel".into(), par_median, par_trials);
-    par.extra
-        .push(("threads", Json::Num(new_pool().threads() as f64)));
-    par.extra.extend(par_extra);
-    vec![seq, par]
+    // Percentiles: run one instrumented pass under the Summary mode,
+    // then restore whatever mode the process had. The suite owns the
+    // process-wide registry here, so the reset is safe.
+    let prev = revkb_obs::mode();
+    revkb_obs::set_mode(revkb_obs::TraceMode::Summary);
+    revkb_obs::reset();
+    batch(&mut QuerySession::new(&base));
+    let snap = revkb_obs::snapshot();
+    let extra = match snap.histogram("sat.session.query_micros") {
+        Some(h) => vec![
+            ("query_count", Json::Num(h.count as f64)),
+            ("p50_micros", pct(h.percentile(0.50))),
+            ("p95_micros", pct(h.percentile(0.95))),
+            ("p99_micros", pct(h.percentile(0.99))),
+        ],
+        None => Vec::new(),
+    };
+    revkb_obs::reset();
+    revkb_obs::set_mode(prev);
+
+    let mut r = result(cfg, "query.sequential".into(), median, trials);
+    r.extra = extra;
+    r
 }
 
 fn pct(v: Option<u64>) -> Json {
@@ -1079,7 +1058,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let mut results = compile_benches(cfg);
     results.push(dalal_chain_bench(cfg));
     results.push(via_bdd_bench(cfg));
-    results.extend(query_benches(cfg));
+    results.push(query_bench(cfg));
     results.push(bdd_bench(cfg));
     results.push(tseitin_bench(cfg));
     results.extend(analysis_benches(cfg));
@@ -1108,7 +1087,6 @@ pub fn report_json(cfg: &SuiteConfig, meta: &RunMeta, results: &[BenchResult]) -
 
 fn run_meta_json(cfg: &SuiteConfig, meta: &RunMeta) -> Json {
     Json::obj([
-        ("threads", Json::Num(meta.threads as f64)),
         ("trace_mode", Json::str(meta.trace_mode)),
         (
             "git_describe",

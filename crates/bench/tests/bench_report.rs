@@ -47,14 +47,7 @@ fn report_round_trips_schema_and_detects_injected_regression() {
         Some(BENCH_SCHEMA_VERSION as u64)
     );
     let run_meta = parsed.get("run_meta").expect("report carries run_meta");
-    for key in [
-        "threads",
-        "trace_mode",
-        "cpu_count",
-        "seed",
-        "trials",
-        "warmup",
-    ] {
+    for key in ["trace_mode", "cpu_count", "seed", "trials", "warmup"] {
         assert!(run_meta.get(key).is_some(), "run_meta is missing {key}");
     }
     let benchmarks = parsed
@@ -134,7 +127,6 @@ fn committed_reports_are_valid_schema_v1() {
         "compile.via_bdd",
         "compile.winslett",
         "query.sequential",
-        "query.parallel",
         "bdd.apply",
         "logic.tseitin",
         "analysis.min_dnf",

@@ -9,7 +9,7 @@
 //! had to special-case each one.
 //!
 //! [`Engine`] is the union contract: answer entailment queries
-//! (single, batch, parallel batch), fail loudly and uniformly
+//! (single and batch), fail loudly and uniformly
 //! ([`crate::Error`]) on out-of-alphabet queries and failed lazy
 //! compilations, report the base alphabet and the engine's statistics.
 //! Every method takes `&mut self` — the weakest requirement that all
@@ -18,12 +18,13 @@
 //! `Box<dyn Engine + Send>` and dispatch without knowing which of the
 //! paper's strategies is behind a knowledge base.
 
-use crate::compact::{CompactRep, EngineStats};
+use crate::compact::CompactRep;
 use crate::engine::RevisionChain;
 use crate::engine_formula_based::{GfuvKb, WidtioKb, WorldBudgetExceeded};
 use crate::error::Error;
 use crate::formula_based::Theory;
 use revkb_logic::{Formula, Var};
+use revkb_sat::SolverStats;
 
 /// A compiled (or lazily compiled) knowledge base that answers
 /// entailment queries: the paper's "step 2", abstracted over every
@@ -41,9 +42,9 @@ pub trait Engine {
     /// occurrences), or `None` if nothing has been compiled yet.
     fn compiled_size(&self) -> Option<usize>;
 
-    /// Statistics of the engine's query session, uniformly shaped
-    /// (the empty block until the first query).
-    fn stats(&self) -> EngineStats;
+    /// Counters of the engine's query session (`None` until the first
+    /// query).
+    fn stats(&self) -> Option<SolverStats>;
 
     /// Answer `T * P… ⊨ Q`, or report why the query is unanswerable
     /// (out-of-alphabet query, failed lazy compilation).
@@ -53,15 +54,6 @@ pub trait Engine {
     /// `queries[i]`. `Err` means no answer was produced (the batch is
     /// checked before any work starts).
     fn try_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error>;
-
-    /// Batch answering with the engine's parallel path, where it has
-    /// one (the session-pool engines shard the batch across
-    /// `REVKB_THREADS` workers). The default forwards to
-    /// [`Engine::try_entails_batch`], which for pool-backed engines
-    /// *is* the parallel path.
-    fn par_entails_batch(&mut self, queries: &[Formula]) -> Result<Vec<bool>, Error> {
-        self.try_entails_batch(queries)
-    }
 
     /// The model-based knowledge base this engine is, which the next
     /// model-based revision revises ([`RevisionChain::revise`]).
@@ -118,7 +110,7 @@ impl Engine for CompactRep {
         Some(self.size())
     }
 
-    fn stats(&self) -> EngineStats {
+    fn stats(&self) -> Option<SolverStats> {
         CompactRep::stats(self)
     }
 
@@ -161,11 +153,11 @@ impl Engine for RevisionChain {
         compiled.then(|| self.representation().size())
     }
 
-    /// Empty while a revision is pending.
-    fn stats(&self) -> EngineStats {
+    /// `None` while a revision is pending.
+    fn stats(&self) -> Option<SolverStats> {
         match self.pending() {
             [] => self.representation().stats(),
-            _ => EngineStats::default(),
+            _ => None,
         }
     }
 
@@ -238,7 +230,7 @@ impl Engine for GfuvEngine {
         Some(self.size)
     }
 
-    fn stats(&self) -> EngineStats {
+    fn stats(&self) -> Option<SolverStats> {
         self.rep.stats()
     }
 
@@ -291,7 +283,7 @@ impl Engine for WidtioEngine {
         Some(self.kb.size())
     }
 
-    fn stats(&self) -> EngineStats {
+    fn stats(&self) -> Option<SolverStats> {
         self.rep.stats()
     }
 
@@ -399,8 +391,6 @@ mod tests {
                 .map(|q| engine.try_entails(q).unwrap())
                 .collect();
             assert_eq!(batch, single, "{}", engine.describe());
-            let par = engine.par_entails_batch(&queries).unwrap();
-            assert_eq!(par, batch, "{}", engine.describe());
         }
     }
 }

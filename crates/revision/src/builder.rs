@@ -1,10 +1,8 @@
 //! The typed front door to compilation: [`ReviseBuilder`].
 //!
-//! The builder gathers the compile entry points behind typed options
-//! with one rule: **an explicit setter wins; an unset option falls back
-//! to the `REVKB_*` environment variable; an unset variable falls back
-//! to the documented default.** Every entry point returns a
-//! [`RevisionChain`], the one model-based knowledge base.
+//! The builder gathers the compile entry points behind typed options;
+//! an unset option takes its documented default. Every entry point
+//! returns a [`RevisionChain`], the one model-based knowledge base.
 //!
 //! ```
 //! use revkb_revision::{Engine, ModelBasedOp, ReviseBuilder};
@@ -13,7 +11,6 @@
 //! let t = Formula::var(Var(0)).or(Formula::var(Var(1)));
 //! let p = Formula::var(Var(0)).not();
 //! let mut kb = ReviseBuilder::new(ModelBasedOp::Dalal)
-//!     .threads(2)
 //!     .compile(&t, &p)
 //!     .unwrap();
 //! assert!(kb.entails(&Formula::var(Var(1))));
@@ -24,27 +21,23 @@ use crate::engine::{compact, Backend, RevisionChain};
 use crate::error::Error;
 use crate::semantic::ModelBasedOp;
 use revkb_logic::Formula;
-use revkb_sat::PoolConfig;
 
-/// Typed, env-aware configuration for compiling revised knowledge
-/// bases. See the module docs for the precedence rule.
+/// Typed configuration for compiling revised knowledge bases.
 #[derive(Debug, Clone)]
 pub struct ReviseBuilder {
     op: ModelBasedOp,
     backend: Backend,
     profile: Option<Profile>,
-    threads: Option<usize>,
 }
 
 impl ReviseBuilder {
     /// A builder for the given operator with every option at its
-    /// environment-aware default.
+    /// default.
     pub fn new(op: ModelBasedOp) -> Self {
         Self {
             op,
             backend: Backend::default(),
             profile: None,
-            threads: None,
         }
     }
 
@@ -64,22 +57,9 @@ impl ReviseBuilder {
         self
     }
 
-    /// Worker threads for batch query answering (default: the
-    /// `REVKB_THREADS` variable, then available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// The operator this builder compiles for.
     pub fn operator(&self) -> ModelBasedOp {
         self.op
-    }
-
-    /// The effective worker-thread count after applying the precedence
-    /// rule (explicit option → `REVKB_THREADS` → parallelism).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(revkb_sat::default_threads)
     }
 
     /// The Table 1 / Table 2 verdict for this builder's operator and
@@ -103,14 +83,6 @@ impl ReviseBuilder {
         Ok(())
     }
 
-    fn configure(&self, chain: RevisionChain) -> RevisionChain {
-        if let Some(threads) = self.threads {
-            let config = PoolConfig::with_threads(threads);
-            chain.representation().set_pool_config(config);
-        }
-        chain
-    }
-
     /// Compile `T * P` (step 1 of the paper's pipeline) with every
     /// option applied: with the direct backend, Table 1's
     /// single-revision construction ([`compact`]).
@@ -122,7 +94,7 @@ impl ReviseBuilder {
         let rep = compact(self.op, t, p)?;
         let ps = vec![p.clone()];
         let chain = RevisionChain::with_representation(self.op, self.backend, t.clone(), ps, rep);
-        Ok(self.configure(chain))
+        Ok(chain)
     }
 
     /// Compile the iterated revision `T * P¹ * … * Pᵐ` with every
@@ -135,7 +107,7 @@ impl ReviseBuilder {
             chain.revise(p.clone(), self.backend);
         }
         chain.apply()?;
-        Ok(self.configure(chain))
+        Ok(chain)
     }
 
     /// A delayed-incorporation base (compile at first query) with this
@@ -175,18 +147,6 @@ mod tests {
                 assert_eq!(built.entails(&q), shim.entails(&q), "{}", op.name());
             }
         }
-    }
-
-    #[test]
-    fn threads_reach_the_pool() {
-        let t = v(0).and(v(1));
-        let p = v(0).not();
-        let mut kb = ReviseBuilder::new(ModelBasedOp::Dalal)
-            .threads(2)
-            .compile(&t, &p)
-            .unwrap();
-        kb.entails_batch(&[v(0), v(1), v(0).or(v(1))]);
-        assert_eq!(kb.stats().pool.unwrap().threads, 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use iterated::{
     forbus_iterated_auto, satoh_iterated, satoh_iterated_auto, satoh_qbf_paper, weber_iterated,
     weber_iterated_auto, winslett_iterated, winslett_iterated_auto, winslett_iterated_qbf,
 };
-pub use rep::{CompactRep, EngineStats, QueryError};
+pub use rep::{CompactRep, QueryError};
 pub use weber::{weber_compact, weber_compact_auto};
 
 use crate::formula_based::{widtio, Theory};

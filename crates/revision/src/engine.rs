@@ -730,14 +730,14 @@ mod tests {
         let t = v(0).and(v(1)).and(v(2));
         let p = v(0).not().or(v(1).not());
         let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
-        assert!(kb.query_stats().is_none());
+        assert!(kb.stats().is_none());
         assert!(kb.entails(&v(2)));
         assert!(kb.entails(&v(2)));
         assert_eq!(
             kb.try_entails(&v(40)),
             Err(crate::compact::QueryError::OutOfAlphabet { var: Var(40) })
         );
-        let stats = kb.query_stats().unwrap();
+        let stats = kb.stats().unwrap();
         assert_eq!(stats.base_loads, 1);
         assert_eq!(stats.solver_constructions, 1);
         assert_eq!(stats.queries, 2);
@@ -757,9 +757,8 @@ mod tests {
             let batch = kb.entails_batch(&queries);
             let single: Vec<bool> = queries.iter().map(|q| kb.entails(q)).collect();
             assert_eq!(batch, single, "{} batch diverges", op.name());
-            let pool = kb.pool_stats().expect("batch pool ran");
-            assert_eq!(pool.queries, 24);
-            assert_eq!(pool.batches, 1);
+            let stats = kb.stats().expect("the batch ran on the session");
+            assert_eq!((stats.queries, stats.cache_hits), (48, 24));
         }
     }
 
@@ -772,7 +771,7 @@ mod tests {
             kb.try_entails_batch(&[v(0), v(33)]),
             Err(crate::compact::QueryError::OutOfAlphabet { var: Var(33) })
         );
-        assert!(kb.pool_stats().is_none());
+        assert!(kb.stats().is_none());
     }
 
     #[test]
@@ -781,19 +780,19 @@ mod tests {
         kb.revise(v(0).not(), Backend::Direct);
         let answers = kb.try_entails_batch(&[v(1), v(0)]).unwrap();
         assert_eq!(answers, vec![true, false]);
-        assert_eq!(kb.stats().pool.unwrap().queries, 2);
+        assert_eq!(kb.stats().unwrap().queries, 2);
         kb.revise(v(1).not(), Backend::Direct);
-        assert!(kb.stats().pool.is_none(), "revise drops the pool");
+        assert!(kb.stats().is_none(), "revise drops the session");
     }
 
     #[test]
     fn delayed_kb_stats_reset_on_revise() {
         let mut kb = RevisionChain::delayed(ModelBasedOp::Dalal, v(0).and(v(1)));
         kb.revise(v(0).not(), Backend::Direct);
-        assert!(kb.stats().session.is_none());
+        assert!(kb.stats().is_none());
         kb.try_entails(&v(1)).unwrap();
-        assert_eq!(kb.stats().session.unwrap().queries, 1);
+        assert_eq!(kb.stats().unwrap().queries, 1);
         kb.revise(v(1).not(), Backend::Direct);
-        assert!(kb.stats().session.is_none(), "revise drops the session");
+        assert!(kb.stats().is_none(), "revise drops the session");
     }
 }

@@ -32,7 +32,7 @@
 //!   CDCL solver, each query runs under an activation literal keeping
 //!   learned clauses across queries, answers are memoised, and a
 //!   [`revkb_sat::SolverStats`] block is exposed via
-//!   [`compact::CompactRep::query_stats`]. Queries outside the base
+//!   [`compact::CompactRep::stats`]. Queries outside the base
 //!   alphabet are rejected in every build profile
 //!   ([`compact::CompactRep::try_entails`] /
 //!   [`compact::QueryError::OutOfAlphabet`]) rather than silently
@@ -65,7 +65,7 @@ mod truth_table;
 pub use advice::{advise, Advice, OperatorKind, Profile};
 pub use api::{Engine, GfuvEngine, WidtioEngine};
 pub use builder::ReviseBuilder;
-pub use compact::{CompactRep, EngineStats, QueryError};
+pub use compact::{CompactRep, QueryError};
 pub use containment::{check_containments, containment_matrix, FIGURE1_EDGES};
 pub use contraction::{contract, contract_on};
 pub use counterfactual::{holds as counterfactual_holds, might_hold, Counterfactual};

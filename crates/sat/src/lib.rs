@@ -11,10 +11,8 @@
 //!   sub-alphabet (the engine behind query-equivalence checking);
 //! - [`QuerySession`]: incremental entailment — load a knowledge base
 //!   once, answer many queries against it, with [`SolverStats`]
-//!   observability;
-//! - [`SessionPool`]: one session for single queries and batches,
-//!   with further workers forked from it to shard a parallel batch
-//!   over `REVKB_THREADS` threads, and merged [`PoolStats`].
+//!   observability. One session per compiled knowledge base answers
+//!   its single queries and its batches alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +20,6 @@
 pub mod api;
 pub mod enumerate;
 pub mod heap;
-pub mod pool;
 pub mod session;
 pub mod solver;
 
@@ -31,6 +28,5 @@ pub use api::{
     supply_above, valid,
 };
 pub use enumerate::{all_models, count_models_projected, models_projected};
-pub use pool::{default_threads, PoolConfig, PoolStats, SessionPool, THREADS_ENV};
 pub use session::{QuerySession, SolverStats};
 pub use solver::{constructions, luby, LBool, Solver, Stats};

@@ -64,12 +64,10 @@ pub struct SolverStats {
     /// Cache misses answered NO from a stored countermodel, without a
     /// Tseitin pass or a solve.
     pub countermodel_hits: u64,
-    /// Tseitin loads of the knowledge base (1 for a session that
-    /// loaded it, 0 for a [`QuerySession::fork`]; the one-shot path
-    /// pays one per query).
+    /// Tseitin loads of the knowledge base (1 per session; the
+    /// one-shot path pays one per query).
     pub base_loads: u64,
-    /// Solvers constructed (1 for a session that loaded the base, 0
-    /// for a fork, which copies its parent's solver).
+    /// Solvers constructed (1 per session).
     pub solver_constructions: u64,
     /// Decisions taken by the solver.
     pub decisions: u64,
@@ -90,35 +88,6 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Fold another counter block into this one, summing every
-    /// additive counter.
-    ///
-    /// Time accounting: after merging, `total_query_micros` is the
-    /// **sum of per-session busy time** — CPU-style accounting. When
-    /// the merged sessions ran concurrently (as in
-    /// [`crate::SessionPool`]), that sum double-counts overlapping
-    /// wall-clock intervals, so it must *not* be reported as elapsed
-    /// time; the pool measures real elapsed time separately and
-    /// reports both (see [`crate::PoolStats`]). `last_query_micros`
-    /// is kept as the maximum of the two blocks, since "most recent"
-    /// is meaningless across concurrent sessions.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.countermodel_hits += other.countermodel_hits;
-        self.base_loads += other.base_loads;
-        self.solver_constructions += other.solver_constructions;
-        self.decisions += other.decisions;
-        self.conflicts += other.conflicts;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learnt_clauses += other.learnt_clauses;
-        self.learnts_removed += other.learnts_removed;
-        self.total_query_micros += other.total_query_micros;
-        self.last_query_micros = self.last_query_micros.max(other.last_query_micros);
-    }
-
     /// Render as a JSON object (stable key order, no dependencies).
     pub fn to_json(&self) -> String {
         format!(
@@ -160,7 +129,7 @@ impl SolverStats {
 /// assert_eq!(stats.base_loads, 1);
 /// assert_eq!(stats.cache_hits, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QuerySession {
     solver: Solver,
     supply: CountingSupply,
@@ -256,18 +225,63 @@ impl QuerySession {
     /// such a query would silently collide with Tseitin letters, so
     /// it is rejected in every build profile.
     pub fn entails(&mut self, q: &Formula) -> bool {
-        if let Some(answer) = self.memoised(q) {
-            return answer;
-        }
-        if self.refuted(q) {
-            return false;
-        }
         let start = Instant::now();
+        let answer = match self.cache.get(q) {
+            Some(&answer) => {
+                self.stats.cache_hits += 1;
+                OBS_CACHE_HITS.inc();
+                answer
+            }
+            None => {
+                // A countermodel's NO spares the solve.
+                let answer = !self.refuted(q) && self.solve(q);
+                self.stats.cache_misses += 1;
+                OBS_CACHE_MISSES.inc();
+                self.cache.insert(q.clone(), answer);
+                answer
+            }
+        };
         self.stats.queries += 1;
         OBS_QUERIES.inc();
-        self.stats.cache_misses += 1;
-        OBS_CACHE_MISSES.inc();
+        self.record_time(start);
+        answer
+    }
 
+    /// Does a stored countermodel falsify `q`? One that does counts as
+    /// a countermodel hit.
+    ///
+    /// # Panics
+    ///
+    /// As [`QuerySession::entails`]: if `q` collides with the session's
+    /// internal Tseitin letters.
+    ///
+    /// Sound because the base does not change within a session: each
+    /// stored countermodel, restricted to the query letters, is a model
+    /// of the base, so one that falsifies `q` shows the base does not
+    /// entail `q`.
+    fn refuted(&mut self, q: &Formula) -> bool {
+        if let Some(v) = q.max_var().filter(|v| v.0 >= self.first_internal_var) {
+            panic!(
+                "QuerySession::entails: query variable {v:?} collides with the \
+                 session's internal Tseitin letters (base watermark {}); query \
+                 formulas must stay within the base alphabet",
+                self.first_internal_var
+            );
+        }
+        let stored = match self.found {
+            n if n >= COUNTERMODELS => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        if stored == 0 || !q.eval_word(&|v| self.columns[v.index()]) & stored == 0 {
+            return false;
+        }
+        self.stats.countermodel_hits += 1;
+        OBS_COUNTERMODEL_HITS.inc();
+        true
+    }
+
+    /// Solve `base ⊨ q`, storing the countermodel of a NO answer.
+    fn solve(&mut self, q: &Formula) -> bool {
         // Encode ¬q under a fresh activation literal: the definition
         // clauses and the root-negation clause are gated, so the unit
         // ¬act that retires them leaves learned clauses untouched.
@@ -289,53 +303,7 @@ impl QuerySession {
         if counterexample {
             self.store_countermodel();
         }
-
-        let answer = !counterexample;
-        self.cache.insert(q.clone(), answer);
-        self.record_time(start);
-        answer
-    }
-
-    /// Answer `q` NO from the stored countermodels alone: `true` when
-    /// one of them falsifies `q`, which then counts as a query, a cache
-    /// miss and a countermodel hit and is memoised; `false` (no stored
-    /// countermodel falsifies `q`) counts as nothing.
-    ///
-    /// # Panics
-    ///
-    /// As [`QuerySession::entails`]: if `q` collides with the session's
-    /// internal Tseitin letters.
-    ///
-    /// Sound because the base does not change within a session: each
-    /// stored countermodel, restricted to the query letters, is a model
-    /// of the base, so one that falsifies `q` shows the base does not
-    /// entail `q`.
-    pub(crate) fn refuted(&mut self, q: &Formula) -> bool {
-        let start = Instant::now();
-        if let Some(v) = q.max_var().filter(|v| v.0 >= self.first_internal_var) {
-            panic!(
-                "QuerySession::entails: query variable {v:?} collides with the \
-                 session's internal Tseitin letters (base watermark {}); query \
-                 formulas must stay within the base alphabet",
-                self.first_internal_var
-            );
-        }
-        let stored = match self.found {
-            n if n >= COUNTERMODELS => u64::MAX,
-            n => (1 << n) - 1,
-        };
-        if stored == 0 || !q.eval_word(&|v| self.columns[v.index()]) & stored == 0 {
-            return false;
-        }
-        self.stats.queries += 1;
-        OBS_QUERIES.inc();
-        self.stats.cache_misses += 1;
-        OBS_CACHE_MISSES.inc();
-        self.stats.countermodel_hits += 1;
-        OBS_COUNTERMODEL_HITS.inc();
-        self.cache.insert(q.clone(), false);
-        self.record_time(start);
-        true
+        !counterexample
     }
 
     /// Keep the solver's last model, projected onto the query letters,
@@ -350,31 +318,6 @@ impl QuerySession {
             }
         }
         self.found += 1;
-    }
-
-    /// Answer `q` from the memo alone. A hit counts as a query and a
-    /// cache hit; `None` (never answered here) counts as nothing.
-    pub fn memoised(&mut self, q: &Formula) -> Option<bool> {
-        let start = Instant::now();
-        let answer = *self.cache.get(q)?;
-        self.stats.queries += 1;
-        OBS_QUERIES.inc();
-        self.stats.cache_hits += 1;
-        OBS_CACHE_HITS.inc();
-        self.record_time(start);
-        Some(answer)
-    }
-
-    /// A copy of this session for another worker: the loaded solver,
-    /// its learned clauses, the memo and the stored countermodels carry
-    /// over, the counters start at zero. The copy performed no Tseitin
-    /// load and built no solver, so folding its [`SolverStats`] into
-    /// this session's counts every load, construction and query once.
-    pub fn fork(&self) -> Self {
-        let mut fork = self.clone();
-        fork.stats = SolverStats::default();
-        fork.solver.stats = crate::solver::Stats::default();
-        fork
     }
 
     /// Is the loaded base consistent? (Answered incrementally; the
@@ -488,78 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_keeps_cpu_time_semantics() {
-        let a = SolverStats {
-            queries: 3,
-            cache_hits: 1,
-            cache_misses: 2,
-            countermodel_hits: 1,
-            base_loads: 1,
-            solver_constructions: 1,
-            decisions: 10,
-            conflicts: 4,
-            propagations: 100,
-            restarts: 1,
-            learnt_clauses: 5,
-            learnts_removed: 2,
-            total_query_micros: 700,
-            last_query_micros: 50,
-        };
-        let b = SolverStats {
-            queries: 2,
-            cache_misses: 2,
-            countermodel_hits: 2,
-            base_loads: 1,
-            solver_constructions: 1,
-            total_query_micros: 900,
-            last_query_micros: 80,
-            ..SolverStats::default()
-        };
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.queries, 5);
-        assert_eq!(merged.cache_hits, 1);
-        assert_eq!(merged.cache_misses, 4);
-        assert_eq!(merged.countermodel_hits, 3);
-        assert!(merged.to_json().contains("\"countermodel_hits\":3,"));
-        assert_eq!(merged.base_loads, 2);
-        assert_eq!(merged.solver_constructions, 2);
-        assert_eq!(merged.decisions, 10);
-        assert_eq!(merged.conflicts, 4);
-        assert_eq!(merged.propagations, 100);
-        // Busy time sums (CPU-style): if the two sessions overlapped
-        // on the wall clock, 1600 µs is *more* than the elapsed time —
-        // that is exactly why it must be labelled CPU time, and why
-        // the pool measures wall time independently.
-        assert_eq!(merged.total_query_micros, 1600);
-        // "Most recent" across concurrent sessions: keep the max.
-        assert_eq!(merged.last_query_micros, 80);
-    }
-
-    #[test]
-    fn fork_keeps_the_memo_and_zeroes_the_counters() {
-        let mut s = QuerySession::new(&v(0).and(v(1)));
-        assert!(s.entails(&v(0)));
-        assert!(!s.entails(&v(0).not()));
-        let mut fork = s.fork();
-        // Retained learnt clauses are a gauge of the copied solver, not
-        // work the fork did.
-        let zeroed = SolverStats {
-            learnt_clauses: 0,
-            ..fork.stats()
-        };
-        assert_eq!(zeroed, SolverStats::default());
-        assert_eq!(fork.cache_len(), 2);
-        assert!(fork.entails(&v(0)));
-        assert!(fork.entails(&v(1)));
-        let stats = fork.stats();
-        assert_eq!((stats.queries, stats.cache_hits), (2, 1));
-        assert_eq!((stats.base_loads, stats.solver_constructions), (0, 0));
-        // The parent is untouched by the fork's queries.
-        assert_eq!(s.stats().queries, 2);
-    }
-
-    #[test]
     fn clausal_base_answers_like_the_formula() {
         // The clauses of `base` with its letter 0 renamed to 9, loaded
         // as they are: the session answers as one over the renamed
@@ -592,6 +463,7 @@ mod tests {
         assert!(!s.entails(&q2));
         let after = s.stats();
         assert_eq!(after.countermodel_hits, 1);
+        assert!(after.to_json().contains("\"countermodel_hits\":1,"));
         assert_eq!(after.cache_misses, before.cache_misses + 1);
         assert_eq!(after.queries, before.queries + 1);
         assert_eq!(after.decisions, before.decisions, "no new decisions");
@@ -638,24 +510,14 @@ mod tests {
     }
 
     #[test]
-    fn fork_keeps_the_countermodels() {
-        let (mut s, q1, q2) = refutable();
-        assert!(!s.entails(&q1));
-        let mut fork = s.fork();
-        assert!(!fork.entails(&q2));
-        let stats = fork.stats();
-        assert_eq!((stats.countermodel_hits, stats.decisions), (1, 0));
-    }
-
-    #[test]
     fn refuted_answers_only_from_countermodels() {
         let (mut s, q1, q2) = refutable();
         assert!(!s.refuted(&q1), "no countermodel yet");
-        assert_eq!(s.stats().queries, 0, "a failed refutation counts nothing");
+        assert_eq!(s.stats().countermodel_hits, 0);
         assert!(!s.entails(&q1));
         assert!(s.refuted(&q2));
         assert!(!s.refuted(&v(0)), "v0 is entailed");
-        assert_eq!(s.memoised(&q2), Some(false));
+        assert_eq!(s.stats().countermodel_hits, 1);
     }
 
     #[test]

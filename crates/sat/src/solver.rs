@@ -64,7 +64,7 @@ pub struct Stats {
 }
 
 /// The CDCL solver.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
     headers: Vec<ClauseHeader>,

@@ -6,16 +6,14 @@
 //! Bases are loaded both from a formula
 //! ([`QuerySession::with_query_alphabet`]) and from clauses
 //! ([`QuerySession::from_clauses`]); some are unsatisfiable. Each case
-//! asks a few single queries, then a batch through a [`SessionPool`]
-//! with the default worker count, so running this file under
-//! `REVKB_THREADS=1` and `=4` covers the sequential batch and the
-//! pool's check of every worker's countermodels before it shards.
-//! Cases are seeded by `REVKB_PROP_SEED`.
+//! asks a few single queries, then a batch on the same session, which
+//! the singles' countermodels can already answer. Cases are seeded by
+//! `REVKB_PROP_SEED`.
 
 use proptest::prelude::*;
 use proptest::test_runner::{run_cases, Config};
 use revkb_logic::{tseitin, CountingSupply, Formula, SharedCnf, Var};
-use revkb_sat::{PoolConfig, QuerySession, SessionPool};
+use revkb_sat::QuerySession;
 
 const NUM_VARS: u32 = 6;
 
@@ -79,14 +77,12 @@ fn countermodel_answers_match_one_shot() {
             let expected = revkb_sat::entails(&base, q);
             prop_assert_eq!(session.entails(q), expected, "single {:?} on {:?}", q, base);
         }
-        let mut pool = SessionPool::with_session(session, PoolConfig::default());
-        let answers = pool.par_entails_batch(&batch);
+        let answers: Vec<bool> = batch.iter().map(|q| session.entails(q)).collect();
         for (q, &answer) in batch.iter().zip(&answers) {
             let expected = revkb_sat::entails(&base, q);
             prop_assert_eq!(answer, expected, "batch {:?} on {:?}", q, base);
         }
-        let merged = pool.stats().merged();
-        hits += merged.countermodel_hits;
+        hits += session.stats().countermodel_hits;
         no_answers += singles
             .iter()
             .chain(&batch)

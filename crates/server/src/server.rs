@@ -109,8 +109,8 @@ fn env_u64(name: &str) -> Option<u64> {
 /// override them (explicit wins).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent execution permits (default: the batch-pool thread
-    /// count, i.e. `REVKB_THREADS` then available parallelism).
+    /// Concurrent execution permits (default: the machine's available
+    /// parallelism, 1 if unknown).
     pub threads: usize,
     /// Admission bound: requests admitted but not yet finished. Beyond
     /// it new work is answered `overloaded`. 0 rejects everything but
@@ -160,7 +160,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            threads: revkb_sat::default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue: 64,
             default_deadline_ms: 30_000,
             compile_timeout_ms: None,
@@ -1593,7 +1593,7 @@ impl Server {
         for q_text in q_texts {
             queries.push(parse_formula(q_text, &mut kb.sig).map_err(|e| engine_err(e.into()))?);
         }
-        let answers = kb.engine.par_entails_batch(&queries).map_err(engine_err)?;
+        let answers = kb.engine.try_entails_batch(&queries).map_err(engine_err)?;
         kb.queries += answers.len() as u64;
         let sizes = queries.iter().map(formula_size);
         kb.profile.note_queries(

@@ -3,8 +3,7 @@
 
     python3 scripts/check_table_reports.py target/release
 
-Runs the `table1` and `table2` binaries of the given directory under
-REVKB_THREADS=1 (the setting the committed reports were made with) in a
+Runs the `table1` and `table2` binaries of the given directory in a
 temporary directory, and compares each report with the committed
 `table1_report.json` / `table2_report.json` at the repository root.
 
@@ -59,11 +58,10 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     bin_dir = os.path.abspath(sys.argv[1])
-    env = dict(os.environ, REVKB_THREADS="1")
     failed = False
     with tempfile.TemporaryDirectory() as fresh_dir:
         for binary, report in REPORTS:
-            subprocess.run([os.path.join(bin_dir, binary)], cwd=fresh_dir, env=env,
+            subprocess.run([os.path.join(bin_dir, binary)], cwd=fresh_dir,
                            check=True, stdout=subprocess.DEVNULL)
             with open(os.path.join(ROOT, report)) as f:
                 committed = strip(json.load(f))

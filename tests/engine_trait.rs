@@ -38,8 +38,6 @@ fn boxed_engines_match_concrete_for_all_model_based_ops() {
                 .unwrap(),
         );
         let batch = boxed.try_entails_batch(&queries).unwrap();
-        let parallel = boxed.par_entails_batch(&queries).unwrap();
-        assert_eq!(batch, parallel, "{}", op.name());
         for (q, &answer) in queries.iter().zip(&batch) {
             assert_eq!(answer, concrete.entails(q), "{} on {q:?}", op.name());
             assert_eq!(answer, boxed.try_entails(q).unwrap(), "{}", op.name());

@@ -55,7 +55,7 @@ fn fifty_queries_one_solver() {
         "the one-shot path builds one solver per query"
     );
 
-    let stats = kb.query_stats().expect("session ran");
+    let stats = kb.stats().expect("session ran");
     assert_eq!(stats.base_loads, 1, "T' is Tseitin-loaded exactly once");
     assert_eq!(stats.solver_constructions, 1);
     assert_eq!(stats.queries, 50);

@@ -5,7 +5,7 @@
 //!
 //! Rather than pinning an absolute wall time (flaky across machines),
 //! the test pins the *ratio*: it measures a table1-sized batch
-//! workload through the pool's own `wall_time_micros` stat, measures
+//! workload on one query session with [`Instant`], measures
 //! the real per-hook cost of a disabled instrument, and checks that
 //! the hooks the pipeline executes for that workload (~24 sites per
 //! query: span open/close, counters, histogram) cannot account for 5%
@@ -14,12 +14,11 @@
 use revkb::logic::{Formula, Var};
 use revkb::obs::{self, Counter, TraceMode};
 use revkb::revision::compact::winslett_bounded;
-use revkb::sat::{pseudo_random_formula, PoolConfig, SessionPool};
+use revkb::sat::{pseudo_random_formula, QuerySession};
 use std::time::Instant;
 
 /// Hook sites executed per query in the instrumented pipeline,
-/// rounded up (session counters + histogram + span open/close on both
-/// the query and batch paths).
+/// rounded up (session counters, histogram, span open/close).
 const HOOKS_PER_QUERY: f64 = 24.0;
 
 /// Wall-time floor so a machine fast enough to finish the batch in
@@ -27,6 +26,17 @@ const HOOKS_PER_QUERY: f64 = 24.0;
 const FLOOR_MICROS: u64 = 2_000;
 
 static PROBE: Counter = Counter::new("test.overhead.probe");
+
+/// Wall time of answering `queries` in order on a fresh session over
+/// `base`, in microseconds, raised to [`FLOOR_MICROS`].
+fn batch_wall_micros(base: &Formula, queries: &[Formula]) -> u64 {
+    let mut session = QuerySession::new(base);
+    let start = Instant::now();
+    for q in queries {
+        std::hint::black_box(session.entails(q));
+    }
+    (start.elapsed().as_micros() as u64).max(FLOOR_MICROS)
+}
 
 #[test]
 fn disabled_telemetry_stays_under_five_percent() {
@@ -42,10 +52,7 @@ fn disabled_telemetry_stays_under_five_percent() {
     let queries: Vec<Formula> = (0..60)
         .map(|_| pseudo_random_formula(&mut seed, 3, 12))
         .collect();
-    let mut pool = SessionPool::with_config(&rep.formula, PoolConfig::default());
-    let answers = pool.par_entails_batch(&queries);
-    assert_eq!(answers.len(), 60);
-    let wall_micros = pool.stats().wall_time_micros.max(FLOOR_MICROS);
+    let wall_micros = batch_wall_micros(&rep.formula, &queries);
 
     // Real cost of one disabled hook, amortised over a million calls.
     const CALLS: u64 = 1_000_000;
@@ -85,10 +92,7 @@ fn flight_and_log_quiet_paths_stay_under_five_percent() {
     let queries: Vec<Formula> = (0..60)
         .map(|_| pseudo_random_formula(&mut seed, 3, 12))
         .collect();
-    let mut pool = SessionPool::with_config(&rep.formula, PoolConfig::default());
-    let answers = pool.par_entails_batch(&queries);
-    assert_eq!(answers.len(), 60);
-    let wall_micros = pool.stats().wall_time_micros.max(FLOOR_MICROS);
+    let wall_micros = batch_wall_micros(&rep.formula, &queries);
 
     // Span and log sites the server path executes per query: the
     // request / command / compile spans and the error/warn gates on
@@ -154,10 +158,7 @@ fn sampler_tick_stays_under_five_percent() {
     let queries: Vec<Formula> = (0..60)
         .map(|_| pseudo_random_formula(&mut seed, 3, 12))
         .collect();
-    let mut pool = SessionPool::with_config(&rep.formula, PoolConfig::default());
-    let answers = pool.par_entails_batch(&queries);
-    assert_eq!(answers.len(), 60);
-    let wall_micros = pool.stats().wall_time_micros.max(FLOOR_MICROS);
+    let wall_micros = batch_wall_micros(&rep.formula, &queries);
 
     // A server-sized observation set: more series than the server's
     // source actually emits, so the bound is conservative.

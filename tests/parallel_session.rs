@@ -1,11 +1,11 @@
-//! Differential hardening of the batch/parallel query pipeline: for
-//! generated `(T, P, Q)` triples across all eight operators, the four
+//! Differential hardening of the batch query pipeline: for generated
+//! `(T, P, Q)` triples across all eight operators, the three
 //! independent answer paths must agree bit-for-bit —
 //!
-//! 1. `SessionPool::par_entails_batch` (forced parallel, 4 workers),
-//! 2. `SessionPool::entails_batch` (sequential, single session),
-//! 3. one-shot `revkb::sat::entails` (a fresh solver per query),
-//! 4. a semantic oracle that enumerates models.
+//! 1. a batch on one [`QuerySession`] (memo, learned clauses and
+//!    countermodels shared across the batch),
+//! 2. one-shot `revkb::sat::entails` (a fresh solver per query),
+//! 3. a semantic oracle that enumerates models.
 //!
 //! The six model-based operators are compiled through
 //! [`revkb::revision::compact`] and checked against [`revise_on`]; the
@@ -18,7 +18,7 @@ use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
     compact, revise_on, revision_alphabet, GfuvKb, ModelBasedOp, ModelSet, Theory, WidtioKb,
 };
-use revkb::sat::{pseudo_random_formula, PoolConfig, QuerySession, SessionPool};
+use revkb::sat::{pseudo_random_formula, QuerySession};
 
 /// Variables both the theories and the queries range over.
 const NUM_VARS: u32 = 5;
@@ -28,15 +28,6 @@ const QUERIES_PER_PAIR: usize = 8;
 
 /// `(T, P)` pairs per operator.
 const PAIRS_PER_OP: usize = 6;
-
-/// A pool that shards even tiny batches across 4 workers, regardless
-/// of `REVKB_THREADS` and of the machine's core count.
-fn forced_parallel() -> PoolConfig {
-    PoolConfig {
-        threads: 4,
-        sequential_threshold: 0,
-    }
-}
 
 /// `⋀ᵢ (vᵢ ∨ ¬vᵢ)`: conjoining this to `T` pins the revision
 /// alphabet to all of `0..NUM_VARS` without changing `T`'s models, so
@@ -48,7 +39,13 @@ fn alphabet_anchor() -> Formula {
     }))
 }
 
-/// Check one compiled base along all four paths; `oracle` is the
+/// Answer `queries` in order on a fresh session over `base`.
+fn session_batch(base: &Formula, queries: &[Formula]) -> Vec<bool> {
+    let mut session = QuerySession::with_query_alphabet(base, NUM_VARS);
+    queries.iter().map(|q| session.entails(q)).collect()
+}
+
+/// Check one compiled base along all three paths; `oracle` is the
 /// semantic ground truth for `T * P ⊨ Q`. Returns the number of
 /// triples checked.
 fn check_all_paths(
@@ -57,27 +54,13 @@ fn check_all_paths(
     queries: &[Formula],
     oracle: impl Fn(&Formula) -> bool,
 ) -> usize {
-    let mut pool = SessionPool::with_session(
-        QuerySession::with_query_alphabet(compiled, NUM_VARS),
-        forced_parallel(),
-    );
-    assert_eq!(
-        pool.threads(),
-        4,
-        "{label}: pool must be forced to 4 workers"
-    );
-    let sequential = pool.entails_batch(queries);
-    let parallel = pool.par_entails_batch(queries);
+    let batch = session_batch(compiled, queries);
     for (i, q) in queries.iter().enumerate() {
         let one_shot = revkb::sat::entails(compiled, q);
         let semantic = oracle(q);
         assert_eq!(
-            parallel[i], sequential[i],
-            "{label}, query #{i}: parallel != sequential for {q:?}"
-        );
-        assert_eq!(
-            sequential[i], one_shot,
-            "{label}, query #{i}: pooled session != one-shot solver for {q:?}"
+            batch[i], one_shot,
+            "{label}, query #{i}: session batch != one-shot solver for {q:?}"
         );
         assert_eq!(
             one_shot, semantic,
@@ -123,7 +106,7 @@ fn model_based_operators_agree_on_all_paths() {
 }
 
 /// GFUV: the explicit representation `(⋁ ⋀T') ∧ P` answered through
-/// the pool vs per-world entailment vs model enumeration.
+/// a session vs per-world entailment vs model enumeration.
 #[test]
 fn gfuv_agrees_on_all_paths() {
     let mut seed = 0x6F07_6F07;
@@ -155,7 +138,7 @@ fn gfuv_agrees_on_all_paths() {
 }
 
 /// WIDTIO: the kept sub-theory's conjunction answered through the
-/// pool vs the compiled KB vs model enumeration.
+/// session vs the compiled KB vs model enumeration.
 #[test]
 fn widtio_agrees_on_all_paths() {
     let mut seed = 0x71D7_1071;
@@ -183,12 +166,12 @@ fn widtio_agrees_on_all_paths() {
     assert!(triples >= PAIRS_PER_OP * QUERIES_PER_PAIR);
 }
 
-/// Determinism: two pools built independently from the same base, and
-/// repeated batches on the same pool, return identical answer vectors
-/// on a 60-query batch (the acceptance bar is ≥ 50), all equal to the
-/// sequential pass.
+/// Determinism: two sessions built independently from the same base,
+/// a repeated batch on one session (answered from its memo), and the
+/// same queries asked one by one on a third session return identical
+/// answer vectors on a 60-query batch.
 #[test]
-fn parallel_batches_are_deterministic() {
+fn batches_are_deterministic() {
     let mut seed = 0xDE7E_2417;
     let t = pseudo_random_formula(&mut seed, 4, NUM_VARS).and(alphabet_anchor());
     let p = pseudo_random_formula(&mut seed, 3, NUM_VARS);
@@ -198,32 +181,24 @@ fn parallel_batches_are_deterministic() {
         .map(|_| pseudo_random_formula(&mut seed, 3, NUM_VARS))
         .collect();
 
-    let mut pool_a = SessionPool::with_session(
-        QuerySession::with_query_alphabet(base, NUM_VARS),
-        forced_parallel(),
-    );
-    let mut pool_b = SessionPool::with_session(
-        QuerySession::with_query_alphabet(base, NUM_VARS),
-        forced_parallel(),
-    );
-    let first = pool_a.par_entails_batch(&queries);
-    let second = pool_b.par_entails_batch(&queries);
-    let repeat = pool_a.par_entails_batch(&queries);
-    let sequential = pool_b.entails_batch(&queries);
+    let mut session = QuerySession::with_query_alphabet(base, NUM_VARS);
+    let first: Vec<bool> = queries.iter().map(|q| session.entails(q)).collect();
+    let repeat: Vec<bool> = queries.iter().map(|q| session.entails(q)).collect();
+    let second = session_batch(base, &queries);
+    let singles: Vec<bool> = queries.iter().map(|q| kb.entails(q)).collect();
 
-    assert_eq!(first, second, "independently built pools must agree");
+    assert_eq!(first, second, "independently built sessions must agree");
     assert_eq!(
         first, repeat,
-        "re-running a batch on the same pool must agree"
+        "re-running a batch on one session must agree"
     );
-    assert_eq!(
-        first, sequential,
-        "parallel must be bit-identical to sequential"
+    assert_eq!(first, singles, "the batch must equal single queries");
+    assert!(
+        first.iter().any(|&b| b) && first.iter().any(|&b| !b),
+        "the batch must mix YES and NO answers"
     );
-    assert!(first.iter().any(|&b| b) || first.iter().any(|&b| !b));
 
-    let stats = pool_a.stats();
-    assert_eq!(stats.threads, 4);
-    assert_eq!(stats.queries, 120);
-    assert_eq!(stats.parallel_batches, 2);
+    let stats = session.stats();
+    assert_eq!((stats.queries, stats.base_loads), (120, 1));
+    assert_eq!(stats.cache_hits + stats.cache_misses, 120);
 }

@@ -5,21 +5,20 @@
 //! operators, a loaded and revised base that answers four single
 //! queries and a batch of sixteen Tseitin-loads its representation
 //! once and builds one solver; repeating the same queries does no new
-//! Tseitin work; the pool forks its extra workers only when a batch
-//! takes the parallel path; and a revise drops the session.
+//! Tseitin work; and a revise drops the session.
 //!
-//! The first pass also runs the four singles as a batch below the
-//! parallel threshold, which must stay on the single-query session.
+//! The first pass also runs the four singles as a batch, which must be
+//! answered from the single-query session's memo: singles and batches
+//! share one session, whose one stats block counts them all.
 //!
 //! This file holds exactly one test because it measures exact deltas
 //! of process-wide counters (solver constructions, base loads, Tseitin
-//! clauses). Run it under `REVKB_THREADS=1` and `REVKB_THREADS=4`: the
-//! counts must not depend on the worker count.
+//! clauses).
 
 use revkb::obs::{self, TraceMode};
 use revkb::prelude::*;
 use revkb::revision::{widtio, CompactRep, RevisionChain};
-use revkb::sat::{self, pseudo_random_formula, PoolConfig};
+use revkb::sat::{self, pseudo_random_formula};
 
 const NUM_VARS: u32 = 6;
 
@@ -49,42 +48,31 @@ fn ask(engine: &mut dyn Engine, singles: &[Formula], batch: &[Formula]) -> Vec<b
         .iter()
         .map(|q| engine.try_entails(q).expect("in alphabet"))
         .collect();
-    answers.extend(engine.par_entails_batch(batch).expect("in alphabet"));
+    answers.extend(engine.try_entails_batch(batch).expect("in alphabet"));
     answers
 }
 
 /// Pin the work of one knowledge-base version: singles and a batch,
 /// then the same again.
 fn pin_version(label: &str, engine: &mut dyn Engine, singles: &[Formula], batch: &[Formula]) {
-    assert!(engine.stats().is_empty(), "{label}: the session is lazy");
-    let threads = sat::default_threads();
-    let parallel = threads > 1 && batch.len() >= PoolConfig::default().sequential_threshold;
+    assert!(engine.stats().is_none(), "{label}: the session is lazy");
 
     obs::reset();
     let solvers = sat::constructions();
     for q in singles {
         engine.try_entails(q).expect("in alphabet");
     }
-    let after_singles = engine.stats();
-    assert!(
-        after_singles.pool.is_none(),
-        "{label}: no pool stats before a batch"
-    );
+    let after_singles = engine.stats().expect("singles ran");
+    assert_eq!(after_singles.queries, singles.len() as u64, "{label}");
+    // The singles again as a batch: all hits in the singles' memo.
+    engine.try_entails_batch(singles).expect("in alphabet");
+    let after_batch = engine.stats().expect("a batch ran");
     assert_eq!(
-        after_singles.session.map(|s| s.queries),
-        Some(singles.len() as u64)
+        after_batch.cache_hits,
+        after_singles.cache_hits + singles.len() as u64,
+        "{label}: the batch ran on the single-query session"
     );
-    // A batch below the parallel threshold runs on the session: all
-    // memo hits, and still no extra worker.
-    engine.par_entails_batch(singles).expect("in alphabet");
-    let pool = engine.stats().pool.expect("a batch ran");
-    assert_eq!(
-        pool.per_worker.len(),
-        1,
-        "{label}: no fork before a parallel batch"
-    );
-    assert_eq!(pool.merged().cache_hits, singles.len() as u64, "{label}");
-    engine.par_entails_batch(batch).expect("in alphabet");
+    engine.try_entails_batch(batch).expect("in alphabet");
     let first = obs::drain();
     assert_eq!(
         sat::constructions() - solvers,
@@ -96,20 +84,11 @@ fn pin_version(label: &str, engine: &mut dyn Engine, singles: &[Formula], batch:
         1,
         "{label}: one base load per version"
     );
-    let stats = engine.stats();
-    let merged = stats.merged();
-    assert_eq!((merged.base_loads, merged.solver_constructions), (1, 1));
-    assert_eq!(merged.queries, (2 * singles.len() + batch.len()) as u64);
-    let pool = stats.pool.expect("a batch ran");
-    assert_eq!(pool.parallel_batches > 0, parallel, "{label}");
-    assert_eq!(
-        pool.per_worker.len(),
-        if parallel { threads } else { 1 },
-        "{label}: extra workers exist only after a parallel batch"
-    );
+    let stats = engine.stats().expect("a batch ran");
+    assert_eq!((stats.base_loads, stats.solver_constructions), (1, 1));
+    assert_eq!(stats.queries, (2 * singles.len() + batch.len()) as u64);
 
-    // The same queries again: all memo hits, whichever worker they
-    // land on.
+    // The same queries again: all memo hits.
     let solvers = sat::constructions();
     let answers = ask(engine, singles, batch);
     let again = ask(engine, singles, batch);
@@ -124,11 +103,11 @@ fn pin_version(label: &str, engine: &mut dyn Engine, singles: &[Formula], batch:
     ] {
         assert_eq!(counter(&repeat, name), 0, "{label}: {name} on repeats");
     }
-    let merged_again = engine.stats().merged();
-    assert_eq!(merged_again.cache_misses, merged.cache_misses, "{label}");
+    let after_repeats = engine.stats().expect("queries ran");
+    assert_eq!(after_repeats.cache_misses, stats.cache_misses, "{label}");
     assert_eq!(
-        merged_again.queries,
-        merged.queries + 2 * (singles.len() + batch.len()) as u64,
+        after_repeats.queries,
+        stats.queries + 2 * (singles.len() + batch.len()) as u64,
         "{label}"
     );
 }
@@ -136,14 +115,14 @@ fn pin_version(label: &str, engine: &mut dyn Engine, singles: &[Formula], batch:
 /// After a revise, the first query loads the new version afresh.
 fn pin_fresh_session(label: &str, engine: &mut dyn Engine, q: &Formula) {
     assert!(
-        engine.stats().is_empty(),
+        engine.stats().is_none(),
         "{label}: revise drops the session"
     );
     obs::reset();
     engine.try_entails(q).expect("in alphabet");
     let snapshot = obs::drain();
     assert_eq!(counter(&snapshot, "sat.session.base_loads"), 1, "{label}");
-    assert_eq!(engine.stats().merged().base_loads, 1, "{label}");
+    assert_eq!(engine.stats().map(|s| s.base_loads), Some(1), "{label}");
 }
 
 #[test]

@@ -139,7 +139,9 @@ fn client_session(addr: std::net::SocketAddr, ops: &[&str], expected: &[Vec<bool
 fn four_clients_match_single_threaded_oracle() {
     let oracle: Vec<Vec<bool>> = OPS.iter().map(|op| oracle_answers(op)).collect();
 
-    let server = Server::new(ServerConfig::default());
+    // Four execution permits, one per client, on any machine: the
+    // clients' requests run engine work concurrently.
+    let server = Server::new(ServerConfig::default().with_threads(4));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let srv = server.clone();

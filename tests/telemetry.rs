@@ -1,8 +1,8 @@
 //! Integration tests for the `revkb-obs` telemetry subsystem as wired
 //! through the real pipeline: counters stay exact under concurrency,
-//! deterministic counters are invariant under the pool's thread count,
-//! span nesting is physically consistent, the Chrome trace export is
-//! valid JSON, and all three engines expose the same `stats()` shape.
+//! a session's Tseitin work matches its cache accounting, span nesting
+//! is physically consistent, the Chrome trace export is valid JSON, and
+//! all three engines expose the same `stats()` shape.
 //!
 //! The obs registry is process-global, so every test here serialises
 //! on [`LOCK`] and starts from `reset()`.
@@ -10,7 +10,7 @@
 use revkb::logic::{Formula, Var};
 use revkb::obs::{self, Counter, TraceMode};
 use revkb::revision::{compact, compact::CompactRep, Backend, Engine, ModelBasedOp, RevisionChain};
-use revkb::sat::{PoolConfig, SessionPool};
+use revkb::sat::QuerySession;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -24,10 +24,7 @@ fn v(i: u32) -> Formula {
 }
 
 /// 60 syntactically distinct queries over 6 letters: the cube that
-/// spells `i` in binary. Distinctness matters — a repeated query hits
-/// the per-worker answer cache, and which worker sees the repeat
-/// depends on the shard layout, which would make cache counters
-/// thread-count-dependent.
+/// spells `i` in binary. Distinct, so no query is a memo hit.
 fn distinct_queries() -> Vec<Formula> {
     (0u32..60)
         .map(|i| {
@@ -65,92 +62,59 @@ fn distinct_entailed_queries() -> Vec<Formula> {
         .collect()
 }
 
-/// Answer `queries` over `base` on a 1-worker and on a 4-worker pool,
-/// each with the obs registry reset first; the answers must agree.
-fn sequential_and_parallel(base: &Formula, queries: &[Formula]) -> (obs::Snapshot, obs::Snapshot) {
-    let run = |config: PoolConfig| {
-        obs::set_mode(TraceMode::Summary);
-        obs::reset();
-        let mut pool = SessionPool::with_config(base, config);
-        let answers = pool.par_entails_batch(queries);
-        let snap = obs::drain();
-        obs::set_mode(TraceMode::Off);
-        (answers, snap)
-    };
-
-    let (seq_answers, seq) = run(PoolConfig {
-        threads: 1,
-        ..PoolConfig::default()
-    });
-    let (par_answers, par) = run(PoolConfig {
-        threads: 4,
-        sequential_threshold: 1,
-    });
-    assert_eq!(seq_answers, par_answers);
-    (seq, par)
+/// Answer `queries` over `base` in order on one session, with the obs
+/// registry reset first.
+fn batch_snapshot(base: &Formula, queries: &[Formula]) -> obs::Snapshot {
+    obs::set_mode(TraceMode::Summary);
+    obs::reset();
+    let mut session = QuerySession::new(base);
+    for q in queries {
+        session.entails(q);
+    }
+    let snap = obs::drain();
+    obs::set_mode(TraceMode::Off);
+    snap
 }
 
 #[test]
-fn deterministic_counters_invariant_under_thread_count() {
+fn entailed_queries_are_each_encoded_and_solved() {
     let _g = serial();
     let base = Formula::and_all((0..12u32).map(v));
-    let (seq, par) = sequential_and_parallel(&base, &distinct_entailed_queries());
+    let snap = batch_snapshot(&base, &distinct_entailed_queries());
 
-    // Work counters are determined by the query list, not by how it
-    // was sharded. (Search-effort counters — decisions, conflicts,
-    // propagations — legitimately differ per solver instance and are
-    // deliberately not compared.) Every query is entailed, so none is
-    // answered from a countermodel and each miss is encoded and solved.
-    for name in [
-        "sat.session.queries",
-        "sat.session.cache_hits",
-        "sat.session.cache_misses",
-        "logic.tseitin.runs",
-        "logic.tseitin.clauses",
-    ] {
-        assert_eq!(
-            seq.counter(name),
-            par.counter(name),
-            "counter {name} differs between 1-thread and 4-thread runs"
-        );
-    }
-    for snap in [&seq, &par] {
-        assert_eq!(
-            snap.counter("sat.session.countermodel_hits").unwrap_or(0),
-            0
-        );
-    }
-    assert_eq!(seq.counter("sat.session.queries"), Some(60));
-    assert_eq!(seq.counter("logic.tseitin.runs"), Some(61));
-    let seq_hist = seq.histogram("sat.session.query_micros").unwrap();
-    let par_hist = par.histogram("sat.session.query_micros").unwrap();
-    assert_eq!(seq_hist.count, 60);
-    assert_eq!(par_hist.count, 60);
+    // Every query is entailed, so none is answered from a countermodel
+    // and each miss is encoded and solved: one Tseitin pass loads the
+    // base and one encodes each query.
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("sat.session.queries"), 60);
+    assert_eq!(count("sat.session.cache_hits"), 0);
+    assert_eq!(count("sat.session.cache_misses"), 60);
+    assert_eq!(count("sat.session.countermodel_hits"), 0);
+    assert_eq!(count("logic.tseitin.runs"), 61);
+    assert_eq!(
+        snap.histogram("sat.session.query_micros").unwrap().count,
+        60
+    );
 }
 
 #[test]
 fn countermodel_answers_replace_solves_one_for_one() {
     let _g = serial();
     let base = Formula::and_all((0..12u32).map(v));
-    let (seq, par) = sequential_and_parallel(&base, &distinct_queries());
+    let snap = batch_snapshot(&base, &distinct_queries());
 
-    // How misses split between countermodel answers and Tseitin-encoded
-    // solves depends on the sharding (a worker refutes a query only
-    // from the countermodels it found itself), but in every run each
-    // miss is answered exactly once: one Tseitin pass loads the base,
-    // and one more encodes each miss no countermodel answered.
-    for snap in [&seq, &par] {
-        let count = |name| snap.counter(name).unwrap_or(0);
-        assert_eq!(count("sat.session.queries"), 60);
-        assert_eq!(count("sat.session.cache_misses"), 60);
-        assert_eq!(
-            count("logic.tseitin.runs"),
-            1 + count("sat.session.cache_misses") - count("sat.session.countermodel_hits"),
-        );
-    }
+    // Each miss is answered exactly once: one Tseitin pass loads the
+    // base, and one more encodes each miss no countermodel answered.
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("sat.session.queries"), 60);
+    assert_eq!(count("sat.session.cache_misses"), 60);
+    assert_eq!(
+        count("logic.tseitin.runs"),
+        1 + count("sat.session.cache_misses") - count("sat.session.countermodel_hits"),
+    );
     // The base has one model, which falsifies every query: the first
     // query's countermodel answers the other 59.
-    assert_eq!(seq.counter("sat.session.countermodel_hits"), Some(59));
+    assert_eq!(count("sat.session.countermodel_hits"), 59);
 }
 
 #[test]
@@ -216,28 +180,26 @@ fn stats_shape_is_uniform_across_engines() {
     let p = v(0).not();
 
     let rep = CompactRep::logical(v(0).and(v(1)), vec![Var(0), Var(1)]);
-    assert!(rep.stats().is_empty());
+    assert!(rep.stats().is_none());
     assert!(rep.entails(&v(0)));
-    let rep_stats = rep.stats();
-    assert_eq!(rep_stats.session.as_ref().map(|s| s.queries), Some(1));
-    assert!(rep_stats.pool.is_none());
+    assert_eq!(rep.stats().map(|s| s.queries), Some(1));
 
     let kb = compact(ModelBasedOp::Dalal, &t, &p).unwrap();
-    assert!(kb.stats().is_empty());
+    assert!(kb.stats().is_none());
     assert!(kb.entails(&v(1)));
-    assert_eq!(kb.stats().session.as_ref().map(|s| s.queries), Some(1));
+    assert_eq!(kb.stats().map(|s| s.queries), Some(1));
 
     let mut delayed = RevisionChain::delayed(ModelBasedOp::Dalal, t.clone());
     delayed.revise(p, Backend::Direct);
     // Uniform shape: empty stats before any compilation, not a panic
     // or a different type.
-    assert!(delayed.stats().is_empty());
+    assert!(delayed.stats().is_none());
     assert!(delayed.try_entails(&v(1)).unwrap());
-    assert_eq!(delayed.stats().session.as_ref().map(|s| s.queries), Some(1));
 
-    // All three merge the same way.
+    // All three report one session's counters.
     for stats in [rep.stats(), kb.stats(), delayed.stats()] {
-        assert_eq!(stats.merged().queries, 1);
-        assert!(stats.to_json().starts_with("{\"session\":"));
+        let stats = stats.expect("a query ran");
+        assert_eq!((stats.queries, stats.base_loads), (1, 1));
+        assert!(stats.to_json().starts_with("{\"queries\":1,"));
     }
 }
