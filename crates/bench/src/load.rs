@@ -22,14 +22,12 @@
 //! - `server.load.http` — the same query through the HTTP/1.1 gateway
 //!   (`POST /v1/query` over one keep-alive connection).
 //!
-//! When the sibling `revkb-server` binary is missing (e.g. `cargo run
-//! -p revkb-bench` without building the server crate's binaries) the
-//! load generator falls back to an in-process event loop and says so
-//! in the `transport` extra; connection counts are then halved so the
-//! shared fd budget still fits.
+//! The sibling `revkb-server` binary must exist (`cargo build
+//! --release -p revkb-server`): without it the load phase panics with
+//! that command rather than measure something else.
 
 use crate::suite::{BenchResult, SuiteConfig};
-use revkb_server::{Json, Server, ServerConfig};
+use revkb_server::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -96,17 +94,10 @@ impl LoadConfig {
     }
 }
 
-/// The server under load: a spawned `revkb-server` process when the
-/// binary is reachable, an in-process event loop otherwise.
-enum Target {
-    Child(std::process::Child),
-    InProcess(std::thread::JoinHandle<()>),
-}
-
+/// The server under load: a spawned `revkb-server` process.
 struct UnderTest {
     addr: SocketAddr,
-    target: Target,
-    transport: &'static str,
+    child: std::process::Child,
 }
 
 /// Look for the `revkb-server` binary next to the running executable
@@ -123,27 +114,19 @@ fn sibling_server_binary() -> Option<std::path::PathBuf> {
     None
 }
 
+/// Spawn the sibling `revkb-server`; panic, naming the build
+/// command, when it is missing or will not start.
 fn start_server() -> UnderTest {
-    if let Some(path) = sibling_server_binary() {
-        match spawn_child(&path) {
-            Ok(under_test) => return under_test,
-            Err(e) => eprintln!(
-                "revkb-bench: cannot spawn {} ({e}); falling back to in-process server",
-                path.display()
-            ),
-        }
-    }
-    let server = Server::new(ServerConfig::default());
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let thread = std::thread::spawn(move || {
-        let _ = server.serve_event_loop(listener);
+    const BUILD: &str = "build it with `cargo build --release -p revkb-server`";
+    let path = sibling_server_binary().unwrap_or_else(|| {
+        panic!("revkb-bench: the load phase needs a revkb-server binary beside this one; {BUILD}")
     });
-    UnderTest {
-        addr,
-        target: Target::InProcess(thread),
-        transport: "in_process",
-    }
+    spawn_child(&path).unwrap_or_else(|e| {
+        panic!(
+            "revkb-bench: cannot spawn {} ({e}); {BUILD}",
+            path.display()
+        )
+    })
 }
 
 fn spawn_child(path: &std::path::Path) -> std::io::Result<UnderTest> {
@@ -167,11 +150,7 @@ fn spawn_child(path: &std::path::Path) -> std::io::Result<UnderTest> {
                 format!("unexpected server banner {banner:?}"),
             )
         })?;
-    Ok(UnderTest {
-        addr,
-        target: Target::Child(child),
-        transport: "child_process",
-    })
+    Ok(UnderTest { addr, child })
 }
 
 impl UnderTest {
@@ -181,34 +160,27 @@ impl UnderTest {
         stream
     }
 
-    fn stop(self) {
+    fn stop(mut self) {
         let mut conn = self.connect();
         conn.set_read_timeout(Some(Duration::from_secs(10))).ok();
         let _ = conn.write_all(b"{\"cmd\":\"shutdown\"}\n");
         let mut sink = String::new();
         let _ = BufReader::new(&conn).read_line(&mut sink);
-        match self.target {
-            Target::Child(mut child) => {
-                // The event loop drains and exits after `shutdown`;
-                // reap rather than kill so the exit is the graceful
-                // path, with a deadline in case it wedges.
-                let deadline = Instant::now() + Duration::from_secs(10);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(20))
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
+        // The event loop drains and exits after `shutdown`; reap
+        // rather than kill so the exit is the graceful path, with a
+        // deadline in case it wedges.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20))
                 }
-            }
-            Target::InProcess(thread) => {
-                let _ = thread.join();
+                _ => {
+                    let _ = self.child.kill();
+                    let _ = self.child.wait();
+                    break;
+                }
             }
         }
     }
@@ -523,8 +495,8 @@ fn read_http_response(reader: &mut BufReader<TcpStream>) -> String {
     String::from_utf8(body).expect("utf-8 body")
 }
 
-/// Run the whole load-generation phase: spawn (or embed) the server,
-/// hold `connections` sockets open, drive the open-loop schedule, and
+/// Run the whole load-generation phase: spawn the server, hold
+/// `connections` sockets open, drive the open-loop schedule, and
 /// measure pipelining and the HTTP gateway on the side.
 pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     let load_cfg = LoadConfig::from_env();
@@ -532,13 +504,6 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     // high; on default GitHub runners it lifts the 1024 soft limit.
     let limit = revkb_server::event_loop::raise_nofile(u64::MAX);
     let under_test = start_server();
-    let mut want = load_cfg.connections;
-    if under_test.transport == "in_process" {
-        // One process holds both ends: half the fd budget each, with
-        // headroom for the workspace's other open files.
-        let budget = (limit.saturating_sub(256) / 2) as usize;
-        want = want.min(budget);
-    }
 
     // The workload KB: compiled once, queried by every phase.
     let mut setup = under_test.connect();
@@ -548,7 +513,7 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         .expect("load write");
     assert_ok(&read_response_line(&mut setup, &mut scratch), "kb load");
 
-    let idle = open_idle_connections(&under_test, want);
+    let idle = open_idle_connections(&under_test, load_cfg.connections);
     let (latencies, sent_count, errors, achieved_qps) = open_loop(&under_test, &load_cfg);
     let open_connections = idle.len() + LOAD_WRITERS + 1;
 
@@ -568,7 +533,6 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
             ("errors", Json::Num(errors as f64)),
             ("p95", Json::Num(percentile(&latencies, 95.0))),
             ("p99", Json::Num(percentile(&latencies, 99.0))),
-            ("transport", Json::str(under_test.transport)),
             ("nofile_limit", Json::Num(limit as f64)),
         ],
     };
@@ -586,7 +550,7 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     // smoke parses `connections=` out of this.
     println!(
         "open-loop: connections={} target_qps={} achieved_qps={:.0} p50_us={:.0} \
-         p95_us={:.0} p99_us={:.0} responses={} errors={} transport={}",
+         p95_us={:.0} p99_us={:.0} responses={} errors={}",
         open_connections,
         load_cfg.qps,
         achieved_qps,
@@ -595,7 +559,6 @@ pub fn load_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
         percentile(&latencies, 99.0),
         latencies.len(),
         errors,
-        under_test.transport,
     );
 
     drop(idle);

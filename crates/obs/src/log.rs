@@ -7,8 +7,7 @@
 //! and the human-readable message. Three sinks, decoupled:
 //!
 //! * **stderr** gets the message text verbatim (so existing operator
-//!   greps and the smoke script's banner parsing keep working
-//!   byte-for-byte at the default level);
+//!   greps keep working byte-for-byte at the default level);
 //! * the **ring** keeps the last [`LOG_RING_CAPACITY`] records for
 //!   `/debug/logs.json`;
 //! * the optional **file** ([`set_log_file`], `--log-file`) receives

@@ -89,22 +89,6 @@ impl Observation {
     }
 }
 
-/// Sample every counter and gauge currently registered with the
-/// telemetry registry (the default source for obs-only consumers; the
-/// server supplies a richer source that also covers its always-on
-/// counters, which live outside the registry).
-pub fn obs_source() -> Vec<Observation> {
-    let snap = crate::snapshot();
-    let mut out = Vec::with_capacity(snap.counters.len() + snap.gauges.len());
-    for (name, value) in snap.counters {
-        out.push(Observation::counter(name, value));
-    }
-    for (name, value) in snap.gauges {
-        out.push(Observation::gauge(name, value));
-    }
-    out
-}
-
 #[derive(Debug)]
 struct Ring {
     kind: SeriesKind,
@@ -540,23 +524,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(sampler.series().len(), 0);
-    }
-
-    #[test]
-    fn obs_source_mirrors_registered_instruments() {
-        static TS_C: crate::Counter = crate::Counter::new("timeseries.test.counter");
-        let _g = crate::testutil::lock();
-        crate::set_mode(crate::TraceMode::Summary);
-        crate::reset();
-        TS_C.add(3);
-        let observations = obs_source();
-        crate::set_mode(crate::TraceMode::Off);
-        let found = observations
-            .iter()
-            .find(|o| o.name == "timeseries.test.counter")
-            .expect("registered counter sampled");
-        assert_eq!(found.kind, SeriesKind::Counter);
-        assert_eq!(found.value, 3);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   `ServerConfig::threads` workers (the same permit gate and
 //!   deadlines apply);
 //! - control-plane commands (`ping`, `hello`, `stats`, `shutdown`)
-//!   and metrics GETs run on one dedicated control worker, so a
-//!   `stats` that locks every KB can never stall readiness polling;
+//!   and every HTTP request outside `/v1` (the metrics and debug
+//!   routes) run on one dedicated control worker, so a `stats` or a
+//!   scrape that locks every KB can never stall readiness polling;
 //! - workers push completed responses onto a shared completion list
 //!   and wake the loop through a self-pipe; the loop copies each
 //!   response into its connection's write buffer.
@@ -84,7 +85,8 @@ impl Server {
     /// Serve the data plane on `listener` with the epoll event loop
     /// until a `shutdown` command arrives: NDJSON lines answered
     /// exactly as [`Server::handle_line`] answers them, plus the
-    /// HTTP/JSON gateway (`POST /v1`, metrics GETs) on the same port.
+    /// HTTP/JSON gateway (`POST /v1`, the metrics and debug GETs) on
+    /// the same port.
     /// Linux only: elsewhere this returns
     /// [`io::ErrorKind::Unsupported`] at once.
     pub fn serve_event_loop(&self, listener: TcpListener) -> io::Result<()> {
@@ -287,9 +289,11 @@ mod linux {
         /// A control-plane command (`ping`, `hello`, `stats`,
         /// `shutdown`, or a rejected `replicate`).
         Request(Job),
-        /// A metrics-plane GET from the HTTP gateway.
-        MetricsGet {
+        /// An HTTP request outside `/v1`: a metrics or debug route
+        /// when `get`, else 405 on a known route and 404 on any other.
+        Metrics {
             token: u64,
+            get: bool,
             path: String,
             query: String,
             keep_alive: bool,
@@ -451,13 +455,17 @@ mod linux {
                         render_reply(&job.reply, &response),
                     );
                 }
-                ControlJob::MetricsGet {
+                ControlJob::Metrics {
                     token,
+                    get,
                     path,
                     query,
                     keep_alive,
                 } => {
-                    let response = server.metrics_route(&path, &query);
+                    let mut response = server.metrics_route(&path, &query);
+                    if !get && response.status != 404 {
+                        response = http::Response::text(405, "use GET for this endpoint\n");
+                    }
                     push_completion(
                         &completions,
                         &wake,
@@ -798,8 +806,11 @@ mod linux {
     }
 
     /// Route one parsed HTTP request: gateway POSTs run the protocol
-    /// pipeline; metrics GETs go to the control worker; everything
-    /// else is 404/405.
+    /// pipeline; any other method on `/v1` is 405; every other
+    /// request goes to the control worker, where
+    /// `Server::metrics_route` owns the route table (404 for an
+    /// unknown path, 405 for a known one asked with a method other
+    /// than GET).
     fn route_http(ctx: &Ctx, conn: &mut Conn, hreq: http::HttpRequest) {
         let keep = hreq.keep_alive;
         let started = Instant::now();
@@ -895,34 +906,20 @@ mod linux {
                     }
                 },
             }
-        } else if hreq.method == "GET"
-            && matches!(
-                hreq.path.as_str(),
-                "/metrics"
-                    | "/stats.json"
-                    | "/series.json"
-                    | "/healthz"
-                    | "/readyz"
-                    | "/debug/trace.json"
-                    | "/debug/logs.json"
-                    | "/debug/requests.json"
-            )
-        {
-            conn.pending += 1;
-            conn.http_busy = true;
-            let _ = ctx.ctl_tx.send(ControlJob::MetricsGet {
-                token: conn.token,
-                path: hreq.path,
-                query: hreq.query,
-                keep_alive: keep,
-            });
         } else if hreq.path == "/v1" || hreq.path.starts_with("/v1/") {
             let response = http::Response::text(405, "use POST for /v1 endpoints\n");
             conn.write_buf
                 .extend_from_slice(&response.to_bytes_with(keep));
         } else {
-            conn.write_buf
-                .extend_from_slice(&http::Response::not_found(&hreq.path).to_bytes_with(keep));
+            conn.pending += 1;
+            conn.http_busy = true;
+            let _ = ctx.ctl_tx.send(ControlJob::Metrics {
+                token: conn.token,
+                get: hreq.method == "GET",
+                path: hreq.path,
+                query: hreq.query,
+                keep_alive: keep,
+            });
         }
         if !keep {
             conn.closing = true;

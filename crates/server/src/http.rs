@@ -1,18 +1,14 @@
 //! The repo's one hand-rolled, zero-dependency HTTP/1.1
 //! implementation, plus the Prometheus text-exposition renderer.
 //!
-//! Two consumers share this layer:
+//! Its one consumer is the **event-loop HTTP/JSON gateway** on the
+//! data socket: `POST /v1` runs protocol commands (keep-alive, request
+//! bodies via `Content-Length` or chunked transfer coding), and every
+//! other `GET` is a metrics or debug route answered by
+//! `Server::metrics_route` on the loop's control worker, so a scrape
+//! never waits behind a revision.
 //!
-//! - the **metrics sidecar** behind `revkb-server --metrics-addr`
-//!   (deliberately out of band from the data plane: GET-only,
-//!   unauthenticated, answers from in-memory state, closes the
-//!   connection after one response — a stuck scraper can never wedge
-//!   a revision), and
-//! - the **event-loop HTTP/JSON gateway** on the data port
-//!   (`POST /v1`, keep-alive, request bodies via `Content-Length` or
-//!   chunked transfer coding).
-//!
-//! [`HttpParser`] is the shared incremental parser: feed it bytes as
+//! [`HttpParser`] is the incremental parser: feed it bytes as
 //! they arrive, take complete [`HttpRequest`]s out. Limits are fixed:
 //! 8 KiB of head, 1 MiB of body; beyond them the parser fails the
 //! connection with a ready-to-send error [`Response`].
@@ -22,14 +18,6 @@
 //! (`\\`, `\"`, `\n`), histograms as cumulative `le` buckets derived
 //! from the workspace's log₂ buckets (bucket *b* ≥ 1 covers
 //! `[2^(b-1), 2^b)`, so its inclusive upper bound is `2^b − 1`).
-
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
-
-/// Environment variable giving the metrics listener address
-/// (equivalent to `--metrics-addr HOST:PORT`).
-pub const METRICS_ADDR_ENV: &str = "REVKB_SERVER_METRICS_ADDR";
 
 /// Content type of `/metrics` responses.
 pub const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -47,9 +35,9 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One HTTP response, ready to serialise. [`Response::to_bytes`]
-/// closes the connection (`Connection: close`, the sidecar's
-/// one-shot semantics); [`Response::to_bytes_with`] lets the gateway
-/// keep the connection alive.
+/// closes the connection (`Connection: close`, for a request the
+/// parser refused); [`Response::to_bytes_with`] follows the request's
+/// keep-alive choice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code (200, 404, 405, 503, …).
@@ -90,11 +78,6 @@ impl Response {
         }
     }
 
-    /// A `405 Method Not Allowed` — this listener is GET-only.
-    pub fn method_not_allowed() -> Self {
-        Response::text(405, "metrics listener is GET-only\n")
-    }
-
     /// A `400 Bad Request` for an unparseable request line.
     pub fn bad_request() -> Self {
         Response::text(400, "malformed HTTP request\n")
@@ -110,8 +93,7 @@ impl Response {
         Response::text(413, "request body too large\n")
     }
 
-    /// The full wire form with `Connection: close` (the sidecar's
-    /// one-response-per-connection semantics).
+    /// The full wire form with `Connection: close`.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_with(false)
     }
@@ -350,79 +332,6 @@ fn decode_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, Response> {
         body.extend_from_slice(&buf[at..at + size]);
         at += size + 2;
     }
-}
-
-/// Serve HTTP on `listener` until `stop` returns true: accept
-/// nonblocking, one thread per connection (scrapes are cheap, but a
-/// slow reader must not block the next one), every thread joined on
-/// the way out. Mirrors the data plane's accept loop so shutdown
-/// semantics match.
-pub fn serve<S, H>(listener: TcpListener, stop: S, handler: H) -> io::Result<()>
-where
-    S: Fn() -> bool + Clone + Send + Sync + 'static,
-    H: Fn(&HttpRequest) -> Response + Clone + Send + Sync + 'static,
-{
-    listener.set_nonblocking(true)?;
-    let mut handles = Vec::new();
-    while !stop() {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let stop = stop.clone();
-                let handler = handler.clone();
-                handles.push(std::thread::spawn(move || {
-                    serve_conn(stream, &stop, &handler);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    Ok(())
-}
-
-/// One connection: read one full request (2 s budget, [`HttpParser`]
-/// limits), route, answer, close. One response per connection — the
-/// sidecar never keeps a scraper attached.
-fn serve_conn(
-    mut stream: TcpStream,
-    stop: &dyn Fn() -> bool,
-    handler: &dyn Fn(&HttpRequest) -> Response,
-) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut parser = HttpParser::new();
-    let mut chunk = [0u8; 1024];
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let response = loop {
-        match parser.take() {
-            Ok(Some(request)) => break handler(&request),
-            Ok(None) => {}
-            Err(error) => break error,
-        }
-        if stop() || Instant::now() > deadline {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => return,
-        }
-    };
-    let _ = stream.write_all(&response.to_bytes());
-    let _ = stream.flush();
 }
 
 // ------------------------------------------------------- exposition

@@ -27,8 +27,7 @@ const USAGE: &str = "usage: revkb-server (--stdio | --listen ADDR) \
                          [--compile-timeout-ms N] [--cache-cap N] \
                          [--slow-ms N] [--data-dir DIR] \
                          [--wal-sync always|batch|off] [--snapshot-every N] \
-                         [--replica-of HOST:PORT] [--metrics-addr HOST:PORT] \
-                         [--log-file PATH]";
+                         [--replica-of HOST:PORT] [--log-file PATH]";
 
 /// Where the data plane is served.
 enum Transport {
@@ -81,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<Launch, String> {
             ),
             "--snapshot-every" => config.with_snapshot_every(number(flag, value()?)?),
             "--replica-of" => config.with_replica_of(Some(value()?)),
-            "--metrics-addr" => config.with_metrics_addr(Some(value()?)),
             "--log-file" => {
                 log_file = Some(PathBuf::from(value()?));
                 config
@@ -98,8 +96,8 @@ fn parse_args(args: &[String]) -> Result<Launch, String> {
 }
 
 /// Parse `args` (the flags in `USAGE`, without the program name),
-/// boot the server — WAL recovery, replication, the metrics sidecar —
-/// and serve the chosen transport until `shutdown` or EOF.
+/// boot the server — WAL recovery, replication — and serve the chosen
+/// transport until `shutdown` or EOF.
 pub fn run(args: &[String]) -> ExitCode {
     let Launch {
         transport,
@@ -149,17 +147,6 @@ pub fn run(args: &[String]) -> ExitCode {
             )
         });
     }
-    // The metrics plane is a sidecar listener: it must not collide
-    // with the stdio data plane, so the banner goes to stderr.
-    let metrics = match server.start_metrics_listener() {
-        Ok(handle) => handle,
-        Err(e) => return fail("http", format!("cannot bind metrics listener: {e}")),
-    };
-    if let Some((addr, _)) = &metrics {
-        obs::info("http", None, || {
-            format!("revkb-server: metrics listening {addr}")
-        });
-    }
     let outcome = match transport {
         Transport::Stdio => {
             let stdin = io::stdin();
@@ -169,10 +156,14 @@ pub fn run(args: &[String]) -> ExitCode {
         Transport::Listen(addr) => match TcpListener::bind(&addr) {
             Ok(listener) => {
                 // Announce the bound address (the OS picks the port
-                // for ":0" binds) so scripts can connect.
+                // for ":0" binds) so scripts can connect, and journal
+                // it: the one lifecycle record a quiet server logs.
                 if let Ok(local) = listener.local_addr() {
                     println!("listening {local}");
                     let _ = io::stdout().flush();
+                    obs::info("server", None, || {
+                        format!("revkb-server: listening {local}")
+                    });
                 }
                 server.serve_event_loop(listener)
             }
@@ -180,13 +171,9 @@ pub fn run(args: &[String]) -> ExitCode {
         },
     };
     // A stdio session can end at EOF without a `shutdown` command;
-    // make sure the apply loop and the metrics listener drain either
-    // way.
+    // make sure the apply loop drains either way.
     server.begin_shutdown();
     if let Some(handle) = replication {
-        let _ = handle.join();
-    }
-    if let Some((_, handle)) = metrics {
         let _ = handle.join();
     }
     write_trace_if_requested();
@@ -246,8 +233,6 @@ mod tests {
             "off",
             "--replica-of",
             "h:1",
-            "--metrics-addr",
-            "127.0.0.1:0",
             "--log-file",
             "l.ndjson",
         ])
@@ -257,7 +242,6 @@ mod tests {
         assert_eq!(launch.config.data_dir, Some(PathBuf::from("d")));
         assert_eq!(launch.config.wal_sync, SyncMode::Off);
         assert_eq!(launch.config.replica_of.as_deref(), Some("h:1"));
-        assert_eq!(launch.config.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(launch.log_file, Some(PathBuf::from("l.ndjson")));
     }
 

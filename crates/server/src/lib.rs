@@ -32,11 +32,12 @@
 //!   record splitter that reassembles shipped frames, reconnect
 //!   backoff, and the replica's durable-offset state machine;
 //! - [`http`]: the repo's one hand-rolled, zero-dependency HTTP/1.1
-//!   layer — request parsing (bodies, keep-alive, chunked encoding)
-//!   and response serialisation shared by the sidecar metrics plane
-//!   behind `--metrics-addr` (Prometheus `/metrics`, JSON
-//!   `/stats.json` / `/series.json`, probes `/healthz` / `/readyz`)
-//!   and the event loop's JSON gateway;
+//!   layer — request parsing (bodies, keep-alive, chunked encoding),
+//!   response serialisation and the Prometheus renderer — behind the
+//!   event loop's gateway, which serves `POST /v1` and every metrics
+//!   and debug GET (Prometheus `/metrics`, JSON `/stats.json` /
+//!   `/series.json`, probes `/healthz` / `/readyz`, `/debug/*`) on the
+//!   data socket;
 //! - [`event_loop`]: the epoll-based non-blocking front end — one
 //!   readiness thread multiplexing thousands of pipelined line- or
 //!   HTTP-protocol connections onto the existing worker/admission
@@ -61,7 +62,6 @@ pub mod replica;
 pub mod server;
 pub mod wal;
 
-pub use http::METRICS_ADDR_ENV;
 pub use protocol::{Command, OpName, Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{cache_key, parse_canonical, Artifact, ArtifactCache, KbKind, KbState};
 pub use replica::ReplStatus;

@@ -26,7 +26,6 @@
 //! returned by `stats`. The counters and their reports live in the
 //! child module `metrics`.
 
-use crate::http;
 use crate::protocol::{
     codes, parse_request, Command, OpName, Request, RequestError, Response, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
@@ -151,10 +150,6 @@ pub struct ServerConfig {
     /// handlers recovery uses, serves `query`/`query_batch`/`stats`,
     /// and rejects writes with the stable `read_only` code.
     pub replica_of: Option<String>,
-    /// `HOST:PORT` for the sidecar metrics listener (`/metrics`,
-    /// `/stats.json`, `/series.json`, `/healthz`, `/readyz`). `None`
-    /// (the default) serves no metrics plane.
-    pub metrics_addr: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -172,7 +167,6 @@ impl Default for ServerConfig {
             wal_sync: SyncMode::Always,
             snapshot_every: crate::wal::DEFAULT_SNAPSHOT_EVERY,
             replica_of: None,
-            metrics_addr: None,
         }
     }
 }
@@ -223,11 +217,6 @@ impl ServerConfig {
         if let Ok(primary) = std::env::var(REPLICA_OF_ENV) {
             if !primary.trim().is_empty() {
                 config.replica_of = Some(primary.trim().to_string());
-            }
-        }
-        if let Ok(addr) = std::env::var(http::METRICS_ADDR_ENV) {
-            if !addr.trim().is_empty() {
-                config.metrics_addr = Some(addr.trim().to_string());
             }
         }
         config
@@ -303,12 +292,6 @@ impl ServerConfig {
     /// becomes a read-only replica.
     pub fn with_replica_of(mut self, primary: Option<String>) -> Self {
         self.replica_of = primary;
-        self
-    }
-
-    /// Set (or clear) the sidecar metrics listener address.
-    pub fn with_metrics_addr(mut self, addr: Option<String>) -> Self {
-        self.metrics_addr = addr;
         self
     }
 }

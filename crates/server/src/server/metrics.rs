@@ -9,8 +9,9 @@
 //! on `REVKB_TRACE`. This module renders those counts as the `stats`
 //! payload (also `/stats.json`), the Prometheus page behind `/metrics`,
 //! the sampler's time series (`/series.json`), the readiness verdict,
-//! and the sidecar listener that serves them. Reading never moves a
-//! count.
+//! and [`Server::metrics_route`], the one table of GET routes that the
+//! event loop's HTTP gateway serves on the data socket. Reading never
+//! moves a count.
 //!
 //! The one process-global part of `/metrics` is the workspace `obs`
 //! registry (solver, Tseitin, BDD, session counters and the server's
@@ -24,8 +25,6 @@ use crate::registry::KbProfile;
 use crate::replica::epoch_millis;
 use revkb_obs as obs;
 use revkb_obs::Json;
-use std::io;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -927,10 +926,11 @@ impl Server {
         (ready, body)
     }
 
-    /// Route one metrics-plane path to its response; `query` is the
-    /// raw query string (without the `?`), used by the `/debug/*`
-    /// routes for filtering. Public so tests can exercise the
-    /// endpoints without a live listener.
+    /// Answer one `GET` outside `/v1`: the route table of the
+    /// gateway's metrics and debug endpoints, with 404 for any other
+    /// path. `query` is the raw query string (without the `?`), used
+    /// by the `/debug/*` routes for filtering. Public so tests can
+    /// exercise the endpoints without a live socket.
     pub fn metrics_route(&self, path: &str, query: &str) -> http::Response {
         fn json_body(json: Json) -> String {
             let mut body = json.render();
@@ -1040,42 +1040,6 @@ impl Server {
             }
             other => http::Response::not_found(other),
         }
-    }
-
-    /// Bind and serve the sidecar metrics listener configured by
-    /// `--metrics-addr` / `REVKB_SERVER_METRICS_ADDR` on a background
-    /// thread until shutdown. `Ok(None)` when no address is
-    /// configured; otherwise the bound address (so `:0` resolves to a
-    /// real port) and the serving thread's handle, which the caller
-    /// joins after `begin_shutdown`.
-    pub fn start_metrics_listener(
-        &self,
-    ) -> io::Result<Option<(SocketAddr, std::thread::JoinHandle<()>)>> {
-        let Some(addr) = self.inner.config.metrics_addr.clone() else {
-            return Ok(None);
-        };
-        let listener = TcpListener::bind(&addr)?;
-        let local = listener.local_addr()?;
-        let stopper = self.clone();
-        let router = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("revkb-metrics".to_string())
-            .spawn(move || {
-                let stop = move || stopper.is_shutting_down();
-                let handler = move |request: &http::HttpRequest| {
-                    if request.method != "GET" {
-                        return http::Response::method_not_allowed();
-                    }
-                    router.metrics_route(&request.path, &request.query)
-                };
-                if let Err(e) = http::serve(listener, stop, handler) {
-                    obs::error("http", None, || {
-                        format!("revkb-server: metrics listener failed: {e}")
-                    });
-                }
-            })
-            .expect("spawn metrics thread");
-        Ok(Some((local, handle)))
     }
 }
 

@@ -16,17 +16,17 @@
 #      the primary (which restarts from its own log on the same port),
 #      reconnects, catches up, and applies replicated revises warm
 #      (artifact-cache hits on the replica);
-#   6. a metrics round: a `--metrics-addr` sidecar listener is scraped
+#   6. a metrics round: the data address is scraped over HTTP
 #      (Prometheus /metrics with per-KB labels, /healthz, /readyz)
-#      while the data plane keeps serving the same TCP session;
+#      while an NDJSON session on the same port keeps being served;
 #   7. an event-loop round: the HTTP/1.1 gateway answers the data
 #      plane (POST /v1, POST /v1/<cmd>, GET /metrics on the data
 #      port, 404/405 for bad routes) on the same listener as a
 #      pipelined NDJSON burst, then `revkb-bench --load-only` holds
 #      >= 1000 concurrent connections against a 4-thread server;
-#   8. a diagnostics round: with `REVKB_TRACE` unset, a
-#      `--metrics-addr --log-file` server echoes client trace ids,
-#      serves all three /debug routes (flight-recorder Chrome trace,
+#   8. a diagnostics round: with `REVKB_TRACE` unset, a `--log-file`
+#      server echoes client trace ids, serves all three /debug routes
+#      on its data address (flight-recorder Chrome trace,
 #      NDJSON log tail, slow/in-flight requests), and is SIGKILLed
 #      mid-load — the surviving log file must be a parseable NDJSON
 #      prefix and the fetched trace a valid Chrome trace.
@@ -305,28 +305,19 @@ print(f"replication ok: offset {repl['offset']}, "
       f"{repl['sessions']} session(s), replica cache hits "
       f"{rstats['cache']['hits']}")
 
-# -- 6. metrics plane: scrape the sidecar listener while the data
-#       plane keeps answering on its own port.
+# -- 6. metrics plane: scrape the data address over HTTP while an
+#       NDJSON session on the same port keeps being answered.
 proc = subprocess.Popen(
-    [BIN, "--listen", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0"],
+    [BIN, "--listen", "127.0.0.1:0"],
     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-# The metrics banner goes to stderr (stdout belongs to the data
-# plane); the data banner stays on stdout.
-maddr = None
-for _ in range(20):
-    line = proc.stderr.readline().strip()
-    if "metrics listening " in line:
-        maddr = line.rsplit(" ", 1)[1]
-        break
-assert maddr, "no metrics banner on stderr"
 banner = proc.stdout.readline().strip()
 assert banner.startswith("listening "), banner
 host, port = banner.split()[1].rsplit(":", 1)
-mhost, mport = maddr.rsplit(":", 1)
 
 def scrape(path):
-    with socket.create_connection((mhost, int(mport)), timeout=30) as s:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: {maddr}\r\n"
+    """One GET on the data address of the current phase's server."""
+    with socket.create_connection((host, int(port)), timeout=30) as s:
+        s.sendall(f"GET {path} HTTP/1.1\r\nHost: smoke\r\n"
                   "Connection: close\r\n\r\n".encode())
         raw = b""
         while chunk := s.recv(65536):
@@ -359,7 +350,7 @@ sock.close()
 if proc.wait(timeout=30) != 0:
     sys.exit(f"metrics server exited with {proc.returncode}: "
              f"{proc.stderr.read()}")
-print(f"metrics plane ok: scraped {maddr} under live traffic")
+print(f"metrics plane ok: scraped {host}:{port} under live traffic")
 
 # -- 7a. HTTP gateway on the event-loop listener: the data plane over
 #        POST /v1 routes, GET metrics on the same port, and a
@@ -431,31 +422,12 @@ diag_env = dict(os.environ)
 diag_env.pop("REVKB_TRACE", None)   # the flight recorder needs no mode
 diag_env["REVKB_LOG"] = "debug"
 proc = subprocess.Popen(
-    [BIN, "--listen", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0",
-     "--log-file", log_file],
+    [BIN, "--listen", "127.0.0.1:0", "--log-file", log_file],
     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     env=diag_env)
-maddr = None
-for _ in range(20):
-    line = proc.stderr.readline().strip()
-    if "metrics listening " in line:
-        maddr = line.rsplit(" ", 1)[1]
-        break
-assert maddr, "no metrics banner on stderr"
 banner = proc.stdout.readline().strip()
 assert banner.startswith("listening "), banner
 host, port = banner.split()[1].rsplit(":", 1)
-mhost, mport = maddr.rsplit(":", 1)
-
-def diag_get(path):
-    with socket.create_connection((mhost, int(mport)), timeout=30) as s:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: {maddr}\r\n"
-                  "Connection: close\r\n\r\n".encode())
-        raw = b""
-        while chunk := s.recv(65536):
-            raw += chunk
-    head, _, body = raw.decode().partition("\r\n\r\n")
-    return int(head.split()[1]), body
 
 sock, call = session(host, int(port))
 ok(call({"cmd": "load", "kb": "diag", "t": THEORY}), "diag load")
@@ -466,7 +438,7 @@ assert resp["trace"] == "000000000000beef", resp
 for i in range(10):
     ok(call({"cmd": "query", "kb": "diag", "q": "a"}), f"diag query {i}")
 
-status, body = diag_get("/debug/trace.json")
+status, body = scrape("/debug/trace.json")
 assert status == 200, (status, body)
 trace_doc = json.loads(body)
 events = trace_doc["traceEvents"]
@@ -474,14 +446,14 @@ assert any(e["name"] == "server.request" for e in events), events[:3]
 assert any(e.get("args", {}).get("trace") == 0xBEEF for e in events), \
     "client trace id missing from the flight recorder"
 
-status, body = diag_get("/debug/logs.json")
+status, body = scrape("/debug/logs.json")
 assert status == 200, (status, body)
 logs_doc = json.loads(body)
 assert logs_doc["count"] == len(logs_doc["logs"]), logs_doc["count"]
 for line in logs_doc["logs"]:
     assert "level" in line and "msg" in line, line
 
-status, body = diag_get("/debug/requests.json")
+status, body = scrape("/debug/requests.json")
 assert status == 200, (status, body)
 req_doc = json.loads(body)
 assert "slow_log" in req_doc and "in_flight" in req_doc, req_doc

@@ -53,7 +53,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   (--stdio | --listen ADDR) [every other revkb-server flag]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\noperators: winslett borgida forbus satoh dalal weber"
+    "usage:\n  revkb-cli revise  --op <operator> -t <formula> -p <formula> [--models]\n  revkb-cli compile --op <operator> -t <formula> -p <formula> -q <query>\n  revkb-cli compile-seq --op <operator> -t <formula> --ps <p1 ; p2 ; …> -q <query>\n  revkb-cli worlds  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli widtio  -t <f1 ; f2 ; …> -p <formula>\n  revkb-cli check   --op <operator> -t <formula> -p <formula> -m <letters,comma,separated>\n  revkb-cli postulates --op <operator> [--cases <n>]\n  revkb-cli advise  --op <operator|gfuv|widtio> [--bounded] [--new-letters] [--iterated]\n  revkb-cli serve   (--stdio | --listen ADDR) [every other revkb-server flag]\n  revkb-cli top     ADDR [--interval-ms N] [--iterations N] [--no-clear]\n  revkb-cli trace   ADDR TRACE_ID\n\ntop and trace read ADDR, a server's --listen address\n\noperators: winslett borgida forbus satoh dalal weber"
 }
 
 /// Parsed flag map: `--key value` and `-k value` pairs.
@@ -85,9 +85,9 @@ fn operator(name: &str) -> Result<ModelBasedOp, String> {
 
 /// `revkb-cli top ADDR`: a live terminal dashboard over a server's
 /// metrics plane. Polls `/stats.json` and `/series.json` on the
-/// sidecar listener (`revkb-server --metrics-addr HOST:PORT`) and
-/// renders request rates, latency percentiles, the cache hit rate,
-/// WAL throughput, and replication lag as unicode sparklines.
+/// server's data socket (its `--listen` address) and renders request
+/// rates, latency percentiles, the cache hit rate, WAL throughput,
+/// and replication lag as unicode sparklines.
 fn top(args: &[String]) -> ExitCode {
     match run_top(args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -126,7 +126,7 @@ fn run_top(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let addr = addr.ok_or("missing metrics ADDR (the server's --metrics-addr)")?;
+    let addr = addr.ok_or("missing ADDR (the server's --listen address)")?;
     let mut frame_no = 0u64;
     loop {
         let stats = http_get_json(&addr, "/stats.json")?;
@@ -148,7 +148,7 @@ fn run_top(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// One blocking HTTP/1.1 GET against the metrics sidecar, parsed as
+/// One blocking HTTP/1.1 GET against a server's data socket, parsed as
 /// JSON. Hand-rolled over `TcpStream` — the whole workspace builds
 /// offline, so no HTTP client crate.
 fn http_get_json(addr: &str, path: &str) -> Result<revkb::server::Json, String> {
@@ -178,7 +178,7 @@ fn http_get_json(addr: &str, path: &str) -> Result<revkb::server::Json, String> 
 }
 
 /// `revkb-cli trace ADDR ID`: fetch the server's flight recorder
-/// (`/debug/trace.json` on the metrics listener) and print the span
+/// (`/debug/trace.json` on the `--listen` address) and print the span
 /// tree recorded for one trace id — no restart, no `REVKB_TRACE`.
 fn trace_cmd(args: &[String]) -> ExitCode {
     match run_trace(args) {
@@ -196,7 +196,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
 
 fn run_trace(args: &[String]) -> Result<String, String> {
     let [addr, id] = args else {
-        return Err("expected the metrics ADDR and a trace id".to_string());
+        return Err("expected the server's --listen ADDR and a trace id".to_string());
     };
     let want = revkb::obs::parse_trace_id(id).ok_or_else(|| format!("bad trace id {id:?}"))?;
     let doc = http_get_json(addr, "/debug/trace.json")?;

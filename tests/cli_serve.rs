@@ -1,13 +1,12 @@
 //! `revkb-cli serve` is `revkb-server` under another name: the same
-//! launcher, so the durable store, the metrics sidecar and the event
-//! loop all come up from its flags, and a flag `revkb-server` refuses
-//! is refused here too.
+//! launcher, so the durable store and the event loop (with its
+//! metrics routes on the data socket) come up from its flags, and a
+//! flag `revkb-server` refuses is refused here too.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::process::{Child, ChildStderr, Command, Stdio};
-use std::thread::JoinHandle;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 const CLI: &str = env!("CARGO_BIN_EXE_revkb-cli");
@@ -17,7 +16,6 @@ fn serve(args: &[&str]) -> Command {
     command
         .arg("serve")
         .args(args)
-        .env("REVKB_LOG", "info")
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
@@ -37,22 +35,6 @@ fn data_addr(child: &mut Child) -> String {
         .to_string()
 }
 
-/// The sidecar address from the `metrics listening ADDR` log line on
-/// stderr; the rest of stderr is drained on a thread (joined once the
-/// child exits) so the child never blocks on a full pipe.
-fn metrics_addr(stderr: ChildStderr) -> (String, JoinHandle<()>) {
-    let mut lines = BufReader::new(stderr).lines();
-    let addr = lines
-        .by_ref()
-        .map(|line| line.expect("read stderr"))
-        .find_map(|line| {
-            line.split_once("metrics listening ")
-                .map(|(_, addr)| addr.trim().to_string())
-        })
-        .expect("metrics banner on stderr");
-    (addr, std::thread::spawn(move || lines.for_each(drop)))
-}
-
 fn call(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
     writeln!(stream, "{line}").expect("write request");
     let mut response = String::new();
@@ -70,7 +52,7 @@ fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
 }
 
 fn http_get_status(addr: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect metrics");
+    let mut stream = TcpStream::connect(addr).expect("connect data plane");
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
@@ -109,11 +91,10 @@ fn serve_durable(dir: &Path, extra: &[&str]) -> Child {
 fn cli_serve_runs_the_server_launcher() {
     let dir = data_dir();
 
-    // First boot: metrics sidecar, durable store, event loop.
-    let mut child = serve_durable(&dir, &["--metrics-addr", "127.0.0.1:0"]);
-    let (maddr, drain) = metrics_addr(child.stderr.take().expect("piped stderr"));
+    // First boot: durable store, event loop, metrics routes.
+    let mut child = serve_durable(&dir, &[]);
     let addr = data_addr(&mut child);
-    assert_eq!(http_get_status(&maddr, "/healthz"), "HTTP/1.1 200 OK");
+    assert_eq!(http_get_status(&addr, "/healthz"), "HTTP/1.1 200 OK");
 
     let (mut stream, mut reader) = connect(&addr);
     let mut ask = |line: &str| call(&mut stream, &mut reader, line);
@@ -126,7 +107,6 @@ fn cli_serve_runs_the_server_launcher() {
     assert!(ask(r#"{"cmd":"query","kb":"k","q":"a"}"#).contains(r#""entails":true"#));
     assert!(ask(r#"{"cmd":"query","kb":"k","q":"b"}"#).contains(r#""entails":false"#));
     shutdown_and_wait(child, &addr);
-    drain.join().expect("stderr drain");
 
     // Restart on the same directory: the KB comes back from the log.
     let mut child = serve_durable(&dir, &[]);
@@ -142,20 +122,29 @@ fn cli_serve_runs_the_server_launcher() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The removed front-end selector is an unknown argument, exactly as
-/// it is for `revkb-server`.
+/// The removed front-end selector and the removed metrics sidecar
+/// are unknown arguments, exactly as they are for `revkb-server`.
 #[test]
 fn cli_serve_refuses_the_removed_io_flag() {
-    let removed = concat!("--", "io");
-    let output = serve(&["--stdio", removed, "blocking"])
-        .output()
-        .expect("run revkb-cli serve");
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains(&format!("unknown argument {removed:?}")),
-        "{stderr}"
-    );
+    for (transport, removed, value) in [
+        (&["--stdio"][..], concat!("--", "io"), "blocking"),
+        (
+            &["--listen", "127.0.0.1:0"][..],
+            concat!("--", "metrics-addr"),
+            "127.0.0.1:0",
+        ),
+    ] {
+        let output = serve(transport)
+            .args([removed, value])
+            .output()
+            .expect("run revkb-cli serve");
+        assert!(!output.status.success(), "{removed} was accepted");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument {removed:?}")),
+            "{stderr}"
+        );
+    }
 }
 
 /// `revkb-cli trace` finds the spans of requests whose trace ids the
@@ -164,10 +153,9 @@ fn cli_serve_refuses_the_removed_io_flag() {
 #[test]
 fn cli_trace_finds_the_spans_of_server_minted_ids() {
     use revkb::server::Json;
-    let mut child = serve(&["--listen", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0"])
+    let mut child = serve(&["--listen", "127.0.0.1:0"])
         .spawn()
         .expect("spawn revkb-cli serve");
-    let (maddr, drain) = metrics_addr(child.stderr.take().expect("piped stderr"));
     let addr = data_addr(&mut child);
     let (mut stream, mut reader) = connect(&addr);
     call(
@@ -191,7 +179,7 @@ fn cli_trace_finds_the_spans_of_server_minted_ids() {
         .collect();
     for id in &minted {
         let output = Command::new(CLI)
-            .args(["trace", &maddr, id])
+            .args(["trace", &addr, id])
             .output()
             .expect("run revkb-cli trace");
         assert!(output.status.success());
@@ -200,5 +188,4 @@ fn cli_trace_finds_the_spans_of_server_minted_ids() {
     }
     drop((stream, reader));
     shutdown_and_wait(child, &addr);
-    drain.join().expect("stderr drain");
 }

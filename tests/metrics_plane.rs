@@ -1,13 +1,14 @@
-//! End-to-end contract of the sidecar metrics plane: a server started
-//! with `--metrics-addr` serves all five HTTP endpoints concurrently
-//! with data-plane traffic, the Prometheus page carries per-KB
-//! labelled families with cumulative histogram buckets, and readiness
-//! tracks replication health.
+//! End-to-end contract of the metrics plane: the event loop serves all
+//! five metrics HTTP endpoints on its data socket concurrently with
+//! data-plane traffic, the Prometheus page carries per-KB labelled
+//! families with cumulative histogram buckets, and readiness tracks
+//! replication health.
 
 use revkb::server::{Json, Server, ServerConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 fn call(server: &Server, line: &str) -> Json {
     let response = server.handle_line(line).expect("request line is not blank");
@@ -22,9 +23,9 @@ fn assert_ok(resp: &Json) {
     );
 }
 
-/// One HTTP/1.1 GET against the sidecar; returns (status, body).
+/// One HTTP/1.1 GET against the data socket; returns (status, body).
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics listener");
+    let mut stream = TcpStream::connect(addr).expect("connect to the data socket");
     let timeout = Some(Duration::from_secs(5));
     stream.set_read_timeout(timeout).unwrap();
     stream.set_write_timeout(timeout).unwrap();
@@ -46,23 +47,28 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body.to_string())
 }
 
-fn metrics_server() -> (Server, SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::new(
-        ServerConfig::default()
-            .with_queue(64)
-            .with_threads(2)
-            .with_metrics_addr(Some("127.0.0.1:0".to_string())),
-    );
-    let (addr, handle) = server
-        .start_metrics_listener()
-        .expect("bind metrics listener")
-        .expect("metrics addr configured");
+/// `config` served by the event loop on an ephemeral port.
+fn metrics_server(config: ServerConfig) -> (Server, SocketAddr, JoinHandle<io::Result<()>>) {
+    let server = Server::new(config);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let srv = server.clone();
+    let handle = std::thread::spawn(move || srv.serve_event_loop(listener));
     (server, addr, handle)
+}
+
+fn stop(server: &Server, handle: JoinHandle<io::Result<()>>) {
+    server.begin_shutdown();
+    handle
+        .join()
+        .expect("serve thread")
+        .expect("event loop exits cleanly");
 }
 
 #[test]
 fn metrics_plane_serves_all_endpoints_under_live_traffic() {
-    let (server, addr, handle) = metrics_server();
+    let (server, addr, handle) =
+        metrics_server(ServerConfig::default().with_queue(64).with_threads(2));
 
     // A live workload: two KBs, revisions across operators, queries.
     assert_ok(&call(
@@ -179,7 +185,11 @@ fn metrics_plane_serves_all_endpoints_under_live_traffic() {
     let (status, _) = http_get(addr, "/flagrantly-missing");
     assert_eq!(status, 404);
     let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "POST /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+    write!(
+        stream,
+        "POST /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut raw = String::new();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -188,30 +198,17 @@ fn metrics_plane_serves_all_endpoints_under_live_traffic() {
     assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
 
     churn.join().expect("churn thread");
-
-    // Shutdown stops the listener thread.
-    server.begin_shutdown();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !handle.is_finished() {
-        assert!(Instant::now() < deadline, "listener never exited");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    handle.join().expect("listener thread");
+    stop(&server, handle);
 }
 
 #[test]
 fn readyz_reflects_replica_divergence_over_http() {
-    let server = Server::new(
+    let (server, addr, handle) = metrics_server(
         ServerConfig::default()
             .with_queue(16)
             .with_threads(2)
-            .with_replica_of(Some("127.0.0.1:1".to_string()))
-            .with_metrics_addr(Some("127.0.0.1:0".to_string())),
+            .with_replica_of(Some("127.0.0.1:1".to_string())),
     );
-    let (addr, handle) = server
-        .start_metrics_listener()
-        .expect("bind metrics listener")
-        .expect("metrics addr configured");
 
     // Never connected: not ready, but alive.
     let (status, body) = http_get(addr, "/healthz");
@@ -234,11 +231,5 @@ fn readyz_reflects_replica_divergence_over_http() {
         "missing diverged gauge:\n{page}"
     );
 
-    server.begin_shutdown();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !handle.is_finished() {
-        assert!(Instant::now() < deadline, "listener never exited");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    handle.join().expect("listener thread");
+    stop(&server, handle);
 }

@@ -9,7 +9,7 @@
 
 use revkb::prelude::*;
 use revkb::server::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
@@ -197,8 +197,25 @@ fn four_clients_match_single_threaded_oracle() {
     }
 }
 
+/// The status line and body of one `Connection: close` GET.
+fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect for GET");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("write GET");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read GET");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header block");
+    let status = head.lines().next().unwrap_or_default().to_string();
+    (status, body.to_string())
+}
+
 /// With an admission queue of zero, every data-plane request is
-/// rejected `overloaded` while the control plane stays reachable.
+/// rejected `overloaded` while the control plane — the line protocol's
+/// `ping` and the HTTP metrics routes on the same socket — stays
+/// reachable.
 #[test]
 fn zero_queue_server_sheds_load_over_tcp() {
     let server = Server::new(ServerConfig::default().with_queue(0));
@@ -212,6 +229,17 @@ fn zero_queue_server_sheds_load_over_tcp() {
     assert_eq!(resp.get("code").and_then(Json::as_str), Some("overloaded"));
     let pong = client.call(r#"{"cmd":"ping"}"#);
     assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert!(body.contains(r#""ok":true"#), "{body}");
+    let (status, page) = http_get(addr, "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{page}");
+    assert!(
+        page.contains("revkb_server_overloaded_total 1"),
+        "the shed load shows on the scrape:\n{page}"
+    );
+    let resp = client.call(r#"{"cmd":"query","kb":"k","q":"a"}"#);
+    assert_eq!(resp.get("code").and_then(Json::as_str), Some("overloaded"));
     let bye = client.call(r#"{"cmd":"shutdown"}"#);
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     drop(client);
