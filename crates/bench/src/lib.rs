@@ -294,7 +294,7 @@ pub fn drain_telemetry() -> Option<String> {
     let snap = revkb_obs::drain();
     if snap.mode == revkb_obs::TraceMode::Chrome {
         let path = revkb_obs::trace_file_path();
-        match revkb_obs::write_chrome_trace(&path, &snap) {
+        match revkb_obs::write_chrome_trace(&path, &snap.spans, &snap.counters) {
             Ok(()) => eprintln!("chrome trace written to {}", path.display()),
             Err(e) => eprintln!("chrome trace write failed for {}: {e}", path.display()),
         }

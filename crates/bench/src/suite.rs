@@ -1037,7 +1037,7 @@ fn obs_benches(cfg: &SuiteConfig) -> Vec<BenchResult> {
     });
     revkb_obs::set_flight_enabled(prev_flight);
     revkb_obs::set_mode(prev_mode);
-    revkb_obs::flight_reset();
+    revkb_obs::reset();
     let mut flight = result(
         cfg,
         "obs.flight_record".into(),

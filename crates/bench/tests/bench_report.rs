@@ -20,6 +20,11 @@ fn tiny_run() -> (SuiteConfig, RunMeta, Vec<revkb_bench::suite::BenchResult>) {
         warmup: 0,
         tolerance_pct: None,
     };
+    // A small open-loop load phase: it still runs against a spawned
+    // server, at a size a schema test can afford.
+    std::env::set_var(revkb_bench::load::CONNS_ENV, "64");
+    std::env::set_var(revkb_bench::load::QPS_ENV, "200");
+    std::env::set_var(revkb_bench::load::LOAD_MS_ENV, "200");
     let meta = RunMeta::capture();
     let results = run_suite(&cfg);
     (cfg, meta, results)

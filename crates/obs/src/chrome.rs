@@ -1,12 +1,13 @@
 //! Chrome trace-event export (`chrome://tracing` / Perfetto).
 //!
-//! Span events render as `"X"` (complete) events with microsecond
-//! timestamps; counters render as one `"C"` event so the totals are
-//! visible alongside the timeline. Everything lives under `pid` 1 with
-//! `tid` equal to the recording thread's ordinal.
+//! A trace is a dump of the flight ring: span events render as `"X"`
+//! (complete) events with microsecond timestamps; counters render as
+//! one `"C"` event so the totals are visible alongside the timeline.
+//! Everything lives under `pid` 1 with `tid` equal to the recording
+//! thread's ordinal.
 
 use crate::json::escape_into;
-use crate::snapshot::Snapshot;
+use crate::span::SpanEvent;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -22,12 +23,13 @@ pub fn trace_file_path() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("trace.json"))
 }
 
-/// Render a snapshot in the Chrome trace-event JSON format.
-pub fn chrome_trace(snap: &Snapshot) -> String {
+/// Render spans (as [`crate::flight_snapshot`] orders them) and
+/// `(name, value)` counters in the Chrome trace-event JSON format.
+pub fn chrome_trace(spans: &[SpanEvent], counters: &[(&str, u64)]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    for s in &snap.spans {
+    for s in spans {
         if !first {
             out.push(',');
         }
@@ -49,20 +51,15 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
         }
         out.push_str("}}");
     }
-    if !snap.counters.is_empty() {
-        let ts = snap
-            .spans
-            .iter()
-            .map(|s| s.start_ns / 1_000)
-            .max()
-            .unwrap_or(0);
+    if !counters.is_empty() {
+        let ts = spans.iter().map(|s| s.start_ns / 1_000).max().unwrap_or(0);
         if !first {
             out.push(',');
         }
         out.push_str(&format!(
             "{{\"name\":\"revkb counters\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"args\":{{"
         ));
-        for (i, (name, v)) in snap.counters.iter().enumerate() {
+        for (i, (name, v)) in counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -75,13 +72,18 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
     out
 }
 
-/// Write the Chrome trace for `snap` to `path`, durably: the file is
-/// `sync_all`ed before close so a crash or hard kill right after the
-/// server exits cannot leave a truncated trace, and any sync error is
-/// returned instead of being swallowed by the implicit close.
-pub fn write_chrome_trace(path: &Path, snap: &Snapshot) -> std::io::Result<()> {
+/// Write the Chrome trace of `spans` and `counters` to `path`,
+/// durably: the file is `sync_all`ed before close so a crash or hard
+/// kill right after the server exits cannot leave a truncated trace,
+/// and any sync error is returned instead of being swallowed by the
+/// implicit close.
+pub fn write_chrome_trace(
+    path: &Path,
+    spans: &[SpanEvent],
+    counters: &[(&str, u64)],
+) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace(snap).as_bytes())?;
+    f.write_all(chrome_trace(spans, counters).as_bytes())?;
     f.sync_all()
 }
 
@@ -103,7 +105,7 @@ mod tests {
         }
         let snap = crate::drain();
         crate::set_mode(TraceMode::Off);
-        let trace = super::chrome_trace(&snap);
+        let trace = super::chrome_trace(&snap.spans, &snap.counters);
         assert!(crate::validate_json(&trace), "invalid trace: {trace}");
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"chrome.test.root\""));
@@ -123,9 +125,9 @@ mod tests {
         let snap = crate::drain();
         crate::set_mode(TraceMode::Off);
         let path = std::env::temp_dir().join(format!("revkb-trace-{}.json", std::process::id()));
-        super::write_chrome_trace(&path, &snap).unwrap();
+        super::write_chrome_trace(&path, &snap.spans, &snap.counters).unwrap();
         let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk, super::chrome_trace(&snap));
+        assert_eq!(on_disk, super::chrome_trace(&snap.spans, &snap.counters));
         assert!(crate::validate_json(&on_disk));
         let _ = std::fs::remove_file(&path);
     }

@@ -17,21 +17,25 @@
 //! Everything is controlled by the `REVKB_TRACE` environment variable
 //! (read once, overridable in-process with [`set_mode`]):
 //!
-//! | mode      | counters / gauges / histograms | span aggregates | span events | chrome trace |
-//! |-----------|--------------------------------|-----------------|-------------|--------------|
-//! | `off`     | no                             | no              | no          | no           |
-//! | `summary` | yes                            | yes             | no          | no           |
-//! | `spans`   | yes                            | yes             | yes         | no           |
-//! | `chrome`  | yes                            | yes             | yes         | yes¹         |
+//! | mode      | counters / gauges / histograms | span aggregates | span events¹ | chrome trace |
+//! |-----------|--------------------------------|-----------------|--------------|--------------|
+//! | `off`     | no                             | no              | no           | no           |
+//! | `summary` | yes                            | yes             | no           | no           |
+//! | `spans`   | yes                            | yes             | yes          | no           |
+//! | `chrome`  | yes                            | yes             | yes          | yes²         |
 //!
-//! ¹ the trace file is written by whoever drains (the bench binaries);
-//! this crate only marks the intent via [`TraceMode::Chrome`].
+//! ¹ in a [`Snapshot`]: the last [`FLIGHT_CAPACITY`] finished spans,
+//! read from the flight ring.
+//! ² the trace file is written by whoever drains (the bench binaries,
+//! the server at exit); this crate only marks the intent via
+//! [`TraceMode::Chrome`].
 //!
-//! Independently of the mode, an always-on **flight recorder**
-//! ([`trace`]) keeps a bounded ring of the most recent finished spans
-//! for on-demand diagnostics (`REVKB_FLIGHT=off` disables it), and the
-//! [`log`] module provides leveled structured NDJSON logging
-//! (`REVKB_LOG`, default `info`) with its own bounded ring. Trace ids
+//! Finished spans have one sink, the **flight recorder** ([`trace`]):
+//! a bounded ring of the most recent spans. It records in every mode,
+//! `off` included, for on-demand diagnostics; `REVKB_FLIGHT=off` stops
+//! it outside `spans`/`chrome`. The [`log`] module provides leveled
+//! structured NDJSON logging (`REVKB_LOG`, default `info`) with its
+//! own bounded ring. Trace ids
 //! ([`new_trace_id`], [`parse_traceparent`]) join spans, log records,
 //! and wire envelopes into one per-request story.
 //!
@@ -43,10 +47,11 @@
 //! ## Cost when disabled
 //!
 //! Every instrument call starts with one relaxed atomic load of the
-//! mode; when the mode is [`TraceMode::Off`] nothing else happens — no
-//! allocation, no lock, no time stamp. The workspace's overhead-guard
-//! test pins this: the disabled-path cost across a whole batch-query
-//! workload must stay under 5% of the measured batch wall time.
+//! mode; when the mode is [`TraceMode::Off`] (and, for spans, the
+//! flight recorder is off) nothing else happens — no allocation, no
+//! lock, no time stamp. The workspace's overhead-guard test pins this:
+//! the disabled-path cost across a whole batch-query workload must
+//! stay under 5% of the measured batch wall time.
 //!
 //! ## Usage
 //!
@@ -95,8 +100,8 @@ pub use timeseries::{
     DEFAULT_SAMPLE_MS, DEFAULT_SERIES_CAPACITY, SAMPLE_MS_ENV,
 };
 pub use trace::{
-    flight_enabled, flight_len, flight_reset, flight_snapshot, format_trace_id, new_trace_id,
-    parse_trace_id, parse_traceparent, set_flight_enabled, FLIGHT_CAPACITY, FLIGHT_ENV, TRACE_ATTR,
+    flight_enabled, flight_snapshot, format_trace_id, new_trace_id, parse_trace_id,
+    parse_traceparent, set_flight_enabled, FLIGHT_CAPACITY, FLIGHT_ENV, TRACE_ATTR,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -115,7 +120,8 @@ pub enum TraceMode {
     /// Record counters, gauges, histograms, and per-name span
     /// aggregates — no individual span events.
     Summary = 1,
-    /// `Summary` plus individual span events (the span tree).
+    /// `Summary` plus individual span events (the span tree, read
+    /// from the flight ring).
     Spans = 2,
     /// `Spans` plus the intent to export a Chrome trace file.
     Chrome = 3,

@@ -144,15 +144,13 @@ pub const HIST_BUCKETS: usize = 65;
 #[allow(clippy::declare_interior_mutable_const)]
 const BUCKET_ZERO: AtomicU64 = AtomicU64::new(0);
 
-/// A `u64` histogram with fixed log₂ buckets plus count / sum / max.
+/// A `u64` histogram with fixed log₂ buckets plus count / sum / max:
+/// a registered, mode-gated [`LocalHistogram`].
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
     registered: AtomicBool,
+    cells: LocalHistogram,
 }
 
 /// Bucket index of a value: 0 for 0, otherwise `floor(log₂ v) + 1`.
@@ -169,11 +167,8 @@ impl Histogram {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            buckets: [BUCKET_ZERO; HIST_BUCKETS],
             registered: AtomicBool::new(false),
+            cells: LocalHistogram::new(),
         }
     }
 
@@ -200,51 +195,38 @@ impl Histogram {
                 .expect("histogram registry poisoned")
                 .push(self);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.cells.record(v);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.cells.count()
     }
 
     /// Sum of observations.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.cells.sum()
     }
 
     /// Largest observation.
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.cells.max()
     }
 
     /// Occupancy of bucket `b` (see [`HIST_BUCKETS`]).
     pub fn bucket(&self, b: usize) -> u64 {
-        self.buckets[b].load(Ordering::Relaxed)
+        self.cells.bucket(b)
     }
 
     /// Estimate the `p`-quantile (`p` in `[0, 1]`) of the recorded
     /// distribution. `None` when the histogram is empty. See
     /// [`estimate_percentile`] for the estimator's contract.
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        estimate_percentile(
-            self.count(),
-            self.max(),
-            (0..HIST_BUCKETS).map(|b| (b, self.bucket(b))),
-            p,
-        )
+        self.cells.percentile(p)
     }
 
     pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
+        self.cells.reset();
     }
 }
 
@@ -294,8 +276,7 @@ pub fn estimate_percentile(
     Some(max)
 }
 
-/// An owned, always-on histogram with the same log₂ buckets as
-/// [`Histogram`].
+/// An owned, always-on histogram: the storage [`Histogram`] wraps.
 ///
 /// Unlike the `static` instruments, a `LocalHistogram` is *not* gated
 /// on the trace mode and never touches the global registry: it belongs
@@ -356,8 +337,8 @@ impl LocalHistogram {
         self.buckets[b].load(Ordering::Relaxed)
     }
 
-    /// Estimate the `p`-quantile; `None` when empty. Same estimator as
-    /// [`Histogram::percentile`].
+    /// Estimate the `p`-quantile (`p` in `[0, 1]`); `None` when empty.
+    /// See [`estimate_percentile`] for the estimator's contract.
     pub fn percentile(&self, p: f64) -> Option<u64> {
         estimate_percentile(
             self.count(),
@@ -365,6 +346,15 @@ impl LocalHistogram {
             (0..HIST_BUCKETS).map(|b| (b, self.bucket(b))),
             p,
         )
+    }
+
+    pub(crate) fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
     }
 }
 

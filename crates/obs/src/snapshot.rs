@@ -1,8 +1,8 @@
-//! Draining the registry and span buffers into a [`Snapshot`].
+//! Draining the registry and the flight ring into a [`Snapshot`].
 
 use crate::json::escape_into;
 use crate::metrics::{COUNTERS, GAUGES, HISTOGRAMS};
-use crate::span::{SpanEvent, AGGS, EVENTS};
+use crate::span::{SpanEvent, AGGS};
 use crate::TraceMode;
 
 /// Point-in-time copy of one histogram.
@@ -56,8 +56,8 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// Per-name span aggregates, sorted by name.
     pub span_aggregates: Vec<SpanAggregate>,
-    /// Individual span events (empty outside `spans`/`chrome` modes),
-    /// sorted by `(thread, start_ns)`.
+    /// The flight ring's span events (empty outside `spans`/`chrome`
+    /// modes), sorted by `(thread, start_ns)`.
     pub spans: Vec<SpanEvent>,
 }
 
@@ -212,8 +212,8 @@ impl Snapshot {
 }
 
 /// Non-destructive copy of everything recorded so far. Spans still
-/// open (or buffered on threads that are still inside a root span)
-/// are not included.
+/// open are not included, and neither are spans the bounded flight
+/// ring has evicted.
 pub fn snapshot() -> Snapshot {
     let mut counters: Vec<(&'static str, u64)> = COUNTERS
         .lock()
@@ -265,11 +265,15 @@ pub fn snapshot() -> Snapshot {
         })
         .collect();
 
-    let mut spans: Vec<SpanEvent> = EVENTS.lock().expect("span event buffer poisoned").clone();
-    spans.sort_unstable_by_key(|s| (s.thread, s.start_ns, s.id));
+    let mode = crate::mode();
+    let spans: Vec<SpanEvent> = if mode.spans_enabled() {
+        crate::trace::flight_snapshot()
+    } else {
+        Vec::new()
+    };
 
     Snapshot {
-        mode: crate::mode(),
+        mode,
         counters,
         gauges,
         histograms,
@@ -278,14 +282,16 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Capture a [`Snapshot`] and reset all instruments and span buffers.
+/// Capture a [`Snapshot`] and reset all instruments and the flight
+/// ring.
 pub fn drain() -> Snapshot {
     let snap = snapshot();
     reset();
     snap
 }
 
-/// Zero every registered instrument and clear all span state.
+/// Zero every registered instrument and clear all span state, the
+/// flight ring included.
 /// Instruments stay registered (their next record is cheap).
 pub fn reset() {
     for c in COUNTERS.lock().expect("counter registry poisoned").iter() {
@@ -302,7 +308,7 @@ pub fn reset() {
         h.reset();
     }
     AGGS.lock().expect("span aggregate table poisoned").clear();
-    EVENTS.lock().expect("span event buffer poisoned").clear();
+    crate::trace::flight_clear();
 }
 
 #[cfg(test)]

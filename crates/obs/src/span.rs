@@ -1,9 +1,9 @@
 //! Hierarchical wall-time spans with RAII guards.
 //!
-//! Each thread keeps its own span stack (so nesting is tracked without
-//! locks on the hot path); finished spans are flushed to a global
-//! buffer when the thread's stack empties and when the thread exits,
-//! so short-lived pool workers are merged correctly at drain time.
+//! Each thread keeps its own span stack, so nesting is tracked without
+//! locks; a span is moved into the flight ring ([`crate::trace`]) the
+//! moment it closes, and that ring is the only place finished spans
+//! are kept.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// One finished span, as retained in `spans`/`chrome` modes.
+/// One finished span, as retained in the flight ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Static span name (e.g. `"revision.compile"`).
@@ -50,7 +50,6 @@ pub(crate) struct Agg {
     pub max_ns: u64,
 }
 
-pub(crate) static EVENTS: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 pub(crate) static AGGS: Mutex<BTreeMap<&'static str, Agg>> = Mutex::new(BTreeMap::new());
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -73,39 +72,14 @@ struct ThreadSpans {
     ord: u64,
     next_id: u64,
     stack: Vec<ActiveSpan>,
-    finished: Vec<SpanEvent>,
-}
-
-impl ThreadSpans {
-    fn new() -> Self {
-        Self {
-            ord: NEXT_THREAD_ORD.fetch_add(1, Ordering::Relaxed),
-            next_id: 0,
-            stack: Vec::new(),
-            finished: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.finished.is_empty() {
-            EVENTS
-                .lock()
-                .expect("span event buffer poisoned")
-                .append(&mut self.finished);
-        }
-    }
-}
-
-impl Drop for ThreadSpans {
-    fn drop(&mut self) {
-        // Worker threads may exit with spans buffered but never see an
-        // empty-stack flush; merge what they recorded.
-        self.flush();
-    }
 }
 
 thread_local! {
-    static THREAD_SPANS: RefCell<ThreadSpans> = RefCell::new(ThreadSpans::new());
+    static THREAD_SPANS: RefCell<ThreadSpans> = RefCell::new(ThreadSpans {
+        ord: NEXT_THREAD_ORD.fetch_add(1, Ordering::Relaxed),
+        next_id: 0,
+        stack: Vec::new(),
+    });
 }
 
 /// RAII guard returned by [`span`]; records the span when dropped.
@@ -118,19 +92,19 @@ pub struct SpanGuard {
     _not_send: PhantomData<*const ()>,
 }
 
-/// Open a span named `name`. Nothing is recorded in
-/// [`crate::TraceMode::Off`]; aggregates are kept in every enabled
-/// mode, and individual [`SpanEvent`]s additionally in `spans` and
-/// `chrome` modes.
+/// Open a span named `name`. Aggregates are kept in every mode but
+/// [`crate::TraceMode::Off`]; the finished [`SpanEvent`] goes into the
+/// flight ring while the recorder is on or the mode is `spans` or
+/// `chrome`. With neither, nothing is recorded.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     span_with(name, &[])
 }
 
 /// Open a span named `name` carrying numeric attributes (retained on
-/// the [`SpanEvent`] in `spans`/`chrome` modes; aggregates ignore
-/// them). The server uses this to stamp every `server.*` span with the
-/// request id so a Chrome trace is correlatable per request.
+/// the [`SpanEvent`] in the flight ring; aggregates ignore them). The
+/// server uses this to stamp every `server.*` span with the request id
+/// so a Chrome trace is correlatable per request.
 #[inline]
 pub fn span_with(name: &'static str, attrs: &[(&'static str, u64)]) -> SpanGuard {
     let mode = crate::mode();
@@ -150,9 +124,9 @@ pub fn span_with(name: &'static str, attrs: &[(&'static str, u64)]) -> SpanGuard
 #[cold]
 fn open_span(name: &'static str, attrs: &[(&'static str, u64)]) {
     let start_ns = epoch().elapsed().as_nanos() as u64;
-    // Attributes only matter on retained events (the drainable span
-    // tree or the flight ring); skip the allocation in summary mode.
-    let attrs = if crate::mode().spans_enabled() || crate::trace::flight_enabled() {
+    // Attributes only matter on events the ring retains; skip the
+    // allocation in summary mode with the recorder off.
+    let attrs = if keeps_events(crate::mode()) {
         attrs.to_vec()
     } else {
         Vec::new()
@@ -182,47 +156,39 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Does a closing span go into the flight ring in mode `mode`?
+fn keeps_events(mode: crate::TraceMode) -> bool {
+    mode.spans_enabled() || crate::trace::flight_enabled()
+}
+
 #[cold]
 fn close_span() {
     let now_ns = epoch().elapsed().as_nanos() as u64;
     let mode = crate::mode();
-    let keep_aggs = mode != crate::TraceMode::Off;
-    let keep_events = mode.spans_enabled();
-    let keep_flight = crate::trace::flight_enabled();
     THREAD_SPANS.with(|ts| {
         let mut ts = ts.borrow_mut();
         let Some(active) = ts.stack.pop() else {
             return; // mode flipped mid-span; nothing to close
         };
         let dur_ns = now_ns.saturating_sub(active.start_ns);
-        if keep_aggs {
+        if mode != crate::TraceMode::Off {
             let mut aggs = AGGS.lock().expect("span aggregate table poisoned");
             let agg = aggs.entry(active.name).or_default();
             agg.count += 1;
             agg.total_ns += dur_ns;
             agg.max_ns = agg.max_ns.max(dur_ns);
         }
-        if keep_events || keep_flight {
-            let thread = ts.ord;
-            let event = SpanEvent {
+        if keeps_events(mode) {
+            crate::trace::flight_record(SpanEvent {
                 name: active.name,
-                thread,
+                thread: ts.ord,
                 id: active.id,
                 parent: active.parent,
                 depth: active.depth,
                 start_ns: active.start_ns,
                 dur_ns,
                 attrs: active.attrs,
-            };
-            if keep_flight {
-                crate::trace::flight_record(&event);
-            }
-            if keep_events {
-                ts.finished.push(event);
-            }
-        }
-        if ts.stack.is_empty() {
-            ts.flush();
+            });
         }
     });
 }
@@ -304,6 +270,8 @@ mod tests {
     fn off_mode_records_nothing() {
         let _g = crate::testutil::lock();
         crate::set_mode(TraceMode::Off);
+        let was = crate::flight_enabled();
+        crate::set_flight_enabled(false);
         crate::reset();
         {
             let _s = span("test.off");
@@ -311,8 +279,26 @@ mod tests {
         crate::set_mode(TraceMode::Spans);
         let snap = crate::drain();
         crate::set_mode(TraceMode::Off);
+        crate::set_flight_enabled(was);
         assert!(snap.spans.is_empty());
         assert!(snap.span_aggregates.iter().all(|a| a.name != "test.off"));
+    }
+
+    #[test]
+    fn spans_mode_drains_with_the_flight_recorder_off() {
+        let _g = crate::testutil::lock();
+        crate::set_mode(TraceMode::Spans);
+        let was = crate::flight_enabled();
+        crate::set_flight_enabled(false);
+        crate::reset();
+        {
+            let _s = span("test.spans.no_flight");
+        }
+        let snap = crate::drain();
+        crate::set_mode(TraceMode::Off);
+        crate::set_flight_enabled(was);
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].name, "test.spans.no_flight");
     }
 
     #[test]

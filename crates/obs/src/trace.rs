@@ -7,8 +7,12 @@
 //! fed by the span machinery in *every* mode (including `off`), so an
 //! operator can fetch `/debug/trace.json` from a running server — no
 //! restart, no `REVKB_TRACE` — and load the last few thousand spans in
-//! a Chrome trace viewer. `REVKB_FLIGHT=off` disables it, restoring
-//! the strict single-relaxed-load disabled path.
+//! a Chrome trace viewer. The ring is also the only span sink: in
+//! `spans`/`chrome` modes [`crate::snapshot()`] and the Chrome export
+//! read their span events from it, so it records in those modes
+//! whatever `REVKB_FLIGHT` says. In `off`/`summary` mode,
+//! `REVKB_FLIGHT=off` disables it, restoring the strict
+//! single-relaxed-load disabled path.
 //!
 //! This module also owns **trace ids**: nonzero `u64`s, rendered on
 //! the wire as 16 lowercase hex digits, parsed from either the
@@ -68,37 +72,34 @@ pub fn set_flight_enabled(on: bool) {
     FLIGHT.store(u8::from(on), Ordering::Relaxed);
 }
 
+/// Every retained finished span, newest last: the only span sink.
 static RING: Mutex<VecDeque<SpanEvent>> = Mutex::new(VecDeque::new());
 
-/// Push one finished span into the flight ring. Called by the span
-/// machinery for every closed span while [`flight_enabled`] holds.
-pub(crate) fn flight_record(event: &SpanEvent) {
+/// Push one finished span into the flight ring, evicting the oldest
+/// past [`FLIGHT_CAPACITY`]. Called by the span machinery for every
+/// closed span while [`flight_enabled`] holds or the mode retains
+/// span events.
+pub(crate) fn flight_record(event: SpanEvent) {
     let mut ring = RING.lock().expect("flight ring poisoned");
-    while ring.len() >= FLIGHT_CAPACITY {
+    if ring.len() >= FLIGHT_CAPACITY {
         ring.pop_front();
     }
-    ring.push_back(event.clone());
+    ring.push_back(event);
 }
 
-/// The flight ring's current contents, ordered like
-/// [`crate::snapshot`] orders spans (by thread, then start time) so
-/// the Chrome renderer nests them correctly.
+/// The flight ring's current contents, ordered by thread, then start
+/// time, so the Chrome renderer and the span tree nest them correctly.
 pub fn flight_snapshot() -> Vec<SpanEvent> {
     let mut spans: Vec<SpanEvent> = {
         let ring = RING.lock().expect("flight ring poisoned");
         ring.iter().cloned().collect()
     };
-    spans.sort_by_key(|s| (s.thread, s.start_ns, s.id));
+    spans.sort_unstable_by_key(|s| (s.thread, s.start_ns, s.id));
     spans
 }
 
-/// How many spans the flight ring currently holds.
-pub fn flight_len() -> usize {
-    RING.lock().expect("flight ring poisoned").len()
-}
-
-/// Empty the flight ring (tests).
-pub fn flight_reset() {
+/// Empty the flight ring ([`crate::reset`] calls this).
+pub(crate) fn flight_clear() {
     RING.lock().expect("flight ring poisoned").clear();
 }
 
@@ -237,28 +238,29 @@ mod tests {
     #[test]
     fn flight_ring_is_bounded_and_ordered() {
         let _g = crate::testutil::lock();
-        let was = flight_enabled();
-        set_flight_enabled(true);
-        flight_reset();
+        crate::set_mode(crate::TraceMode::Spans);
+        crate::reset();
         for i in 0..(FLIGHT_CAPACITY + 10) {
-            flight_record(&SpanEvent {
-                name: "test.flight",
-                thread: 0,
-                id: i as u64,
-                parent: None,
-                depth: 0,
-                start_ns: i as u64,
-                dur_ns: 1,
-                attrs: Vec::new(),
-            });
+            let _s = crate::span_with("test.flight", &[("i", i as u64)]);
         }
-        let spans = flight_snapshot();
-        assert_eq!(spans.len(), FLIGHT_CAPACITY);
+        let ring = flight_snapshot();
+        let snap = crate::drain();
+        crate::set_mode(crate::TraceMode::Off);
+        // `drain` in spans mode is a dump of the ring.
+        assert_eq!(snap.spans, ring);
+        assert_eq!(ring.len(), FLIGHT_CAPACITY);
+        assert_eq!(
+            snap.span_aggregate("test.flight").map(|a| a.count),
+            Some(FLIGHT_CAPACITY as u64 + 10)
+        );
         // The oldest 10 were evicted.
-        assert_eq!(spans.first().map(|s| s.id), Some(10));
-        assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-        flight_reset();
-        set_flight_enabled(was);
+        assert_eq!(ring.first().and_then(|s| s.attr("i")), Some(10));
+        assert_eq!(
+            ring.last().and_then(|s| s.attr("i")),
+            Some(FLIGHT_CAPACITY as u64 + 9)
+        );
+        assert!(ring.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+        assert!(flight_snapshot().is_empty(), "drain empties the ring");
     }
 
     #[test]
@@ -267,42 +269,21 @@ mod tests {
         crate::set_mode(crate::TraceMode::Off);
         let was = flight_enabled();
         set_flight_enabled(true);
-        flight_reset();
         crate::reset();
         {
             let _s = crate::span_with("test.flight.off", &[(TRACE_ATTR, 7)]);
         }
-        // Off mode still records nothing in the drainable registry…
-        crate::set_mode(crate::TraceMode::Spans);
-        let snap = crate::drain();
-        crate::set_mode(crate::TraceMode::Off);
-        assert!(snap.spans.is_empty());
-        assert!(snap
-            .span_aggregates
-            .iter()
-            .all(|a| a.name != "test.flight.off"));
-        // …but the flight ring saw the span, attributes intact.
         let spans = flight_snapshot();
+        let aggregates = crate::snapshot().span_aggregates;
+        crate::reset();
+        set_flight_enabled(was);
+        // Off mode keeps no aggregate…
+        assert!(aggregates.iter().all(|a| a.name != "test.flight.off"));
+        // …but the flight ring saw the span, attributes intact.
         let span = spans
             .iter()
             .find(|s| s.name == "test.flight.off")
             .expect("flight ring has the span");
         assert_eq!(span.attr(TRACE_ATTR), Some(7));
-        flight_reset();
-        set_flight_enabled(was);
-    }
-
-    #[test]
-    fn flight_disabled_restores_the_null_path() {
-        let _g = crate::testutil::lock();
-        crate::set_mode(crate::TraceMode::Off);
-        let was = flight_enabled();
-        set_flight_enabled(false);
-        flight_reset();
-        {
-            let _s = crate::span("test.flight.disabled");
-        }
-        assert_eq!(flight_len(), 0);
-        set_flight_enabled(was);
     }
 }

@@ -189,17 +189,17 @@ fn fail(target: &'static str, message: String) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Under `REVKB_TRACE=chrome`, drain the telemetry accumulated over
-/// the server's lifetime and write the trace file at exit — every
-/// `server.*` span carries the `req` attribute, so the trace lines up
-/// with the wire log's `req` fields.
+/// Under `REVKB_TRACE=chrome`, write the flight ring (the last
+/// `FLIGHT_CAPACITY` spans) and the counters as the trace file at
+/// exit — every `server.*` span carries the `req` attribute, so the
+/// trace lines up with the wire log's `req` fields.
 fn write_trace_if_requested() {
     if obs::mode() != obs::TraceMode::Chrome {
         return;
     }
     let snap = obs::drain();
     let path = obs::trace_file_path();
-    match obs::write_chrome_trace(&path, &snap) {
+    match obs::write_chrome_trace(&path, &snap.spans, &snap.counters) {
         Ok(()) => obs::info("server", None, || {
             format!("revkb-server: wrote chrome trace to {}", path.display())
         }),

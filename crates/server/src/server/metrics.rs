@@ -971,15 +971,8 @@ impl Server {
             "/debug/trace.json" => {
                 // The flight recorder's ring as a loadable Chrome
                 // trace — available in every mode, REVKB_TRACE or not.
-                let snap = obs::Snapshot {
-                    mode: obs::mode(),
-                    counters: Vec::new(),
-                    gauges: Vec::new(),
-                    histograms: Vec::new(),
-                    span_aggregates: Vec::new(),
-                    spans: obs::flight_snapshot(),
-                };
-                http::Response::ok(http::JSON_CONTENT_TYPE, obs::chrome_trace(&snap))
+                let trace = obs::chrome_trace(&obs::flight_snapshot(), &[]);
+                http::Response::ok(http::JSON_CONTENT_TYPE, trace)
             }
             "/debug/logs.json" => {
                 let level = query_param(query, "level").and_then(|v| obs::Level::parse(&v));

@@ -104,14 +104,14 @@ fn flight_and_log_quiet_paths_stay_under_five_percent() {
     obs::set_mode(TraceMode::Off);
     let prev_flight = obs::flight_enabled();
     obs::set_flight_enabled(false);
-    let flight_before = obs::flight_len();
+    let flight_before = obs::flight_snapshot().len();
     let start = Instant::now();
     for i in 0..CALLS {
         let _span = obs::span_with("test.overhead.span", &[("i", std::hint::black_box(i))]);
     }
     let per_span_nanos = start.elapsed().as_nanos() as f64 / CALLS as f64;
     assert_eq!(
-        obs::flight_len(),
+        obs::flight_snapshot().len(),
         flight_before,
         "a disabled flight recorder must not record"
     );

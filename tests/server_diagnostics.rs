@@ -75,7 +75,7 @@ fn stdio_echoes_the_client_trace_and_records_it_in_flight() {
     let _guard = OBS_LOCK.lock().unwrap();
     let prev = obs::mode();
     obs::set_mode(obs::TraceMode::Off);
-    obs::flight_reset();
+    obs::reset();
 
     let server = Server::new(ServerConfig::default());
     call(&server, r#"{"cmd":"load","kb":"k","t":"a & b; b -> c"}"#);
@@ -335,7 +335,7 @@ fn debug_routes_answer_valid_json_under_churn() {
     let prev_level = obs::log_level();
     obs::set_mode(obs::TraceMode::Off);
     obs::set_log_level(obs::Level::Debug);
-    obs::flight_reset();
+    obs::reset();
     obs::log_ring_reset();
 
     let server = Server::new(
@@ -436,7 +436,7 @@ fn debug_routes_answer_valid_json_under_churn() {
 #[test]
 fn replica_replay_spans_join_primary_appends_by_wal_offset() {
     let _guard = OBS_LOCK.lock().unwrap();
-    obs::flight_reset();
+    obs::reset();
 
     let dir = std::env::temp_dir().join(format!("revkb-diag-repl-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -560,7 +560,7 @@ mod http_gateway {
     #[test]
     fn traceparent_joins_the_envelope_and_the_flight_recorder() {
         let _guard = OBS_LOCK.lock().unwrap();
-        obs::flight_reset();
+        obs::reset();
 
         let (addr, handle) = spawn_evloop();
         let (mut stream, mut reader) = connect(addr);

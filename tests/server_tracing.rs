@@ -119,7 +119,7 @@ fn chrome_spans_correlate_with_wire_request_ids() {
 
     // The Chrome export keeps the correlation: every server.* trace
     // event exposes the id under args.req.
-    let trace = obs::chrome_trace(&snap);
+    let trace = obs::chrome_trace(&snap.spans, &snap.counters);
     assert!(obs::validate_json(&trace), "chrome trace is valid JSON");
     let parsed = Json::parse(&trace).expect("chrome trace parses");
     let events = parsed

@@ -166,7 +166,7 @@ fn chrome_trace_export_is_valid_json() {
     let snap = obs::drain();
     obs::set_mode(TraceMode::Off);
 
-    let trace = obs::chrome_trace(&snap);
+    let trace = obs::chrome_trace(&snap.spans, &snap.counters);
     assert!(obs::validate_json(&trace), "chrome trace invalid: {trace}");
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("\"ph\":\"X\""));
