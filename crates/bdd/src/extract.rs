@@ -12,10 +12,14 @@
 //!   with poly-time `ASK` yields a polynomial-size query-equivalent
 //!   formula, which is why the paper's query-compactability lower
 //!   bounds automatically apply to BDDs too.
+//!
+//! [`from_definitional`] is the second route's inverse: it rebuilds the
+//! diagram from the definitional formula, as a compiled knowledge base
+//! taken up from its stored formula does.
 
 use crate::manager::{BddManager, NodeId, FALSE, TRUE};
 use revkb_logic::{Formula, Var, VarSupply};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Shannon-expansion extraction: logically equivalent, may blow up.
 pub fn to_formula_shannon(mgr: &BddManager, node: NodeId) -> Formula {
@@ -94,6 +98,71 @@ pub fn to_formula_definitional(
     Formula::and_all(defs.chain([wire(node, &seen)]))
 }
 
+/// The inverse of [`to_formula_definitional`]: the ROBDD that a
+/// definitional formula defines over `order`, in a manager ordered by
+/// `order`, or `None` if `formula` is not of that shape.
+///
+/// The shape is `⊤`, `⊥`, or `⋀ (w ≡ body_w) ∧ w_root`: each conjunct
+/// but one defines a letter `w` outside `order`, once, by a body over
+/// `order` and other defined letters, and the last is the defined
+/// letter `w_root`. Definitions are resolved by dependency from the
+/// root, so neither their position among the conjuncts nor the body's
+/// shape matters (`ite(x, w_hi, w_lo)` evaluates to one node), and a
+/// cycle or an undefined letter gives `None`. Under one order a
+/// function has one ROBDD, so the result has the compiled diagram's
+/// nodes.
+pub fn from_definitional(formula: &Formula, order: &[Var]) -> Option<(BddManager, NodeId)> {
+    let mut mgr = BddManager::with_order(order.iter().copied());
+    let conjuncts = match formula {
+        Formula::True => return Some((mgr, TRUE)),
+        Formula::False => return Some((mgr, FALSE)),
+        Formula::And(parts) => parts.as_slice(),
+        other => std::slice::from_ref(other),
+    };
+    let mut defs: HashMap<Var, &Formula> = HashMap::new();
+    let mut root = None;
+    for conjunct in conjuncts {
+        match conjunct {
+            Formula::Iff(w, body) => match **w {
+                Formula::Var(w) if !mgr.has_var(w) && defs.insert(w, body).is_none() => {}
+                _ => return None,
+            },
+            Formula::Var(w) if root.is_none() => root = Some(*w),
+            _ => return None,
+        }
+    }
+    // Depth-first from the root: a letter is built once every defined
+    // letter of its body is, and one met again while it waits for them
+    // closes a cycle.
+    let root = root?;
+    let mut built: HashMap<Var, NodeId> = HashMap::new();
+    let mut waiting = HashSet::new();
+    let mut stack = vec![(root, false)];
+    while let Some((w, ready)) = stack.pop() {
+        if built.contains_key(&w) {
+            continue;
+        }
+        let body = defs.get(&w)?;
+        if ready {
+            let node = mgr.build_formula(body, &mut |mgr, v| {
+                if mgr.has_var(v) {
+                    Some(mgr.var(v))
+                } else {
+                    built.get(&v).copied()
+                }
+            })?;
+            built.insert(w, node);
+        } else if waiting.insert(w) {
+            stack.push((w, true));
+            let defined = body.vars().into_iter().filter(|&v| !mgr.has_var(v));
+            stack.extend(defined.map(|v| (v, false)));
+        } else {
+            return None;
+        }
+    }
+    Some((mgr, built[&root]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +206,78 @@ mod tests {
         projected.sort_unstable();
         projected.dedup();
         assert_eq!(projected, base_alpha.models(&f));
+    }
+
+    /// A seeded random formula over `Var(0)..Var(8)`.
+    fn random_formula(seed: &mut u64, depth: u32) -> Formula {
+        let r = next(seed);
+        if depth == 0 || r.is_multiple_of(5) {
+            return Formula::lit(Var(r % 8), r & 1 == 0);
+        }
+        let (a, b) = (
+            random_formula(seed, depth - 1),
+            random_formula(seed, depth - 1),
+        );
+        match r % 4 {
+            0 => a.and(b),
+            1 => a.or(b),
+            2 => a.xor(b),
+            _ => a.iff(b),
+        }
+    }
+
+    fn next(seed: &mut u64) -> u32 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*seed >> 33) as u32
+    }
+
+    #[test]
+    fn definitional_round_trips_to_the_same_diagram() {
+        let order: Vec<Var> = (0..8).map(Var).collect();
+        let mut seed = 0xB0DD_5EED;
+        let mut formulas: Vec<Formula> = (0..60).map(|_| random_formula(&mut seed, 4)).collect();
+        formulas.extend([Formula::True, Formula::False]);
+        for f in formulas {
+            let mut mgr = BddManager::with_order(order.iter().copied());
+            let root = mgr.from_formula(&f);
+            let definitional = to_formula_definitional(&mgr, root, &mut CountingSupply::new(100));
+            // The definitions in another order, the root wire among them.
+            let mut shuffled = definitional.clone();
+            if let Formula::And(parts) = &mut shuffled {
+                for i in (1..parts.len()).rev() {
+                    parts.swap(i, next(&mut seed) as usize % (i + 1));
+                }
+            }
+            for g in [definitional, shuffled] {
+                let (rebuilt, node) = from_definitional(&g, &order).expect("definitional");
+                assert_eq!(rebuilt.size(node), mgr.size(root), "{f:?}");
+                assert_eq!(rebuilt.all_models(node), mgr.all_models(root), "{f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn other_shapes_are_not_definitional() {
+        let order: Vec<Var> = (0..3).map(Var).collect();
+        let def = |w: u32, body: Formula| v(w).iff(body);
+        for f in [
+            v(0).and(v(1).or(v(2))),
+            v(0),
+            // A base letter defined.
+            def(0, v(1)).and(v(0)),
+            // A cycle.
+            Formula::and_all([def(8, v(9)), def(9, v(8).not()), v(8)]),
+            // A letter used but not defined.
+            def(8, v(0).and(v(9))).and(v(8)),
+            // A letter defined twice.
+            Formula::and_all([def(8, v(0)), def(8, v(1)), v(8)]),
+            // Two roots.
+            Formula::and_all([def(8, v(0)), v(8), v(8)]),
+        ] {
+            assert!(from_definitional(&f, &order).is_none(), "{f:?}");
+        }
     }
 
     #[test]

@@ -11,5 +11,5 @@
 pub mod extract;
 pub mod manager;
 
-pub use extract::{to_formula_definitional, to_formula_shannon};
+pub use extract::{from_definitional, to_formula_definitional, to_formula_shannon};
 pub use manager::{BddManager, NodeId, FALSE, TRUE};

@@ -8,7 +8,7 @@
 //! root-to-terminal walk. The revision experiments use BDD node counts
 //! as the data-structure size measure.
 
-use revkb_logic::{Formula, Interpretation, Var};
+use revkb_logic::{Formula, Interpretation, Lit, Var};
 use std::collections::HashMap;
 
 static APPLY_HITS: revkb_obs::Counter = revkb_obs::Counter::new("bdd.apply.cache_hits");
@@ -131,6 +131,11 @@ impl BddManager {
         self.order.push(v);
         self.var_level.insert(v, l);
         l
+    }
+
+    /// Is `v` in the ordering?
+    pub(crate) fn has_var(&self, v: Var) -> bool {
+        self.var_level.contains_key(&v)
     }
 
     /// The variable at `level`.
@@ -432,18 +437,29 @@ impl BddManager {
 
     /// Build the BDD of a formula.
     pub fn from_formula(&mut self, f: &Formula) -> NodeId {
-        match f {
+        self.build_formula(f, &mut |mgr, v| Some(mgr.var(v)))
+            .expect("every letter has a BDD")
+    }
+
+    /// Build the BDD of a formula whose letters `leaf` maps to BDDs, or
+    /// `None` if `leaf` maps one of them to `None`.
+    pub(crate) fn build_formula(
+        &mut self,
+        f: &Formula,
+        leaf: &mut impl FnMut(&mut Self, Var) -> Option<NodeId>,
+    ) -> Option<NodeId> {
+        Some(match f {
             Formula::True => TRUE,
             Formula::False => FALSE,
-            Formula::Var(v) => self.var(*v),
+            Formula::Var(v) => leaf(self, *v)?,
             Formula::Not(inner) => {
-                let x = self.from_formula(inner);
+                let x = self.build_formula(inner, leaf)?;
                 self.not(x)
             }
             Formula::And(fs) => {
                 let mut acc = TRUE;
                 for g in fs {
-                    let x = self.from_formula(g);
+                    let x = self.build_formula(g, leaf)?;
                     acc = self.and(acc, x);
                     if acc == FALSE {
                         break;
@@ -454,7 +470,7 @@ impl BddManager {
             Formula::Or(fs) => {
                 let mut acc = FALSE;
                 for g in fs {
-                    let x = self.from_formula(g);
+                    let x = self.build_formula(g, leaf)?;
                     acc = self.or(acc, x);
                     if acc == TRUE {
                         break;
@@ -463,21 +479,21 @@ impl BddManager {
                 acc
             }
             Formula::Implies(a, b) => {
-                let x = self.from_formula(a);
-                let y = self.from_formula(b);
+                let x = self.build_formula(a, leaf)?;
+                let y = self.build_formula(b, leaf)?;
                 self.implies(x, y)
             }
             Formula::Iff(a, b) => {
-                let x = self.from_formula(a);
-                let y = self.from_formula(b);
+                let x = self.build_formula(a, leaf)?;
+                let y = self.build_formula(b, leaf)?;
                 self.iff(x, y)
             }
             Formula::Xor(a, b) => {
-                let x = self.from_formula(a);
-                let y = self.from_formula(b);
+                let x = self.build_formula(a, leaf)?;
+                let y = self.build_formula(b, leaf)?;
                 self.xor(x, y)
             }
-        }
+        })
     }
 
     /// Build the BDD whose models are `masks`, bit `i` of a mask giving
@@ -533,6 +549,36 @@ impl BddManager {
             };
         }
         cur == TRUE
+    }
+
+    /// Does `f` entail the clause `⋁ clause`? It does iff no path from
+    /// `f` to `⊤` agrees with the clause's negation, which sets each of
+    /// its letters against its literal. One walk over the nodes on such
+    /// paths, each visited at most once; it allocates no node.
+    pub fn entails_clause(&self, f: NodeId, clause: &[Lit]) -> bool {
+        let mut lits = clause.to_vec();
+        lits.sort_unstable();
+        lits.dedup();
+        if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return true; // `v ∨ ¬v`: every function entails it
+        }
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![f];
+        while let Some(n) = stack.pop() {
+            if n == TRUE {
+                return false;
+            }
+            if n == FALSE || std::mem::replace(&mut seen[n.0 as usize], true) {
+                continue;
+            }
+            let Node { level, low, high } = self.nodes[n.0 as usize];
+            match lits.binary_search_by_key(&self.var_at(level), |l| l.var()) {
+                // The negation sets a positive literal's letter false.
+                Ok(i) => stack.push(if lits[i].is_positive() { low } else { high }),
+                Err(_) => stack.extend([low, high]),
+            }
+        }
+        true
     }
 
     /// Number of distinct nodes reachable from `f` (including the
@@ -767,6 +813,45 @@ mod tests {
         let all = m.all_models(f);
         assert_eq!(all.len(), 2);
         assert!(m.any_model(FALSE).is_none());
+    }
+
+    #[test]
+    fn clause_walk_agrees_with_truth_tables() {
+        use revkb_logic::Alphabet;
+        // The oracle's alphabet has the letter the ordering lacks.
+        let alpha = Alphabet::new((0..5).map(Var).collect());
+        let mut m = BddManager::with_order((0..4).map(Var));
+        let functions = [
+            v(0).xor(v(1)).or(v(2).and(v(3))),
+            v(0).and(v(1)),
+            v(2).implies(v(3)),
+            Formula::True,
+            Formula::False,
+        ];
+        let lit = |code: u32| Lit::new(Var(code / 2), code.is_multiple_of(2));
+        for f in functions {
+            let node = m.from_formula(&f);
+            // Every clause of at most two literals over four letters and
+            // one outside the ordering, tautologies included.
+            let mut clauses: Vec<Vec<Lit>> = vec![Vec::new()];
+            for a in 0..10 {
+                clauses.push(vec![lit(a)]);
+                clauses.extend((a..10).map(|b| vec![lit(a), lit(b)]));
+            }
+            for clause in clauses {
+                let q = Formula::or_all(
+                    clause
+                        .iter()
+                        .map(|l| Formula::lit(l.var(), l.is_positive())),
+                );
+                let expected = alpha.models(&f).into_iter().all(|mask| {
+                    clause
+                        .iter()
+                        .any(|l| (mask >> l.var().0 & 1 == 1) == l.is_positive())
+                });
+                assert_eq!(m.entails_clause(node, &clause), expected, "{f:?} ⊨ {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The result type of a compact construction.
 
-use revkb_logic::{Formula, SharedCnf, Var};
+use revkb_bdd::{from_definitional, BddManager, NodeId, FALSE};
+use revkb_logic::{Formula, Lit, SharedCnf, Var};
 use revkb_sat::{QuerySession, SolverStats};
 use std::cell::RefCell;
+use std::time::Instant;
 
 /// Error answering a query through a [`CompactRep`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,14 +44,27 @@ impl std::error::Error for QueryError {}
 /// representations (criterion (2)), `formula` uses only `base` letters
 /// and `T' ≡ T * P`.
 ///
-/// Entailment queries go through one lazily created [`QuerySession`]:
-/// the first query or batch loads `formula` once, from the clauses the
-/// construction kept when it kept them (the session then owns the only
-/// copy, and the representation lets them go), and by a Tseitin pass
-/// otherwise. Single queries and batches share its learned clauses,
-/// memo and countermodels. Mutating `formula` after the first query is
-/// a footgun — the session keeps answering for the formula it loaded;
-/// construct a fresh `CompactRep` instead.
+/// Entailment queries are answered by one lazily filled slot, which
+/// single queries and batches share:
+///
+/// - a BDD backend's representation answers on its ROBDD: the one its
+///   compile handed over ([`CompactRep::with_diagram`]), or, when it was
+///   taken up from its stored formula ([`CompactRep::on_diagram`]), the
+///   one [`revkb_bdd::from_definitional`] rebuilds at the first query.
+///   A query in clausal form is one walk per clause
+///   ([`revkb_bdd::BddManager::entails_clause`]); any other asks
+///   whether `T' ∧ ¬Q` is `⊥`. No solver is built and nothing is
+///   memoised;
+/// - every other representation answers through a [`QuerySession`]:
+///   the first query loads `formula` once, from the clauses the
+///   construction kept when it kept them (the session then owns the
+///   only copy, and the representation lets them go), and by a Tseitin
+///   pass otherwise. Queries share its learned clauses, memo and
+///   countermodels.
+///
+/// Mutating `formula` after the first query is a footgun — the slot
+/// keeps answering for the formula it loaded; construct a fresh
+/// `CompactRep` instead.
 #[derive(Debug)]
 pub struct CompactRep {
     /// The representation formula `T'`.
@@ -65,18 +80,106 @@ pub struct CompactRep {
     /// models are `formula`'s on every base letter (see
     /// [`CompactRep::with_clauses`]).
     clauses: RefCell<Option<SharedCnf>>,
-    /// Lazily created query session over `formula`, for single
-    /// queries and batches alike.
-    session: RefCell<Option<QuerySession>>,
+    /// Whether `formula` is a BDD backend's definitional formula, whose
+    /// ROBDD answers the queries.
+    bdd: bool,
+    /// What answers the queries: empty until the first one, unless the
+    /// compile handed its diagram over.
+    answerer: RefCell<Option<Answerer>>,
+}
+
+/// What answers a [`CompactRep`]'s queries.
+#[derive(Debug)]
+enum Answerer {
+    Session(Box<QuerySession>),
+    Diagram(Box<Diagram>),
+}
+
+impl Answerer {
+    fn diagram(mgr: BddManager, root: NodeId) -> Self {
+        Answerer::Diagram(Box::new(Diagram {
+            mgr,
+            root,
+            stats: None,
+        }))
+    }
+
+    fn entails(&mut self, q: &Formula) -> bool {
+        match self {
+            Answerer::Session(session) => session.entails(q),
+            Answerer::Diagram(diagram) => diagram.entails(q),
+        }
+    }
+}
+
+/// A BDD backend's ROBDD `root` of `mgr`, which answers queries with
+/// no solver.
+#[derive(Debug)]
+struct Diagram {
+    mgr: BddManager,
+    root: NodeId,
+    /// `None` until the first query.
+    stats: Option<SolverStats>,
+}
+
+impl Diagram {
+    fn entails(&mut self, q: &Formula) -> bool {
+        let start = Instant::now();
+        let answer = match cnf_clauses(q) {
+            Some(clauses) => clauses
+                .iter()
+                .all(|c| self.mgr.entails_clause(self.root, c)),
+            None => {
+                let q = self.mgr.from_formula(q);
+                let not_q = self.mgr.not(q);
+                self.mgr.and(self.root, not_q) == FALSE
+            }
+        };
+        let micros = start.elapsed().as_nanos().div_ceil(1000) as u64;
+        let stats = self.stats.get_or_insert_with(SolverStats::default);
+        stats.queries += 1;
+        stats.cache_misses += 1;
+        stats.last_query_micros = micros;
+        stats.total_query_micros += micros;
+        answer
+    }
+}
+
+/// The clauses of `q` when it is a literal, a clause or a conjunction
+/// of them (`⊤` has none, and `⊥` is the empty clause).
+fn cnf_clauses(q: &Formula) -> Option<Vec<Vec<Lit>>> {
+    fn literal(f: &Formula) -> Option<Lit> {
+        match f {
+            Formula::Var(v) => Some(Lit::pos(*v)),
+            Formula::Not(inner) => match &**inner {
+                Formula::Var(v) => Some(Lit::neg(*v)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+    fn clause(f: &Formula) -> Option<Vec<Lit>> {
+        match f {
+            Formula::Or(lits) => lits.iter().map(literal).collect(),
+            Formula::False => Some(Vec::new()),
+            f => literal(f).map(|l| vec![l]),
+        }
+    }
+    match q {
+        Formula::And(clauses) => clauses.iter().map(clause).collect(),
+        Formula::True => Some(Vec::new()),
+        q => clause(q).map(|c| vec![c]),
+    }
 }
 
 impl Clone for CompactRep {
     fn clone(&self) -> Self {
-        // The clone starts with a fresh (unloaded) session rather than
-        // a copy of the solver state: cloning is used to build derived
+        // The clone starts with an empty slot rather than a copy of the
+        // solver or diagram: cloning is used to build derived
         // representations, not to share query workloads.
-        let rep = Self::new(self.formula.clone(), self.base.clone(), self.logical);
+        let mut rep = Self::new(self.formula.clone(), self.base.clone(), self.logical);
         *rep.clauses.borrow_mut() = self.clauses.borrow().clone();
+        rep.bdd = self.bdd;
         rep
     }
 }
@@ -89,7 +192,8 @@ impl CompactRep {
             base,
             logical,
             clauses: RefCell::new(None),
-            session: RefCell::new(None),
+            bdd: false,
+            answerer: RefCell::new(None),
         }
     }
 
@@ -101,6 +205,29 @@ impl CompactRep {
     /// A logically equivalent representation.
     pub fn logical(formula: Formula, base: Vec<Var>) -> Self {
         Self::new(formula, base, true)
+    }
+
+    /// The same representation, which answers on the ROBDD
+    /// `root` of `mgr`: the diagram `formula` was extracted from by
+    /// [`revkb_bdd::to_formula_definitional`].
+    pub(crate) fn with_diagram(mut self, mgr: BddManager, root: NodeId) -> Self {
+        self.bdd = true;
+        *self.answerer.get_mut() = Some(Answerer::diagram(mgr, root));
+        self
+    }
+
+    /// The same representation, which rebuilds at its first query the
+    /// ROBDD that `formula`, a BDD backend's definitional formula,
+    /// defines over `base`, and answers on it. A formula not of that
+    /// shape is answered through a query session instead.
+    pub(crate) fn on_diagram(mut self) -> Self {
+        self.bdd = true;
+        self
+    }
+
+    /// Whether the representation answers on a BDD backend's diagram.
+    pub(crate) fn is_diagram(&self) -> bool {
+        self.bdd
     }
 
     /// The same representation, whose query session loads `cnf`
@@ -135,7 +262,7 @@ impl CompactRep {
     /// boolean.
     pub fn try_entails(&self, q: &Formula) -> Result<bool, QueryError> {
         self.check_alphabet(q)?;
-        Ok(self.with_session(|session| session.entails(q)))
+        Ok(self.with_answerer(|answerer| answerer.entails(q)))
     }
 
     fn check_alphabet(&self, q: &Formula) -> Result<(), QueryError> {
@@ -145,19 +272,25 @@ impl CompactRep {
         }
     }
 
-    fn with_session<R>(&self, f: impl FnOnce(&mut QuerySession) -> R) -> R {
-        let mut slot = self.session.borrow_mut();
-        let session = slot.get_or_insert_with(|| {
+    fn with_answerer<R>(&self, f: impl FnOnce(&mut Answerer) -> R) -> R {
+        let mut slot = self.answerer.borrow_mut();
+        let answerer = slot.get_or_insert_with(|| {
+            let diagram = self
+                .bdd
+                .then(|| from_definitional(&self.formula, &self.base));
+            if let Some((mgr, root)) = diagram.flatten() {
+                return Answerer::diagram(mgr, root);
+            }
             // Reserve the whole base alphabet for queries, not just
             // V(formula): the construction may have simplified a base
             // letter away, yet queries over it remain legitimate.
             let num_query_vars = self.base.iter().map(|v| v.0 + 1).max().unwrap_or(0);
-            match self.take_clauses() {
+            Answerer::Session(Box::new(match self.take_clauses() {
                 Some(cnf) => QuerySession::from_clauses(&cnf, num_query_vars),
                 None => QuerySession::with_query_alphabet(&self.formula, num_query_vars),
-            }
+            }))
         });
-        f(session)
+        f(answerer)
     }
 
     /// Answer `T * P ⊨ Q` through the representation.
@@ -177,7 +310,7 @@ impl CompactRep {
     }
 
     /// Answer a batch of queries `T * P ⊨ Qᵢ` in order on the
-    /// representation's query session, or report the first
+    /// representation's query session or diagram, or report the first
     /// out-of-alphabet query. The answer at index `i` is for
     /// `queries[i]`.
     ///
@@ -187,10 +320,10 @@ impl CompactRep {
         for q in queries {
             self.check_alphabet(q)?;
         }
-        Ok(self.with_session(|session| queries.iter().map(|q| session.entails(q)).collect()))
+        Ok(self.with_answerer(|answerer| queries.iter().map(|q| answerer.entails(q)).collect()))
     }
 
-    /// Answer a batch of queries through the query session.
+    /// Answer a batch of queries through the query session or diagram.
     ///
     /// # Panics
     ///
@@ -203,10 +336,14 @@ impl CompactRep {
         }
     }
 
-    /// Counters of the query session, if any query or batch has been
-    /// answered yet.
+    /// Counters of the query session or diagram, if any query or batch
+    /// has been answered yet. A diagram loads no base and builds no
+    /// solver, and every query it answers counts as a cache miss.
     pub fn stats(&self) -> Option<SolverStats> {
-        self.session.borrow().as_ref().map(QuerySession::stats)
+        match self.answerer.borrow().as_ref()? {
+            Answerer::Session(session) => Some(session.stats()),
+            Answerer::Diagram(diagram) => diagram.stats,
+        }
     }
 
     /// The auxiliary letters used beyond the base alphabet.
@@ -291,6 +428,53 @@ mod tests {
             Err(QueryError::OutOfAlphabet { var: Var(9) })
         );
         assert!(rep.stats().is_none(), "no session built on rejection");
+    }
+
+    /// `x0 ∧ (x1 ∨ x2)`'s definitional formula over `x0..x3`, and its
+    /// diagram.
+    fn definitional() -> (Formula, Vec<Var>, BddManager, NodeId) {
+        let base: Vec<Var> = (0..4).map(Var).collect();
+        let mut mgr = BddManager::with_order(base.iter().copied());
+        let root = mgr.from_formula(&v(0).and(v(1).or(v(2))));
+        let mut supply = revkb_logic::CountingSupply::new(4);
+        let formula = revkb_bdd::to_formula_definitional(&mgr, root, &mut supply);
+        (formula, base, mgr, root)
+    }
+
+    #[test]
+    fn diagram_answers_every_query_shape_without_a_session() {
+        let (formula, base, mgr, root) = definitional();
+        let compiled = CompactRep::query(formula.clone(), base.clone()).with_diagram(mgr, root);
+        let rebuilt = CompactRep::query(formula, base).on_diagram();
+        let cases = [
+            (v(0), true),                              // literal
+            (v(1).or(v(2)), true),                     // clause
+            (v(1).or(v(3)), false),                    // clause
+            (v(0).and(v(1).or(v(2))), true),           // CNF
+            (v(0).and(v(1)), false),                   // cube
+            (v(3).or(v(3).not()), true),               // tautology
+            (Formula::False, false),                   // empty clause
+            (v(1).xor(v(2)).or(v(1).and(v(2))), true), // apply route
+            (v(1).iff(v(2)), false),                   // apply route
+        ];
+        for rep in [compiled, rebuilt] {
+            assert!(rep.stats().is_none(), "no query yet");
+            for (q, expected) in &cases {
+                assert_eq!(rep.entails(q), *expected, "{q:?}");
+            }
+            let stats = rep.stats().expect("queries ran");
+            assert_eq!((stats.queries, stats.cache_misses), (9, 9));
+            assert_eq!((stats.base_loads, stats.solver_constructions), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_formula_not_definitional_answers_through_a_session() {
+        let rep =
+            CompactRep::query(v(0).and(v(1).or(v(2))), vec![Var(0), Var(1), Var(2)]).on_diagram();
+        assert!(rep.entails(&v(0)));
+        assert!(!rep.entails(&v(1)));
+        assert_eq!(rep.stats().map(|s| s.base_loads), Some(1));
     }
 
     #[test]

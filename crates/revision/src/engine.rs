@@ -17,12 +17,14 @@
 //! Step 2 is incremental: the first query opens a
 //! [`revkb_sat::QuerySession`] that Tseitin-loads the compiled `T'`
 //! into one CDCL solver; later queries reuse it (activation-literal
-//! encoding, learned clauses kept, answers memoised). Two sharp edges
+//! encoding, learned clauses kept, answers memoised), except on a BDD
+//! backend's representation, which answers on its ROBDD with no solver
+//! ([`CompactRep`]). Two sharp edges
 //! are made loud rather than silent: queries mentioning letters
 //! outside the revision alphabet are rejected in every profile
 //! ([`CompactRep::try_entails`]), and applying a pending revision
-//! replaces the representation — and with it the session and its
-//! stats — so stale answers cannot survive a revision.
+//! replaces the representation — and with it the session or diagram
+//! and its stats — so stale answers cannot survive a revision.
 
 use crate::compact::iterated::{
     base_vars, borgida_step, dalal_step, forbus_step, satoh_step, weber_step,
@@ -235,10 +237,9 @@ pub struct RevisionChain {
     /// How many of `ps` the running representation has applied.
     applied: usize,
     /// The running representation over the base alphabet, with the
-    /// clauses a Dalal, Satoh or Weber step left.
+    /// clauses a Dalal, Satoh or Weber step left. A step can extend it
+    /// unless it is the BDD route's diagram.
     rep: CompactRep,
-    /// Whether `rep` is the direct route's, which a step can extend.
-    direct: bool,
     /// Fresh letters for the next step: above every letter of the
     /// representation, its clauses and the base, and drawn from on
     /// across steps.
@@ -269,7 +270,9 @@ impl RevisionChain {
     /// `T * P¹ * … * Pᵐ` with `rep` as its representation, every
     /// revision applied: a compilation made elsewhere, such as a cached
     /// artifact, taken up again. `backend` is the one `rep` was
-    /// compiled with.
+    /// compiled with: a BDD backend's `rep` over at most
+    /// [`MAX_BDD_VARS`] letters is its diagram's definitional formula,
+    /// and the diagram is rebuilt from it to answer the first query.
     pub fn with_representation(
         op: ModelBasedOp,
         backend: Backend,
@@ -277,14 +280,14 @@ impl RevisionChain {
         ps: Vec<Formula>,
         rep: CompactRep,
     ) -> Self {
+        let diagram = backend == Backend::Bdd && rep.base.len() <= MAX_BDD_VARS;
         RevisionChain {
             op,
             backend,
             t,
             applied: ps.len(),
             ps,
-            direct: backend == Backend::Direct || rep.base.len() > MAX_BDD_VARS,
-            rep,
+            rep: if diagram { rep.on_diagram() } else { rep },
             supply: None,
             delta_limit: DELTA_LIMIT,
         }
@@ -363,10 +366,10 @@ impl RevisionChain {
         let _span = revkb_obs::span("revision.compile_iterated");
         let _op_span = revkb_obs::span(self.op.name());
         let pending = &self.ps[self.applied..];
-        if !(self.direct && pending.iter().all(|p| self.admits(p))) {
+        if self.rep.is_diagram() || !pending.iter().all(|p| self.admits(p)) {
             let base = base_vars(&self.t, &self.ps);
             self.rep = CompactRep::query(self.t.clone(), base);
-            (self.applied, self.direct, self.supply) = (0, true, None);
+            (self.applied, self.supply) = (0, None);
         }
         if let Some(widest) = self.pending().iter().max_by_key(|p| p.vars().len()) {
             check_width(self.op, widest)?;
@@ -389,15 +392,16 @@ impl RevisionChain {
     /// → definitional formula (one fresh letter per BDD node). The
     /// result is query-equivalent over the base alphabet and has size
     /// linear in the BDD — the Section 7 data-structure view made into
-    /// a compiler backend.
+    /// a compiler backend. The representation keeps the diagram and
+    /// answers its queries on it.
     fn compile_bdd(&mut self, alpha: &Alphabet) {
         let _span = revkb_obs::span("revision.compile_via_bdd");
         let _op_span = revkb_obs::span(self.op.name());
         let (mgr, node) = selected_bdd(self.op, alpha, &self.t, &self.ps);
         let mut supply = supply_above(std::iter::once(&self.t).chain(&self.ps));
         let formula = revkb_bdd::to_formula_definitional(&mgr, node, &mut supply);
-        self.rep = CompactRep::query(formula, alpha.vars().to_vec());
-        (self.applied, self.direct, self.supply) = (self.ps.len(), false, None);
+        self.rep = CompactRep::query(formula, alpha.vars().to_vec()).with_diagram(mgr, node);
+        (self.applied, self.supply) = (self.ps.len(), None);
     }
 
     /// Can `p` extend this chain, i.e. is `V(p)` inside its base

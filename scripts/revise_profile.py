@@ -13,7 +13,8 @@ process may use, where the OS supports affinity), sends the corpus's
 three times, and writes the median client-side latency of each
 (operator, backend, step) revise, the median latency of the query
 after a chain's last step (the KB version's first query, which loads
-its SAT session) per (operator, backend, steps), and the
+its SAT session, or on the BDD backend answers on the compiled diagram)
+per (operator, backend, steps), and the
 `compiled_size` of every (chain, step) revise, keyed
 `chain:operator/backend/step`. It also writes the p50 and p90 over
 every revise of every pass, and how many of the revises at or above

@@ -8,7 +8,12 @@
 //! 3. a semantic oracle that enumerates models.
 //!
 //! The six model-based operators are compiled through
-//! [`revkb::revision::compact`] and checked against [`revise_on`]; the
+//! [`revkb::revision::compact`] and checked against [`revise_on`]. Their
+//! BDD-backend representations answer on the diagram, with no solver:
+//! both the compiled one and the one taken up from its definitional
+//! formula are checked against one-shot `entails` on that formula and
+//! against [`revise_on`], for single revisions and for chains of 2 and
+//! 3 steps against [`revise_iterated_on`]. The
 //! two formula-based operators (GFUV, WIDTIO) go through their explicit
 //! representations and [`ModelSet`] enumeration. The generators are
 //! deterministic (`pseudo_random_formula` with fixed seeds), so a
@@ -16,7 +21,8 @@
 
 use revkb::logic::{Alphabet, Formula, Var};
 use revkb::revision::{
-    compact, revise_on, revision_alphabet, GfuvKb, ModelBasedOp, ModelSet, Theory, WidtioKb,
+    compact, revise_iterated_on, revise_on, revision_alphabet, revision_alphabet_seq, Backend,
+    CompactRep, GfuvKb, ModelBasedOp, ModelSet, ReviseBuilder, RevisionChain, Theory, WidtioKb,
 };
 use revkb::sat::{pseudo_random_formula, QuerySession};
 
@@ -70,13 +76,70 @@ fn check_all_paths(
     queries.len()
 }
 
+/// A literal, a clause, a cube and a CNF over `0..NUM_VARS`: the
+/// shapes a diagram answers by walking it once per clause.
+fn clausal_queries(seed: &mut u64) -> Vec<Formula> {
+    let mut lit = || pseudo_random_formula(seed, 0, NUM_VARS);
+    vec![
+        lit(),
+        lit().or(lit()).or(lit()),
+        lit().and(lit()),
+        lit().or(lit()).and(lit().or(lit())),
+    ]
+}
+
+/// Check the BDD backend's `T * P¹ * … * Pᵐ` along its two diagram
+/// paths: the representation the compile hands over and the same one
+/// taken up from its definitional formula. Each must answer every query
+/// like one-shot `entails` on that formula and like `oracle`, with no
+/// solver. Returns the number of triples checked.
+fn check_bdd_paths(
+    label: &str,
+    op: ModelBasedOp,
+    (t, ps): (&Formula, &[Formula]),
+    queries: &[Formula],
+    oracle: &ModelSet,
+) -> usize {
+    let compiled = ReviseBuilder::new(op)
+        .backend(Backend::Bdd)
+        .compile_iterated(t, ps)
+        .unwrap_or_else(|e| panic!("{label}: bdd compile failed: {e:?}"));
+    let rep = compiled.representation();
+    let stored = CompactRep::query(rep.formula.clone(), rep.base.clone());
+    let taken_up =
+        RevisionChain::with_representation(op, Backend::Bdd, t.clone(), ps.to_vec(), stored);
+    for (i, q) in queries.iter().enumerate() {
+        let expected = oracle.entails(q);
+        let paths = [
+            ("one-shot solver", revkb::sat::entails(&rep.formula, q)),
+            ("compiled diagram", rep.entails(q)),
+            ("rebuilt diagram", taken_up.representation().entails(q)),
+        ];
+        for (path, answer) in paths {
+            assert_eq!(
+                answer, expected,
+                "{label}, query #{i}: {path} != oracle for {q:?}"
+            );
+        }
+    }
+    for path in [rep, taken_up.representation()] {
+        let stats = path.stats().expect("queries ran");
+        assert_eq!(
+            stats.solver_constructions, 0,
+            "{label}: answered on the diagram"
+        );
+    }
+    queries.len()
+}
+
 /// The six model-based operators: `compact` vs the
 /// `revise_on` model-set oracle, 6 × 6 pairs × 8 queries = 288
-/// triples.
+/// triples, and the BDD backend's two diagram paths on the same pairs
+/// and on chains of 2 and 3 steps, with clausal queries added.
 #[test]
 fn model_based_operators_agree_on_all_paths() {
     let anchor = alphabet_anchor();
-    let mut triples = 0;
+    let (mut triples, mut bdd_triples) = (0, 0);
     for (op_index, op) in ModelBasedOp::ALL.into_iter().enumerate() {
         let mut seed = 0xD1FF_5EED ^ ((op_index as u64) << 32);
         for pair in 0..PAIRS_PER_OP {
@@ -100,9 +163,27 @@ fn model_based_operators_agree_on_all_paths() {
                     "{label}: CompactRep::entails disagrees on {q:?}"
                 );
             }
+            let mut queries = queries;
+            queries.extend(clausal_queries(&mut seed));
+            let single = (&t, std::slice::from_ref(&p));
+            bdd_triples += check_bdd_paths(&label, op, single, &queries, &oracle);
+        }
+        for steps in [2, 3] {
+            for chain in 0..PAIRS_PER_OP / 2 {
+                let t = pseudo_random_formula(&mut seed, 3, NUM_VARS).and(anchor.clone());
+                let ps: Vec<Formula> = (0..steps)
+                    .map(|_| pseudo_random_formula(&mut seed, 2, NUM_VARS))
+                    .collect();
+                let oracle = revise_iterated_on(op, &revision_alphabet_seq(&t, &ps), &t, &ps);
+                let mut queries = clausal_queries(&mut seed);
+                queries.extend((0..4).map(|_| pseudo_random_formula(&mut seed, 3, NUM_VARS)));
+                let label = format!("{} {steps}-step chain {chain}", op.name());
+                bdd_triples += check_bdd_paths(&label, op, (&t, &ps), &queries, &oracle);
+            }
         }
     }
     assert!(triples >= 200, "only {triples} model-based triples checked");
+    assert!(bdd_triples >= 600, "only {bdd_triples} bdd triples checked");
 }
 
 /// GFUV: the explicit representation `(⋁ ⋀T') ∧ P` answered through

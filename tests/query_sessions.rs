@@ -11,13 +11,19 @@
 //! answered from the single-query session's memo: singles and batches
 //! share one session, whose one stats block counts them all.
 //!
+//! A BDD-backend version of each model-based operator's `T * P`, both
+//! as compiled and as taken up from its stored formula, answers on its
+//! diagram instead: no solver, no base load and no Tseitin pass, with
+//! every query counted, and clausal queries allocate no BDD node. A
+//! further revise drops the diagram.
+//!
 //! This file holds exactly one test because it measures exact deltas
 //! of process-wide counters (solver constructions, base loads, Tseitin
 //! clauses).
 
 use revkb::obs::{self, TraceMode};
 use revkb::prelude::*;
-use revkb::revision::{widtio, CompactRep, RevisionChain};
+use revkb::revision::{widtio, Backend, CompactRep, ReviseBuilder, RevisionChain};
 use revkb::sat::{self, pseudo_random_formula};
 
 const NUM_VARS: u32 = 6;
@@ -112,6 +118,64 @@ fn pin_version(label: &str, engine: &mut dyn Engine, singles: &[Formula], batch:
     );
 }
 
+/// Pin the work of a BDD-backend version, which answers on its
+/// diagram: the same queries as [`pin_version`], twice over, build no
+/// solver, load no base and run no Tseitin pass; clausal queries on the
+/// built diagram allocate no node. Returns the answers.
+fn pin_diagram(
+    label: &str,
+    engine: &mut dyn Engine,
+    singles: &[Formula],
+    batch: &[Formula],
+) -> Vec<bool> {
+    assert!(engine.stats().is_none(), "{label}: no query yet");
+    obs::reset();
+    let solvers = sat::constructions();
+    let answers = ask(engine, singles, batch);
+    let again = ask(engine, singles, batch);
+    let work = obs::drain();
+    assert_eq!(answers, again, "{label}");
+    assert_eq!(sat::constructions() - solvers, 0, "{label}: no solver");
+    assert!(
+        counter(&work, "bdd.unique.nodes_allocated") > 0,
+        "{label}: the other queries build their negation in the manager"
+    );
+    for name in [
+        "sat.session.base_loads",
+        "sat.session.queries",
+        "logic.tseitin.runs",
+    ] {
+        assert_eq!(counter(&work, name), 0, "{label}: {name}");
+    }
+    let stats = engine.stats().expect("queries ran");
+    let asked = 2 * (singles.len() + batch.len()) as u64;
+    assert_eq!(
+        (stats.queries, stats.cache_misses),
+        (asked, asked),
+        "{label}"
+    );
+    assert_eq!(
+        (stats.base_loads, stats.solver_constructions),
+        (0, 0),
+        "{label}"
+    );
+
+    let clausal = [
+        v(0),
+        v(1).not().or(v(5)),
+        v(2).and(v(4).not()),
+        v(3).or(v(5)).and(v(0)),
+    ];
+    engine.try_entails_batch(&clausal).expect("in alphabet");
+    let walks = obs::drain();
+    assert_eq!(
+        counter(&walks, "bdd.unique.nodes_allocated"),
+        0,
+        "{label}: the walk"
+    );
+    answers
+}
+
 /// After a revise, the first query loads the new version afresh.
 fn pin_fresh_session(label: &str, engine: &mut dyn Engine, q: &Formula) {
     assert!(
@@ -151,8 +215,42 @@ fn one_load_and_one_solver_per_kb_version() {
         let mut chain = RevisionChain::compile(op, &t, std::slice::from_ref(&p))
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         pin_version(label, &mut chain, &singles, &batch);
+        let expected = ask(&mut chain, &singles, &batch);
         chain.extend(&p2).unwrap_or_else(|e| panic!("{label}: {e}"));
         pin_fresh_session(label, &mut chain, &v(0));
+
+        let bdd = ReviseBuilder::new(op).backend(Backend::Bdd);
+        let mut compiled = bdd
+            .compile(&t, &p)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let rep = compiled.representation();
+        let stored = CompactRep::query(rep.formula.clone(), rep.base.clone());
+        let mut taken_up = RevisionChain::with_representation(
+            op,
+            Backend::Bdd,
+            t.clone(),
+            vec![p.clone()],
+            stored,
+        );
+        for (path, kb) in [("compiled", &mut compiled), ("taken up", &mut taken_up)] {
+            let label = format!("{label} bdd {path}");
+            assert_eq!(
+                pin_diagram(&label, kb, &singles, &batch),
+                expected,
+                "{label}"
+            );
+            kb.revise(p2.clone(), Backend::Bdd);
+            kb.apply().unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(kb.stats().is_none(), "{label}: revise drops the diagram");
+            let answer = kb.try_entails(&v(0)).expect("in alphabet");
+            assert_eq!(
+                answer,
+                chain.try_entails(&v(0)).expect("in alphabet"),
+                "{label}"
+            );
+            let stats = kb.stats().expect("a query ran");
+            assert_eq!((stats.queries, stats.base_loads), (1, 0), "{label}");
+        }
     }
 
     let mut gfuv = GfuvEngine::compile(theory.clone(), p.clone(), 1 << 10).expect("few worlds");
