@@ -115,15 +115,6 @@ impl ReviseBuilder {
     pub fn delayed(&self, t: Formula) -> RevisionChain {
         RevisionChain::delayed(self.op, t)
     }
-
-    /// The knowledge base `T` revised by `ps`, as
-    /// [`ReviseBuilder::compile_iterated`] compiles it. An empty `ps`
-    /// yields the unrevised base itself (a logically-equivalent
-    /// representation of `T`), so a freshly loaded knowledge base is
-    /// queryable before its first revision.
-    pub fn engine(&self, t: &Formula, ps: &[Formula]) -> Result<RevisionChain, Error> {
-        self.compile_iterated(t, ps)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +199,7 @@ mod tests {
             via_bdd.apply().unwrap();
             let via_bdd = via_bdd.representation();
             let mut built = bdd.compile_iterated(&t, &ps).unwrap();
-            let mut engine = bdd.engine(&t, &ps).unwrap();
+            let mut engine = bdd.compile_iterated(&t, &ps).unwrap();
             assert_eq!(
                 built.representation().size(),
                 via_bdd.size(),
@@ -233,7 +224,7 @@ mod tests {
     fn engine_with_no_revisions_is_the_base() {
         let t = v(0).and(v(1));
         let mut engine = ReviseBuilder::new(ModelBasedOp::Dalal)
-            .engine(&t, &[])
+            .compile_iterated(&t, &[])
             .unwrap();
         assert!(engine.try_entails(&v(0)).unwrap());
         assert!(!engine.try_entails(&v(0).not()).unwrap());

@@ -11,8 +11,8 @@
 //! - **admission runs on the loop thread** ([`Server` routing]) so a
 //!   flood of connections is answered `overloaded` in arrival order;
 //! - admitted data-plane commands go to a pool of
-//!   `ServerConfig::threads` workers (the same permit gate and
-//!   deadlines apply);
+//!   `ServerConfig::threads` workers, so at most that many run at
+//!   once (the same deadlines apply);
 //! - control-plane commands (`ping`, `hello`, `stats`, `shutdown`)
 //!   and every HTTP request outside `/v1` (the metrics and debug
 //!   routes) run on one dedicated control worker, so a `stats` or a
@@ -272,7 +272,7 @@ mod linux {
         Http { keep_alive: bool },
     }
 
-    /// One request dispatched to a worker.
+    /// One routed request dispatched to a worker.
     struct Job {
         token: u64,
         request: Request,
@@ -281,6 +281,7 @@ mod linux {
         /// the wait until a worker picks it up is queue time.
         dispatched: Instant,
         req: u64,
+        trace: u64,
         reply: Reply,
     }
 
@@ -415,6 +416,32 @@ mod linux {
         http::Response::ok(http::JSON_CONTENT_TYPE, format!("{}\n", response.render()))
     }
 
+    /// Execute one job, routed `routing` (the worker's kind), on the
+    /// worker that took it and hand the rendered response back to the
+    /// loop.
+    fn run_job(
+        server: &Server,
+        job: Job,
+        routing: Routing,
+        completions: &Mutex<Vec<Completion>>,
+        wake: &UnixStream,
+    ) {
+        let response = server.execute_routed(
+            &job.request,
+            routing,
+            job.started,
+            Some(job.dispatched),
+            job.req,
+            job.trace,
+        );
+        push_completion(
+            completions,
+            wake,
+            job.token,
+            render_reply(&job.reply, &response),
+        );
+    }
+
     fn data_worker(
         server: Server,
         rx: Arc<Mutex<mpsc::Receiver<Job>>>,
@@ -426,14 +453,7 @@ mod linux {
                 Ok(job) => job,
                 Err(_) => break,
             };
-            let response =
-                server.execute_admitted(&job.request, job.started, job.dispatched, job.req);
-            push_completion(
-                &completions,
-                &wake,
-                job.token,
-                render_reply(&job.reply, &response),
-            );
+            run_job(&server, job, Routing::Admitted, &completions, &wake);
         }
     }
 
@@ -446,14 +466,7 @@ mod linux {
         for job in rx {
             match job {
                 ControlJob::Request(job) => {
-                    let response =
-                        server.execute_control(&job.request, job.started, job.dispatched, job.req);
-                    push_completion(
-                        &completions,
-                        &wake,
-                        job.token,
-                        render_reply(&job.reply, &response),
-                    );
+                    run_job(&server, job, Routing::Control, &completions, &wake)
                 }
                 ControlJob::Metrics {
                     token,
@@ -685,50 +698,74 @@ mod linux {
                     conn.write_buf.extend_from_slice(response.as_bytes());
                     conn.write_buf.push(b'\n');
                 }
-                Ok(mut request) => {
-                    let req = ctx.server.next_req();
-                    // Resolve the trace id on the loop thread so the
-                    // worker that eventually executes the request (and
-                    // the immediate-rejection path below) all see one
-                    // consistent id.
-                    let trace = request.trace.unwrap_or_else(obs::new_trace_id);
-                    request.trace = Some(trace);
-                    match ctx.server.route_request(&request, req, trace, true) {
-                        Routing::Done(response) => {
-                            ctx.server
-                                .note_request(request.cmd.tag(), req, trace, started);
-                            conn.write_buf
-                                .extend_from_slice(response.render().as_bytes());
-                            conn.write_buf.push(b'\n');
-                        }
-                        Routing::Control => {
-                            conn.pending += 1;
-                            conn.alone_in_flight = !request.cmd.pipelines();
-                            let _ = ctx.ctl_tx.send(ControlJob::Request(Job {
-                                token: conn.token,
-                                request,
-                                started,
-                                dispatched: Instant::now(),
-                                req,
-                                reply: Reply::Line,
-                            }));
-                        }
-                        Routing::Admitted => {
-                            conn.pending += 1;
-                            conn.alone_in_flight = !request.cmd.pipelines();
-                            let _ = ctx.data_tx.send(Job {
-                                token: conn.token,
-                                request,
-                                started,
-                                dispatched: Instant::now(),
-                                req,
-                                reply: Reply::Line,
-                            });
-                        }
-                        Routing::Replicate => return After::Handoff { request, req },
-                    }
-                }
+                Ok(request) => match dispatch(ctx, conn, request, started, None, Reply::Line) {
+                    After::Keep => {}
+                    handoff => return handoff,
+                },
             }
+        }
+        After::Keep
+    }
+
+    /// Route one parsed request with [`Server::route_request`] and act
+    /// on the verdict for either framer: write an immediate answer to
+    /// the connection, queue the request for the control worker or
+    /// the worker pool, or hand the connection to a replication stream
+    /// (NDJSON only). A queued request sets the flag that holds back
+    /// what follows it on the connection: `alone_in_flight` for an
+    /// NDJSON command that does not pipeline, `http_busy` for any HTTP
+    /// request. The trace id is resolved here (the body's, else
+    /// `trace_header`, else a fresh one) so the worker, an immediate
+    /// answer and a handoff all see one id.
+    fn dispatch(
+        ctx: &Ctx,
+        conn: &mut Conn,
+        mut request: Request,
+        started: Instant,
+        trace_header: Option<u64>,
+        reply: Reply,
+    ) -> After {
+        let req = ctx.server.next_req();
+        let trace = request
+            .trace
+            .or(trace_header)
+            .unwrap_or_else(obs::new_trace_id);
+        request.trace = Some(trace);
+        let allow_replicate = matches!(reply, Reply::Line);
+        let routing = ctx
+            .server
+            .route_request(&request, req, trace, allow_replicate);
+        let control = match routing {
+            Routing::Replicate => return After::Handoff { request, req },
+            Routing::Done(_) => {
+                let response = ctx
+                    .server
+                    .execute_routed(&request, routing, started, None, req, trace);
+                conn.write_buf
+                    .extend_from_slice(&render_reply(&reply, &response));
+                return After::Keep;
+            }
+            Routing::Control => true,
+            Routing::Admitted => false,
+        };
+        conn.pending += 1;
+        match reply {
+            Reply::Line => conn.alone_in_flight = !request.cmd.pipelines(),
+            Reply::Http { .. } => conn.http_busy = true,
+        }
+        let job = Job {
+            token: conn.token,
+            request,
+            started,
+            dispatched: Instant::now(),
+            req,
+            trace,
+            reply,
+        };
+        if control {
+            let _ = ctx.ctl_tx.send(ControlJob::Request(job));
+        } else {
+            let _ = ctx.data_tx.send(job);
         }
         After::Keep
     }
@@ -859,50 +896,12 @@ mod linux {
                         conn.write_buf
                             .extend_from_slice(&response.to_bytes_with(keep));
                     }
-                    Ok(mut request) => {
-                        let req = ctx.server.next_req();
-                        let trace = request
-                            .trace
-                            .or(trace_header)
-                            .unwrap_or_else(obs::new_trace_id);
-                        request.trace = Some(trace);
+                    Ok(request) => {
                         // `replicate` cannot hand off an HTTP
                         // connection, so it routes to the control
                         // worker and earns `unsupported` there.
-                        match ctx.server.route_request(&request, req, trace, false) {
-                            Routing::Done(response) => {
-                                ctx.server
-                                    .note_request(request.cmd.tag(), req, trace, started);
-                                conn.write_buf.extend_from_slice(
-                                    &envelope_http(&response).to_bytes_with(keep),
-                                );
-                            }
-                            Routing::Control => {
-                                conn.pending += 1;
-                                conn.http_busy = true;
-                                let _ = ctx.ctl_tx.send(ControlJob::Request(Job {
-                                    token: conn.token,
-                                    request,
-                                    started,
-                                    dispatched: Instant::now(),
-                                    req,
-                                    reply: Reply::Http { keep_alive: keep },
-                                }));
-                            }
-                            Routing::Admitted => {
-                                conn.pending += 1;
-                                conn.http_busy = true;
-                                let _ = ctx.data_tx.send(Job {
-                                    token: conn.token,
-                                    request,
-                                    started,
-                                    dispatched: Instant::now(),
-                                    req,
-                                    reply: Reply::Http { keep_alive: keep },
-                                });
-                            }
-                            Routing::Replicate => unreachable!("replicate is not routed over HTTP"),
-                        }
+                        let reply = Reply::Http { keep_alive: keep };
+                        dispatch(ctx, conn, request, started, trace_header, reply);
                     }
                 },
             }

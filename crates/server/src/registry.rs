@@ -326,6 +326,19 @@ impl ArtifactCache {
             }
         }
     }
+
+    /// Insert artifacts restored from a snapshot (boot recovery, a
+    /// replica's bootstrap), then zero the hit, miss and eviction
+    /// counters: pre-warming is not demand traffic, so it must not
+    /// skew the counters clients reason about.
+    pub fn prewarm(&mut self, entries: Vec<(String, Artifact)>) {
+        for (key, artifact) in entries {
+            self.insert(key, artifact);
+        }
+        self.hits = 0;
+        self.misses = 0;
+        self.evictions = 0;
+    }
 }
 
 /// Node count of a formula tree — the size measure the workload

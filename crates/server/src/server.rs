@@ -2,21 +2,23 @@
 //! the command dispatcher, plus the stdio serving loop (TCP is served
 //! by [`crate::event_loop`]).
 //!
-//! Concurrency model: the stdio loop and the event loop's workers
-//! run requests through one dispatcher concurrently. A request is first **admitted** (bounded
-//! in-flight count — beyond it the server answers `overloaded` instead
-//! of queueing unboundedly), then waits for one of a fixed number of
-//! **execution permits** (so at most `threads` requests run engine
-//! work at once), then executes against the named KB's own mutex
-//! (queries to different KBs run in parallel; queries to one KB
-//! serialise, which the incremental-session engines require anyway).
+//! Request path: every transport classifies a parsed request with
+//! [`Server::route_request`] (version check, control plane, state
+//! gates, then **admission**: a bounded in-flight count, beyond which
+//! the server answers `overloaded` instead of queueing unboundedly)
+//! and answers it with [`Server::execute_routed`]. An admitted request
+//! executes against the named KB's own mutex (queries to different KBs
+//! run in parallel; queries to one KB serialise, which the
+//! incremental-session engines require anyway). Concurrency is bounded
+//! by the transport: the event loop runs admitted requests on its
+//! `threads` data workers, and stdio runs one request at a time.
 //!
 //! Deadlines are best-effort, not preemptive: a request's deadline is
-//! checked at admission, after the permit wait, and again after
-//! execution (a result computed too late is discarded and reported as
-//! `timeout` — late answers must not look fast). A `deadline_ms` of 0
-//! therefore deterministically times out, which the tests and the CI
-//! smoke script rely on.
+//! checked when execution starts and again after execution (a result
+//! computed too late is discarded and reported as `timeout` — late
+//! answers must not look fast). A `deadline_ms` of 0 therefore
+//! deterministically times out, which the tests and the CI smoke
+//! script rely on.
 //!
 //! Every request gets a server-assigned monotonic id (`req`), echoed
 //! in the response envelope and attached as an attribute to every
@@ -50,14 +52,14 @@ use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 mod metrics;
 
 use metrics::{sample_observations, ServerCounters};
 
-/// Environment variable bounding concurrent request execution.
+/// Environment variable giving the event loop's data-worker count.
 pub const THREADS_ENV: &str = "REVKB_SERVER_THREADS";
 /// Environment variable bounding admitted-but-unfinished requests.
 pub const QUEUE_ENV: &str = "REVKB_SERVER_QUEUE";
@@ -108,8 +110,9 @@ fn env_u64(name: &str) -> Option<u64> {
 /// override them (explicit wins).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent execution permits (default: the machine's available
-    /// parallelism, 1 if unknown).
+    /// Size of the event loop's data-worker pool, so the bound on
+    /// requests executing at once on `--listen` (default: the
+    /// machine's available parallelism, 1 if unknown).
     pub threads: usize,
     /// Admission bound: requests admitted but not yet finished. Beyond
     /// it new work is answered `overloaded`. 0 rejects everything but
@@ -222,7 +225,7 @@ impl ServerConfig {
         config
     }
 
-    /// Set the execution-permit count.
+    /// Set the event loop's data-worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -296,55 +299,6 @@ impl ServerConfig {
     }
 }
 
-/// A counting semaphore bounding concurrent execution.
-struct ExecGate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ExecGate {
-    fn new(permits: usize) -> Self {
-        Self {
-            permits: Mutex::new(permits),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Take a permit, waiting at most until `deadline`. False means
-    /// the deadline expired first.
-    fn acquire(&self, deadline: Instant) -> bool {
-        let mut permits = self.permits.lock().expect("exec gate poisoned");
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if *permits > 0 {
-                *permits -= 1;
-                return true;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(permits, deadline - now)
-                .expect("exec gate poisoned");
-            permits = guard;
-        }
-    }
-
-    fn release(&self) {
-        *self.permits.lock().expect("exec gate poisoned") += 1;
-        self.cv.notify_one();
-    }
-}
-
-struct PermitGuard<'a>(&'a ExecGate);
-
-impl Drop for PermitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
 struct InFlightGuard<'a>(&'a AtomicUsize);
 
 impl Drop for InFlightGuard<'_> {
@@ -383,15 +337,16 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Where one parsed request goes next, as decided on the event-loop
-/// thread by [`Server::route_request`].
+/// Where one parsed request goes next, as decided by
+/// [`Server::route_request`].
 pub(crate) enum Routing {
     /// Answered on the spot (rejections, overload): ship the response.
     Done(Response),
-    /// A control-plane command for the dedicated control worker.
+    /// A control-plane command (the event loop's control worker).
     Control,
-    /// Admitted to the data-plane worker pool; the in-flight slot is
-    /// already claimed and [`Server::execute_admitted`] releases it.
+    /// Admitted to the data plane (the event loop's worker pool); the
+    /// in-flight slot is already claimed and [`Server::execute_routed`]
+    /// releases it.
     Admitted,
     /// A `replicate` handshake: hand the whole connection over to a
     /// blocking replication stream.
@@ -413,7 +368,7 @@ struct SlowEntry {
     /// e.g. unparseable lines).
     trace: u64,
     /// Time spent queued, microseconds: waiting in an event-loop
-    /// worker channel plus waiting for an execution permit.
+    /// worker channel until a worker picks the request up.
     queue_micros: u64,
     /// Time spent compiling, microseconds (0 for non-revise work).
     compile_micros: u64,
@@ -469,7 +424,6 @@ struct Inner {
     cache: Mutex<ArtifactCache>,
     counters: ServerCounters,
     in_flight: AtomicUsize,
-    gate: ExecGate,
     shutdown: AtomicBool,
     /// Monotonic request-id source (first request is 1).
     seq: AtomicU64,
@@ -597,17 +551,12 @@ impl Server {
         {
             let _span = obs::span_with("wal.replay", &[("records", recovered.ops.len() as u64)]);
             server.inner.replaying.store(true, Ordering::SeqCst);
-            {
-                let mut cache = server.inner.cache.lock().expect("cache poisoned");
-                for (key, artifact) in recovered.snapshot {
-                    cache.insert(key, artifact);
-                }
-                // Pre-warming is not demand traffic: boot must not
-                // skew the hit/miss counters clients reason about.
-                cache.hits = 0;
-                cache.misses = 0;
-                cache.evictions = 0;
-            }
+            server
+                .inner
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .prewarm(recovered.snapshot);
             for op in &recovered.ops {
                 match server.replay_op(op) {
                     Ok(()) => report.replayed += 1,
@@ -637,7 +586,6 @@ impl Server {
         });
         let server = Self {
             inner: Arc::new(Inner {
-                gate: ExecGate::new(config.threads.max(1)),
                 config,
                 registry: Mutex::new(HashMap::new()),
                 cache: Mutex::new(cache),
@@ -685,11 +633,12 @@ impl Server {
         *self.inner.sampler.lock().expect("sampler poisoned") = Some(sampler);
     }
 
-    /// Re-apply one logged operation through the same request path the
-    /// data plane uses ([`Server::process_request`] in replay mode) —
-    /// so replay enforces exactly the engine rules the original commit
-    /// did, while skipping the gating (admission, deadlines, replica
-    /// read-only) those operations already passed once.
+    /// Re-apply one logged operation through the command handlers the
+    /// data plane uses ([`Server::dispatch`]), so replay enforces
+    /// exactly the engine rules the original commit did, while skipping
+    /// the routing (version check, admission, deadlines, replica
+    /// read-only) those operations already passed once. No counters
+    /// move.
     fn replay_op(&self, op: &WalOp) -> Result<(), String> {
         let (kb, cmd) = match op {
             WalOp::Load { kb, t } => (
@@ -715,21 +664,15 @@ impl Server {
             }
             WalOp::Drop { kb } => (kb, Command::Drop { kb: kb.clone() }),
         };
-        let request = Request {
-            id: None,
-            deadline_ms: None,
-            version: None,
-            trace: None,
-            cmd,
-        };
-        let tag = request.cmd.tag();
-        match self
-            .process_request(&request, Instant::now(), 0, obs::new_trace_id(), true)
-            .result
-        {
-            Ok(_) => Ok(()),
-            Err((code, m)) => Err(format!("{tag} {kb:?}: {code}: {m}")),
-        }
+        let tag = cmd.tag();
+        let result = self.dispatch(&cmd, 0, obs::new_trace_id());
+        // Replay never reaches note_request; drop any phase timings so
+        // they cannot bleed into the next request accounted on this
+        // thread.
+        let _ = PHASES.with(std::cell::Cell::take);
+        result
+            .map(|_| ())
+            .map_err(|(code, m)| format!("{tag} {kb:?}: {code}: {m}"))
     }
 
     /// Log one committed mutation. Called with the relevant KB or
@@ -808,24 +751,20 @@ impl Server {
     /// request through the full pipeline — version check, control
     /// plane, gating, admission, deadline-bounded execution — and
     /// return the response envelope. Every transport (stdio, the event
-    /// loop's NDJSON lines, the HTTP gateway) and the replay paths
-    /// funnel through the same machinery this calls.
+    /// loop's NDJSON lines, the HTTP gateway) takes the same two steps:
+    /// [`Server::route_request`], then [`Server::execute_routed`].
     pub fn execute(&self, request: &Request) -> Response {
         self.execute_from(request, Instant::now())
     }
 
-    /// [`Server::execute`] with an explicit arrival instant, so
-    /// transports that buffered the request charge queueing time
+    /// [`Server::execute`] with an explicit arrival instant, so a
+    /// transport that parsed the request first charges that time
     /// against the deadline too.
     fn execute_from(&self, request: &Request, started: Instant) -> Response {
         let req = self.next_req();
         let trace = request.trace.unwrap_or_else(obs::new_trace_id);
-        let response = {
-            let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
-            self.process_request(request, started, req, trace, false)
-        };
-        self.note_request(request.cmd.tag(), req, trace, started);
-        response
+        let routing = self.route_request(request, req, trace, false);
+        self.execute_routed(request, routing, started, None, req, trace)
     }
 
     /// Answer a line that is no request with `code` (`bad_request`
@@ -885,64 +824,14 @@ impl Server {
         }
     }
 
-    /// The request pipeline behind [`Server::execute`]. In `replay`
-    /// mode (boot replay, replica apply) the gating stages are skipped
-    /// — the operation already passed them when it first committed —
-    /// and no counters move.
-    fn process_request(
-        &self,
-        request: &Request,
-        started: Instant,
-        req: u64,
-        trace: u64,
-        replay: bool,
-    ) -> Response {
-        if let Some(response) = self.version_rejection(request, req, trace, replay) {
-            return response;
-        }
-        if replay {
-            let result = self.dispatch(&request.cmd, req, trace);
-            // Replay never reaches note_request; drop any phase
-            // timings so they cannot bleed into the next request
-            // accounted on this thread.
-            let _ = PHASES.with(std::cell::Cell::take);
-            return match result {
-                Ok(result) => Response::ok(request.id.clone(), req, trace, result),
-                Err((code, message)) => {
-                    Response::err(request.id.clone(), req, trace, code, message)
-                }
-            };
-        }
-        // Control-plane commands bypass admission: they must answer
-        // even (especially) when the server is saturated.
-        if let Some(response) = self.control_response(request, req, trace) {
-            return response;
-        }
-        if let Some(response) = self.gate_rejection(request, req, trace) {
-            return response;
-        }
-        if !self.try_admit() {
-            return self.overloaded_response(request, req, trace);
-        }
-        self.run_admitted(request, started, req, trace)
-    }
-
     /// Reject a request that pins a protocol version outside the
     /// supported range.
-    fn version_rejection(
-        &self,
-        request: &Request,
-        req: u64,
-        trace: u64,
-        replay: bool,
-    ) -> Option<Response> {
+    fn version_rejection(&self, request: &Request, req: u64, trace: u64) -> Option<Response> {
         let v = request.version?;
         if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v) {
             return None;
         }
-        if !replay {
-            self.inner.counters.error();
-        }
+        self.inner.counters.error();
         Some(Response::err(
             request.id.clone(),
             req,
@@ -955,60 +844,40 @@ impl Server {
         ))
     }
 
-    /// Answer a control-plane command (`None` for data-plane
-    /// commands). Control commands bypass admission and deadlines so
-    /// they answer even when the server is saturated; the event loop
-    /// additionally runs them on a dedicated worker so a slow `stats`
-    /// never blocks readiness polling.
-    pub(crate) fn control_response(
-        &self,
-        request: &Request,
-        req: u64,
-        trace: u64,
-    ) -> Option<Response> {
+    /// Answer a control-plane command, which [`Server::route_request`]
+    /// routed past admission and deadlines so it answers even when the
+    /// server is saturated; the event loop additionally runs it on a
+    /// dedicated worker so a slow `stats` never blocks readiness
+    /// polling.
+    fn control_response(&self, request: &Request, req: u64, trace: u64) -> Response {
+        let id = request.id.clone();
         match request.cmd {
-            Command::Ping => Some(Response::ok(
-                request.id.clone(),
-                req,
-                trace,
-                Json::obj([("pong", Json::Bool(true))]),
-            )),
-            Command::Hello => Some(Response::ok(
-                request.id.clone(),
-                req,
-                trace,
-                self.hello_json(),
-            )),
-            Command::Stats => Some(Response::ok(
-                request.id.clone(),
-                req,
-                trace,
-                self.stats_json(),
-            )),
+            Command::Ping => Response::ok(id, req, trace, Json::obj([("pong", Json::Bool(true))])),
+            Command::Hello => Response::ok(id, req, trace, self.hello_json()),
+            Command::Stats => Response::ok(id, req, trace, self.stats_json()),
             Command::Shutdown => {
-                self.inner.shutdown.store(true, Ordering::SeqCst);
-                Some(Response::ok(
-                    request.id.clone(),
+                self.begin_shutdown();
+                Response::ok(
+                    id,
                     req,
                     trace,
                     Json::obj([("shutting_down", Json::Bool(true))]),
-                ))
+                )
             }
             Command::Replicate { .. } => {
-                // The TCP loops intercept `replicate` before line
-                // dispatch and switch the connection to a raw record
-                // stream; reaching here means a transport that cannot
-                // carry one (stdio, HTTP).
+                // The event loop hands a `replicate` line's connection
+                // to a raw record stream; reaching here means a
+                // transport that cannot carry one (stdio, HTTP).
                 self.inner.counters.error();
-                Some(Response::err(
-                    request.id.clone(),
+                Response::err(
+                    id,
                     req,
                     trace,
                     codes::UNSUPPORTED,
                     "replicate requires a dedicated TCP connection",
-                ))
+                )
             }
-            _ => None,
+            _ => unreachable!("data-plane command routed as control"),
         }
     }
 
@@ -1107,9 +976,9 @@ impl Server {
         )
     }
 
-    /// Execute an admitted request: wait (deadline-bounded) for an
-    /// execution permit, dispatch, and discard answers that arrived
-    /// too late. Releases the in-flight slot claimed by
+    /// Execute an admitted request: dispatch it unless its deadline
+    /// has already passed, and discard an answer that arrived too
+    /// late. Releases the in-flight slot claimed by
     /// [`Server::try_admit`] on every path out.
     fn run_admitted(&self, request: &Request, started: Instant, req: u64, trace: u64) -> Response {
         let _in_flight = InFlightGuard(&self.inner.in_flight);
@@ -1127,31 +996,24 @@ impl Server {
             .deadline_ms
             .unwrap_or(self.inner.config.default_deadline_ms);
         let deadline = started + Duration::from_millis(deadline_ms);
-        let queue_start = Instant::now();
-        if !self.inner.gate.acquire(deadline) {
+        let timeout = |when: &str| {
             self.inner.counters.timeout();
-            return Response::err(
+            Response::err(
                 request.id.clone(),
                 req,
                 trace,
                 codes::TIMEOUT,
-                format!("deadline of {deadline_ms} ms expired before execution started"),
-            );
+                format!("deadline of {deadline_ms} ms expired {when}"),
+            )
+        };
+        if Instant::now() >= deadline {
+            return timeout("before execution started");
         }
-        note_queue_micros(u64::try_from(queue_start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let _permit = PermitGuard(&self.inner.gate);
         let result = self.dispatch(&request.cmd, req, trace);
         if Instant::now() > deadline {
             // The answer arrived after the client's deadline: discard
             // it so a late answer cannot masquerade as a fast one.
-            self.inner.counters.timeout();
-            return Response::err(
-                request.id.clone(),
-                req,
-                trace,
-                codes::TIMEOUT,
-                format!("deadline of {deadline_ms} ms expired during execution"),
-            );
+            return timeout("during execution");
         }
         match result {
             Ok(result) => Response::ok(request.id.clone(), req, trace, result),
@@ -1197,16 +1059,17 @@ impl Server {
         }
     }
 
-    /// Classify one request for the event loop: an immediate answer
-    /// (version/gate rejections, overload), a control command for the
-    /// control worker, an admitted data-plane command for the worker
-    /// pool, or a `replicate` handoff (line transport only —
-    /// `allow_replicate` is false for HTTP, which cannot carry a raw
-    /// record stream).
+    /// Classify one request: an immediate answer (version and gate
+    /// rejections, overload), a control command, an admitted
+    /// data-plane command, or a `replicate` handoff (line transport
+    /// only — `allow_replicate` is false for HTTP and in-process
+    /// callers, which cannot carry a raw record stream). This is the
+    /// one place the version → control → gate → admission order is
+    /// written; [`Server::execute_routed`] answers what it decides.
     ///
-    /// Runs on the loop thread, so admission happens in arrival order:
-    /// a flood of connections sees `overloaded` in the order its
-    /// requests arrived.
+    /// The event loop calls it on its loop thread, so admission
+    /// happens in arrival order: a flood of connections sees
+    /// `overloaded` in the order its requests arrived.
     pub(crate) fn route_request(
         &self,
         request: &Request,
@@ -1214,7 +1077,7 @@ impl Server {
         trace: u64,
         allow_replicate: bool,
     ) -> Routing {
-        if let Some(response) = self.version_rejection(request, req, trace, false) {
+        if let Some(response) = self.version_rejection(request, req, trace) {
             return Routing::Done(response);
         }
         if matches!(request.cmd, Command::Replicate { .. }) && allow_replicate {
@@ -1239,43 +1102,31 @@ impl Server {
         Routing::Admitted
     }
 
-    /// Run a control command routed by [`Server::route_request`]
-    /// (event-loop control worker). The wait since `dispatched`, when
-    /// the loop thread queued the job, is charged as queue time.
-    pub(crate) fn execute_control(
+    /// Answer one request as [`Server::route_request`] routed it, under
+    /// a `server.request` span, and account it with
+    /// [`Server::note_request`] — so on the thread that runs it.
+    /// `handed_off` is when an event loop queued the request for a
+    /// worker; the wait since then is charged as queue time.
+    pub(crate) fn execute_routed(
         &self,
         request: &Request,
+        routing: Routing,
         started: Instant,
-        dispatched: Instant,
+        handed_off: Option<Instant>,
         req: u64,
+        trace: u64,
     ) -> Response {
-        note_queue_micros(u64::try_from(dispatched.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let trace = request.trace.unwrap_or_else(obs::new_trace_id);
+        if let Some(at) = handed_off {
+            note_queue_micros(u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX));
+        }
         let response = {
             let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
-            self.control_response(request, req, trace)
-                .expect("routed as control")
-        };
-        self.note_request(request.cmd.tag(), req, trace, started);
-        response
-    }
-
-    /// Run an admitted data-plane command routed by
-    /// [`Server::route_request`] (event-loop worker pool). The wait
-    /// since `dispatched`, when the loop thread queued the job, is
-    /// charged as queue time.
-    pub(crate) fn execute_admitted(
-        &self,
-        request: &Request,
-        started: Instant,
-        dispatched: Instant,
-        req: u64,
-    ) -> Response {
-        note_queue_micros(u64::try_from(dispatched.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let trace = request.trace.unwrap_or_else(obs::new_trace_id);
-        let response = {
-            let _span = obs::span_with("server.request", &[("req", req), (obs::TRACE_ATTR, trace)]);
-            self.run_admitted(request, started, req, trace)
+            match routing {
+                Routing::Done(response) => response,
+                Routing::Control => self.control_response(request, req, trace),
+                Routing::Admitted => self.run_admitted(request, started, req, trace),
+                Routing::Replicate => unreachable!("a replicate handoff runs handle_replicate"),
+            }
         };
         self.note_request(request.cmd.tag(), req, trace, started);
         response
@@ -2090,23 +1941,18 @@ impl Server {
     }
 
     /// Pre-warm the artifact cache from the primary's hex-shipped
-    /// snapshot (bootstrap only). Mirrors boot recovery: pre-warming
-    /// is not demand traffic, so the hit/miss counters reset.
+    /// snapshot (bootstrap only), as boot recovery does.
     fn prewarm_from_snapshot(&self, hex: &str) {
         let Some(bytes) = from_hex(hex) else {
             return;
         };
         let entries = crate::wal::decode_snapshot(&bytes);
         let count = entries.len() as u64;
-        {
-            let mut cache = self.inner.cache.lock().expect("cache poisoned");
-            for (key, artifact) in entries {
-                cache.insert(key, artifact);
-            }
-            cache.hits = 0;
-            cache.misses = 0;
-            cache.evictions = 0;
-        }
+        self.inner
+            .cache
+            .lock()
+            .expect("cache poisoned")
+            .prewarm(entries);
         if let Some(repl) = &self.inner.repl {
             repl.lock().expect("repl poisoned").snapshot_artifacts = count;
         }

@@ -3,12 +3,14 @@
 
 A line counts when it is not blank, is not a `//` comment (doc comments
 included), and comes before its file's first `#[cfg(test)]`. Every
-`.rs` file under a directory is counted, recursively.
+`.rs` file under a directory is counted, recursively; a `.rs` file
+named on its own is counted by the same rule.
 
     python3 scripts/loc.py                      # every crate's src, src/, vendor/*
     python3 scripts/loc.py crates/revision/src crates/server/src
+    python3 scripts/loc.py crates/server/src/server.rs
 
-Prints one line per directory and their total. Uses only the Python
+Prints one line per argument and their total. Uses only the Python
 standard library and needs no build.
 """
 
@@ -27,8 +29,10 @@ def file_lines(path):
     return count
 
 
-def dir_lines(directory):
-    return sum(file_lines(p) for p in sorted(directory.rglob("*.rs")))
+def path_lines(path):
+    if path.is_file():
+        return file_lines(path)
+    return sum(file_lines(p) for p in sorted(path.rglob("*.rs")))
 
 
 def default_dirs(root):
@@ -44,10 +48,10 @@ def main(argv):
     total = 0
     for d in dirs:
         full = d if d.is_absolute() else root / d
-        if not full.is_dir():
-            print(f"loc.py: not a directory: {d}", file=sys.stderr)
+        if not (full.is_dir() or (full.is_file() and full.suffix == ".rs")):
+            print(f"loc.py: not a directory or .rs file: {d}", file=sys.stderr)
             return 2
-        n = dir_lines(full)
+        n = path_lines(full)
         total += n
         print(f"{n:>7}  {d}")
     print(f"{total:>7}  total")

@@ -34,7 +34,7 @@ fn boxed_engines_match_concrete_for_all_model_based_ops() {
         let concrete = compact(op, &t, &p).unwrap();
         let mut boxed: Box<dyn Engine + Send> = Box::new(
             ReviseBuilder::new(op)
-                .engine(&t, std::slice::from_ref(&p))
+                .compile_iterated(&t, std::slice::from_ref(&p))
                 .unwrap(),
         );
         let batch = boxed.try_entails_batch(&queries).unwrap();
@@ -100,7 +100,7 @@ fn widtio_engine_matches_direct_entailment() {
 fn unrevised_engine_is_the_base_theory() {
     let (t, _, _) = scenario();
     let mut engine = ReviseBuilder::new(ModelBasedOp::Dalal)
-        .engine(&t, &[])
+        .compile_iterated(&t, &[])
         .unwrap();
     assert!(engine.try_entails(&v(2)).unwrap());
     assert!(!engine.try_entails(&v(2).not()).unwrap());
@@ -113,7 +113,7 @@ fn error_codes_are_stable_across_the_api() {
     // strings are wire format and must never drift.
     let (t, p, _) = scenario();
     let mut engine = ReviseBuilder::new(ModelBasedOp::Dalal)
-        .engine(&t, std::slice::from_ref(&p))
+        .compile_iterated(&t, std::slice::from_ref(&p))
         .unwrap();
     assert_eq!(
         engine.try_entails(&v(40)).unwrap_err().code(),
@@ -152,7 +152,7 @@ fn engines_are_send() {
     fn assert_send<T: Send>(_: &T) {}
     let (t, p, _) = scenario();
     let engine = ReviseBuilder::new(ModelBasedOp::Weber)
-        .engine(&t, std::slice::from_ref(&p))
+        .compile_iterated(&t, std::slice::from_ref(&p))
         .unwrap();
     assert_send(&engine);
 }

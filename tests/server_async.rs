@@ -1,6 +1,7 @@
 //! The epoll event loop front end: pipelining against a sequential
 //! oracle, byte-identical behaviour versus in-process
-//! `Server::handle_line` across all eight revision operators, protocol
+//! `Server::handle_line` across all eight revision operators and the
+//! rejection paths (over NDJSON and the HTTP gateway alike), protocol
 //! version negotiation, NDJSON line bounds, and the HTTP/1.1 gateway
 //! (data-plane routes, keep-alive, and a malformed-request battery).
 //!
@@ -20,7 +21,12 @@ const OPERATORS: [&str; 8] = [
 /// Serve a fresh server on a loopback listener; returns the address
 /// and the join handle (the loop exits after `shutdown`).
 fn spawn_event_loop() -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::new(ServerConfig::default());
+    spawn_event_loop_with(ServerConfig::default())
+}
+
+/// [`spawn_event_loop`] for a server built with `config`.
+fn spawn_event_loop_with(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let server = Server::new(config);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || {
@@ -579,5 +585,110 @@ mod http_gateway {
 
         shutdown(&mut line_conn, &mut line_reader);
         handle.join().expect("serve thread");
+    }
+
+    /// A request line and the code it must earn (`None`: `ok`).
+    type ExpectedLine = (&'static str, Option<&'static str>);
+
+    /// Rejection scripts, each with the configuration of the fresh
+    /// server that answers it. Every line carries an explicit id and
+    /// trace id, so a fresh server answers deterministically. The
+    /// `replicate` line comes last in its script: over NDJSON it hands
+    /// the connection to a replication stream instead of answering,
+    /// so that transcript stops before it with the `req` numbering
+    /// still in step.
+    fn rejection_scripts() -> Vec<(ServerConfig, Vec<ExpectedLine>)> {
+        vec![
+            (
+                ServerConfig::default(),
+                vec![
+                    (
+                        r#"{"id":"late","trace":"a1","cmd":"query","kb":"k","q":"a","deadline_ms":0}"#,
+                        Some("timeout"),
+                    ),
+                    (
+                        r#"{"id":"pinned","trace":"a2","v":9,"cmd":"list"}"#,
+                        Some("bad_request"),
+                    ),
+                    (
+                        r#"{"id":"repl","trace":"a3","cmd":"replicate"}"#,
+                        Some("unsupported"),
+                    ),
+                ],
+            ),
+            (
+                ServerConfig::default().with_queue(0),
+                vec![
+                    (
+                        r#"{"id":"load","trace":"b1","cmd":"load","kb":"k","t":"a"}"#,
+                        Some("overloaded"),
+                    ),
+                    (r#"{"id":"ping","trace":"b2","cmd":"ping"}"#, None),
+                    (
+                        r#"{"id":"query","trace":"b3","cmd":"query","kb":"k","q":"a"}"#,
+                        Some("overloaded"),
+                    ),
+                    (r#"{"id":"hello","trace":"b4","cmd":"hello"}"#, None),
+                    (
+                        r#"{"id":"list","trace":"b5","cmd":"list"}"#,
+                        Some("overloaded"),
+                    ),
+                ],
+            ),
+        ]
+    }
+
+    /// The rejection paths answer byte-for-byte alike through
+    /// `Server::handle_line`, NDJSON over the event loop, and the
+    /// gateway's `POST /v1`: an expired deadline, a pinned protocol
+    /// version out of range, `replicate` on a transport that cannot
+    /// stream, and data-plane lines on a server that admits nothing
+    /// (while `ping` and `hello` still answer).
+    #[test]
+    fn rejections_match_across_transports() {
+        for (config, script) in rejection_scripts() {
+            let in_process = Server::new(config.clone());
+            let oracle: Vec<String> = script
+                .iter()
+                .map(|(line, _)| in_process.handle_line(line).expect("non-blank line"))
+                .collect();
+            for ((line, code), answer) in script.iter().zip(&oracle) {
+                let json = Json::parse(answer).expect("envelope JSON");
+                assert_eq!(
+                    json.get("code").and_then(Json::as_str),
+                    *code,
+                    "{line} -> {answer}"
+                );
+                assert_eq!(json.get("ok").and_then(Json::as_bool), Some(code.is_none()));
+            }
+
+            let (addr, handle) = spawn_event_loop_with(config.clone());
+            let (mut stream, mut reader) = connect(addr);
+            let mut over_ndjson = Vec::new();
+            for (line, _) in &script {
+                if line.contains(r#""cmd":"replicate""#) {
+                    break;
+                }
+                send_line(&mut stream, line);
+                over_ndjson.push(read_line(&mut reader));
+            }
+            shutdown(&mut stream, &mut reader);
+            handle.join().expect("serve thread");
+            assert_eq!(over_ndjson[..], oracle[..over_ndjson.len()]);
+
+            let (addr, handle) = spawn_event_loop_with(config);
+            let (mut stream, mut reader) = connect(addr);
+            let mut over_http = Vec::new();
+            for (line, _) in &script {
+                post(&mut stream, "/v1", line);
+                let (status, body) = read_http(&mut reader);
+                assert_eq!(status, 200, "{body}");
+                over_http.push(body.trim().to_string());
+            }
+            let (mut ctl, mut ctl_reader) = connect(addr);
+            shutdown(&mut ctl, &mut ctl_reader);
+            handle.join().expect("serve thread");
+            assert_eq!(over_http, oracle);
+        }
     }
 }

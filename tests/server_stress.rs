@@ -44,7 +44,7 @@ fn oracle_answers(op: &str) -> Vec<bool> {
             let t = Formula::and_all(theory);
             Box::new(
                 ReviseBuilder::new(m)
-                    .engine(&t, std::slice::from_ref(&p))
+                    .compile_iterated(&t, std::slice::from_ref(&p))
                     .expect("model-based compile"),
             )
         }
@@ -139,7 +139,7 @@ fn client_session(addr: std::net::SocketAddr, ops: &[&str], expected: &[Vec<bool
 fn four_clients_match_single_threaded_oracle() {
     let oracle: Vec<Vec<bool>> = OPS.iter().map(|op| oracle_answers(op)).collect();
 
-    // Four execution permits, one per client, on any machine: the
+    // Four data workers, one per client, on any machine: the
     // clients' requests run engine work concurrently.
     let server = Server::new(ServerConfig::default().with_threads(4));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
